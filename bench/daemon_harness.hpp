@@ -50,8 +50,6 @@ class DaemonHarness {
     bool with_admin = false;
     /// BbdService::Options::rpc_workers (0 = service default).
     std::size_t rpc_workers = 0;
-    /// ChainWorldConfig::admission_threads (0 = config default).
-    std::size_t admission_threads = 0;
   };
 
   /// Fork a child hosting BbdService on a fresh UNIX socket.
@@ -86,9 +84,6 @@ class DaemonHarness {
             net::Endpoint::parse("unix:" + h.admin_path_).value()};
       }
       if (spec.rpc_workers != 0) options.rpc_workers = spec.rpc_workers;
-      if (spec.admission_threads != 0) {
-        options.world.admission_threads = spec.admission_threads;
-      }
       net::BbdService service(std::move(options));
       if (!service.start().ok()) ::_exit(1);
       service.wait();  // until the client's kShutdown drains the loop

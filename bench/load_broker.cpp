@@ -10,11 +10,9 @@
 //            `pool_speedup_10k=` is gated (>= 5x) by tier1.sh --load.
 //   Phase B  sharded-broker churn (commit + release + audit + metrics)
 //            at each live level: RARs/sec and p50/p99 admission latency.
-//   Phase C  parallel tunnel admission at T in {1,2,4,8}: one tunnel per
-//            caller. T=1 is the locked serial path (exactly what a world
-//            with admission_threads=0 runs); T>1 enables the
-//            thread-per-shard engine (ISSUE 8) with T owner workers, each
-//            owning its tunnel's pool. The RESULT line
+//   Phase C  parallel tunnel admission at T in {1,2,4,8}: T callers on
+//            T tunnels, each caller locking into its own tunnel's
+//            self-locked pool (the production path). The RESULT line
 //            `tunnel_scaling_4t=` (4-thread / 1-thread) is gated by
 //            tier1.sh --load on hosts with >= 4 cores.
 //   Phase D  batch admission: commit_batch in chunks vs one-by-one
@@ -246,20 +244,15 @@ BrokerSample bench_broker(std::size_t live, std::size_t ops) {
 
 struct ParallelSample {
   unsigned threads = 1;
-  bool engine = false;
   double rars_per_s = 0;
 };
 
 /// Phase C: `threads` callers, one tunnel each, all hammering
-/// allocate/release churn. With use_engine the broker runs the
-/// thread-per-shard engine (one owner worker per tunnel, ISSUE 8) and
-/// every call routes to its owner's queue; without it the callers lock
-/// into the pools directly (the serial production path). Tunnel::allocate
-/// skips the global audit log, so this measures the admission state
-/// itself rather than one shared mutex.
+/// allocate/release churn; each caller locks into its own tunnel's pool.
+/// Tunnel::allocate skips the global audit log, so this measures the
+/// admission state itself rather than one shared mutex.
 ParallelSample bench_parallel_tunnels(unsigned threads, std::size_t live,
-                                      std::size_t ops_per_thread,
-                                      bool use_engine) {
+                                      std::size_t ops_per_thread) {
   BrokerHarness h;
   std::vector<Tunnel*> tunnels;
   for (unsigned t = 0; t < threads; ++t) {
@@ -280,9 +273,6 @@ ParallelSample bench_parallel_tunnels(unsigned threads, std::size_t live,
     }
     tunnels.push_back(tunnel);
   }
-  // Enable AFTER seeding: the seed fill runs caller-threaded, the timed
-  // loop runs owner-routed (the production order in ChainWorld).
-  if (use_engine) h.broker.enable_shard_engine(threads);
   const auto t0 = Clock::now();
   std::vector<std::thread> workers;
   for (unsigned t = 0; t < threads; ++t) {
@@ -305,7 +295,6 @@ ParallelSample bench_parallel_tunnels(unsigned threads, std::size_t live,
   const double elapsed = secs_since(t0);
   ParallelSample s;
   s.threads = threads;
-  s.engine = use_engine;
   s.rars_per_s =
       static_cast<double>(ops_per_thread) * threads / elapsed;
   return s;
@@ -545,8 +534,8 @@ int main(int argc, char** argv) {
                   "broker sustains load at the largest live level");
 
   bu::rule();
-  bu::note("Phase C: parallel tunnel admission (thread-per-shard engine; "
-           "T=1 is the locked serial path)");
+  bu::note("Phase C: parallel tunnel admission (T callers on T "
+           "self-locked tunnel pools)");
   const unsigned cores = std::thread::hardware_concurrency();
   std::vector<unsigned> thread_counts =
       smoke ? std::vector<unsigned>{1, 4} : std::vector<unsigned>{1, 2, 4, 8};
@@ -556,11 +545,9 @@ int main(int argc, char** argv) {
   double rars_4t = 0;
   for (unsigned threads : thread_counts) {
     const ParallelSample s = bench_parallel_tunnels(
-        threads, parallel_live / std::max(1u, threads), parallel_ops,
-        /*use_engine=*/threads > 1);
+        threads, parallel_live / std::max(1u, threads), parallel_ops);
     parallel_samples.push_back(s);
-    bu::row("threads=%-3u %10.0f RARs/s aggregate  (%s)", s.threads,
-            s.rars_per_s, s.engine ? "shard engine" : "locked serial");
+    bu::row("threads=%-3u %10.0f RARs/s aggregate", s.threads, s.rars_per_s);
     if (threads == 1) rars_1t = s.rars_per_s;
     if (threads == 4) rars_4t = s.rars_per_s;
   }
@@ -568,16 +555,15 @@ int main(int argc, char** argv) {
   std::printf("RESULT tunnel_scaling_4t=%.2f cores=%u\n", scaling, cores);
   if (cores >= 4) {
     ok &= bu::check(scaling >= 2.5,
-                    "thread-per-shard engine >= 2.5x serial at 4 threads");
+                    "4 callers on 4 tunnels >= 2.5x one caller");
   } else if (cores > 1) {
     ok &= bu::check(scaling > 1.0,
-                    "independent shards admit faster with more workers");
+                    "independent tunnels admit faster with more callers");
   } else {
-    // One core: workers time-slice and every request pays a cross-thread
-    // handoff, so no aggregate speedup is attainable — record the samples
-    // and only require the engine runs to survive.
+    // One core: the callers time-slice, so no aggregate speedup is
+    // attainable — record the samples and only require the runs to finish.
     ok &= bu::check(rars_4t > 0,
-                    "single-core host: engine-routed churn completes "
+                    "single-core host: parallel churn completes "
                     "(scaling gated only on multicore hosts)");
   }
 
@@ -653,7 +639,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < parallel_samples.size(); ++i) {
       const ParallelSample& s = parallel_samples[i];
       out << (i ? ",\n  " : "\n  ") << "{\"threads\": " << s.threads
-          << ", \"engine\": " << (s.engine ? "true" : "false")
           << ", \"rars_per_s\": " << s.rars_per_s << "}";
     }
     out << "\n ],\n \"tunnel_scaling_4t\": " << scaling

@@ -9,14 +9,9 @@
 namespace e2e::bb {
 
 CapacityPool::~CapacityPool() {
-  // Flush whatever the batching window still holds, then return this
-  // pool's contribution to the boundary gauge (tunnel pools come and go;
-  // the gauge must track live timelines only). No lock: nobody else may
-  // hold a reference during destruction.
-  if (pending_commits_ != 0 || pending_releases_ != 0 ||
-      pending_rejections_ != 0) {
-    flush_metrics_locked();
-  }
+  // Return this pool's contribution to the boundary gauge (tunnel pools
+  // come and go; the gauge must track live timelines only). No lock:
+  // nobody else may hold a reference during destruction.
   if (boundaries_gauge_ != nullptr && reported_boundaries_ != 0) {
     boundaries_gauge_->add(-reported_boundaries_);
   }
@@ -31,7 +26,6 @@ CapacityPool::CapacityPool(const CapacityPool& other)
   // never deallocates into the source's slabs.
   commitments_ = other.commitments_;
   timeline_ = other.timeline_;
-  metrics_flush_interval_ = other.metrics_flush_interval_;
 }
 
 CapacityPool& CapacityPool::operator=(const CapacityPool& other) {
@@ -44,10 +38,6 @@ CapacityPool::CapacityPool(CapacityPool&& other) noexcept = default;
 
 CapacityPool& CapacityPool::operator=(CapacityPool&& other) noexcept {
   if (this == &other) return *this;
-  if (pending_commits_ != 0 || pending_releases_ != 0 ||
-      pending_rejections_ != 0) {
-    flush_metrics_locked();
-  }
   if (boundaries_gauge_ != nullptr && reported_boundaries_ != 0) {
     boundaries_gauge_->add(-reported_boundaries_);
   }
@@ -56,19 +46,11 @@ CapacityPool& CapacityPool::operator=(CapacityPool&& other) noexcept {
   commitments_ = std::move(other.commitments_);
   timeline_ = std::move(other.timeline_);
   mutex_ = std::move(other.mutex_);
-  metrics_flush_interval_ = other.metrics_flush_interval_;
-  mutations_since_flush_ = other.mutations_since_flush_;
-  pending_commits_ = other.pending_commits_;
-  pending_releases_ = other.pending_releases_;
-  pending_rejections_ = other.pending_rejections_;
   commits_counter_ = other.commits_counter_;
   releases_counter_ = other.releases_counter_;
   rejections_counter_ = other.rejections_counter_;
   boundaries_gauge_ = other.boundaries_gauge_;
   reported_boundaries_ = other.reported_boundaries_;
-  other.pending_commits_ = 0;
-  other.pending_releases_ = 0;
-  other.pending_rejections_ = 0;
   other.boundaries_gauge_ = nullptr;
   other.reported_boundaries_ = 0;
   return *this;
@@ -77,28 +59,17 @@ CapacityPool& CapacityPool::operator=(CapacityPool&& other) noexcept {
 void CapacityPool::set_owner_domain(std::string domain) {
   std::lock_guard lock(*mutex_);
   if (domain == owner_domain_) return;
-  // Pending deltas and the reported boundary count belong to the OLD
-  // label's series: push them out before re-resolving instruments.
-  flush_metrics_locked();
-  if (boundaries_gauge_ != nullptr && reported_boundaries_ != 0) {
-    boundaries_gauge_->add(-reported_boundaries_);
-  }
+  // The reported boundary count belongs to the OLD label's series: settle
+  // it, then take it back before re-resolving under the new label.
+  ensure_instruments_locked();
+  publish_boundaries_locked();
+  if (reported_boundaries_ != 0) boundaries_gauge_->add(-reported_boundaries_);
   reported_boundaries_ = 0;
   owner_domain_ = std::move(domain);
   rejections_counter_ = nullptr;
   boundaries_gauge_ = nullptr;
-  flush_metrics_locked();
-}
-
-void CapacityPool::set_metrics_flush_interval(std::size_t n) {
-  std::lock_guard lock(*mutex_);
-  flush_metrics_locked();
-  metrics_flush_interval_ = n == 0 ? 1 : n;
-}
-
-void CapacityPool::flush_metrics() {
-  std::lock_guard lock(*mutex_);
-  flush_metrics_locked();
+  ensure_instruments_locked();
+  publish_boundaries_locked();
 }
 
 void CapacityPool::ensure_instruments_locked() const {
@@ -116,32 +87,19 @@ void CapacityPool::ensure_instruments_locked() const {
       &registry.gauge(obs::kBbPoolBoundaries, domain_labels);
 }
 
-void CapacityPool::flush_metrics_locked() {
-  ensure_instruments_locked();
-  if (pending_commits_ != 0) {
-    commits_counter_->increment(pending_commits_);
-    pending_commits_ = 0;
-  }
-  if (pending_releases_ != 0) {
-    releases_counter_->increment(pending_releases_);
-    pending_releases_ = 0;
-  }
-  if (pending_rejections_ != 0) {
-    rejections_counter_->increment(pending_rejections_);
-    pending_rejections_ = 0;
-  }
+void CapacityPool::publish_boundaries_locked() {
   const double now = static_cast<double>(timeline_.size());
   if (now != reported_boundaries_) {
     boundaries_gauge_->add(now - reported_boundaries_);
     reported_boundaries_ = now;
   }
-  mutations_since_flush_ = 0;
 }
 
-void CapacityPool::note_mutation_locked() {
-  if (++mutations_since_flush_ >= metrics_flush_interval_) {
-    flush_metrics_locked();
-  }
+void CapacityPool::note_mutation_locked(
+    obs::Counter* CapacityPool::*counter) {
+  ensure_instruments_locked();
+  (this->*counter)->increment();
+  publish_boundaries_locked();
 }
 
 // --- Timeline queries -------------------------------------------------------
@@ -259,12 +217,11 @@ Status CapacityPool::commit_locked(const std::string& key,
                  capacity_ + kEpsilon)
           : can_admit_locked(interval, rate);
   if (!admit) {
-    ++pending_rejections_;
     const double headroom = use_reference
                                 ? capacity_ - peak_committed_reference_locked(
                                                   interval)
                                 : headroom_locked(interval);
-    note_mutation_locked();
+    note_mutation_locked(&CapacityPool::rejections_counter_);
     return make_error(ErrorCode::kAdmissionRejected,
                       "commit: insufficient capacity (headroom " +
                           std::to_string(headroom > 0 ? headroom : 0) +
@@ -272,8 +229,7 @@ Status CapacityPool::commit_locked(const std::string& key,
   }
   commitments_.emplace(key, Commitment{interval, rate});
   timeline_.apply(interval, rate);
-  ++pending_commits_;
-  note_mutation_locked();
+  note_mutation_locked(&CapacityPool::commits_counter_);
   return Status::ok_status();
 }
 
@@ -324,8 +280,7 @@ Status CapacityPool::release(const std::string& key) {
   // may leave float residue on boundaries still referenced by other
   // commitments, but an empty pool has an exactly-zero profile.
   if (commitments_.empty()) timeline_.clear();
-  ++pending_releases_;
-  note_mutation_locked();
+  note_mutation_locked(&CapacityPool::releases_counter_);
   return Status::ok_status();
 }
 

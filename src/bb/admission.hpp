@@ -17,18 +17,15 @@
 // O(log n + k) — against the original full-map scan, which is kept intact
 // as the `*_reference` oracle (same pattern as crypto's modexp_reference).
 //
-// ISSUE 8 footprint/contention work: the index is a FlatTimeline (sorted
-// vector, no per-node allocation — bb/timeline.hpp keeps the old map as
-// a differential oracle), commitment map nodes come from a slab arena
-// (bb/arena.hpp), and metric publication can be batched
-// (set_metrics_flush_interval) so a pool owned by a shard worker does not
-// bounce global counter cache lines on every admission.
+// Footprint: the index is a FlatTimeline (sorted vector, no per-node
+// allocation — bb/timeline.hpp keeps the old map as a differential
+// oracle), and commitment map nodes come from a slab arena
+// (bb/arena.hpp).
 //
 // Pools are internally locked: commit() is an atomic check+insert, so
 // brokers and tunnels can run admission from worker threads without an
 // external mutex. Single-threaded call sequences behave exactly as the
-// pre-lock implementation did. Under the shard engine the lock is
-// uncontended (one owner thread) and cheap.
+// pre-lock implementation did.
 #pragma once
 
 #include <cstdint>
@@ -76,16 +73,6 @@ class CapacityPool {
   /// registration (tunnels), before concurrent use.
   void set_owner_domain(std::string domain);
   const std::string& owner_domain() const { return owner_domain_; }
-
-  /// Publish counter/gauge deltas every `n` mutations instead of every
-  /// one (1 = immediate, the default, byte-identical to the historical
-  /// behavior). A pool owned by a shard worker sets this high so the
-  /// global registry's atomics stop bouncing between cores; pending
-  /// deltas flush on the next interval boundary, on flush_metrics(), and
-  /// on destruction.
-  void set_metrics_flush_interval(std::size_t n);
-  /// Force pending metric deltas out to the global registry now.
-  void flush_metrics();
 
   /// Peak committed rate over `interval`.
   double peak_committed(const TimeInterval& interval) const;
@@ -199,10 +186,12 @@ class CapacityPool {
   double committed_at_reference_locked(SimTime t) const;
   Status commit_locked(const std::string& key, const TimeInterval& interval,
                        double rate, bool use_reference);
-  /// Count one mutation against the flush interval; flush when due.
-  void note_mutation_locked();
-  /// Push pending counter deltas + the boundary gauge to the registry.
-  void flush_metrics_locked();
+  /// Bump one of the pool's counters and bring the boundary gauge up to
+  /// date with the timeline.
+  void note_mutation_locked(obs::Counter* CapacityPool::*counter);
+  /// Move the boundary gauge by the change in timeline size since the
+  /// last report.
+  void publish_boundaries_locked();
   void ensure_instruments_locked() const;
 
   double capacity_ = 0;
@@ -212,14 +201,6 @@ class CapacityPool {
 
   // unique_ptr keeps the pool movable (tunnels live in maps).
   mutable std::unique_ptr<std::mutex> mutex_;
-
-  // Metric batching (ISSUE 8): counter increments and the boundary gauge
-  // accumulate locally and flush every metrics_flush_interval_ mutations.
-  std::size_t metrics_flush_interval_ = 1;
-  std::size_t mutations_since_flush_ = 0;
-  std::uint64_t pending_commits_ = 0;
-  std::uint64_t pending_releases_ = 0;
-  std::uint64_t pending_rejections_ = 0;
 
   // Cached instrument pointers: MetricsRegistry hands out references that
   // stay valid for its lifetime, and resolving one takes the registry

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <latch>
 
 #include "bb/wal.hpp"
 #include "common/logging.hpp"
@@ -186,18 +185,18 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
       std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
   Reservation resv{id, spec, ReservationState::kGranted, from_domain};
 
-  // Apply half: owned state (pools + record shard) plus the WAL append.
-  // Routed to the owning worker in engine mode; the blocking group commit
-  // below always stays on THIS thread so an fsync never stalls a worker.
-  auto apply = [&]() -> ApplyOutcome {
+  // Apply half: pools + record shard, plus the WAL append. The blocking
+  // group commit below runs outside every admission lock.
+  std::uint64_t lsn = 0;
+  auto apply = [&]() -> Status {
     auto local = local_pool_.commit(id, spec.interval, spec.rate_bits_per_s);
-    if (!local.ok()) return {local, 0};
+    if (!local.ok()) return local;
     if (!from_domain.empty()) {
       auto peer = peer_pools_.at(from_domain)
                       .commit(id, spec.interval, spec.rate_bits_per_s);
       if (!peer.ok()) {
         (void)local_pool_.release(id);  // rollback
-        return {peer, 0};
+        return peer;
       }
     }
     {
@@ -205,36 +204,32 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
       std::lock_guard lock(shard.mutex);
       shard.records.emplace(id, resv);
     }
-    std::uint64_t lsn = 0;
     if (wal_ != nullptr) {
       lsn = wal_->append(config_.domain, wal_kind::kAdmit,
                          reservation_to_fields(resv));
     }
-    return {Status::ok_status(), lsn};
-  };
-  auto unwind = [&] {
-    {
-      RecordShard& shard = shard_for(id);
-      std::lock_guard lock(shard.mutex);
-      shard.records.erase(id);
-    }
-    (void)local_pool_.release(id);
-    if (!from_domain.empty()) (void)peer_pools_.at(from_domain).release(id);
+    return Status::ok_status();
   };
 
-  const ApplyOutcome applied = run_owned(apply);
-  if (!applied.status.ok()) {
-    record_rejection(spec, applied.status.error().message);
+  const Status applied = apply();
+  if (!applied.ok()) {
+    record_rejection(spec, applied.error().message);
     admission_hist_->observe(wall_us_since(t0));
-    return applied.status.error();
+    return applied.error();
   }
   // Durable before acked: the grant is only returned once its WAL record
   // is fsync'd (group-committed with concurrent grants). A sync failure
   // unwinds the whole admission.
-  if (applied.lsn != 0) {
-    auto durable = wal_->commit(applied.lsn);
+  if (lsn != 0) {
+    auto durable = wal_->commit(lsn);
     if (!durable.ok()) {
-      run_owned(unwind);
+      {
+        RecordShard& shard = shard_for(id);
+        std::lock_guard lock(shard.mutex);
+        shard.records.erase(id);
+      }
+      (void)local_pool_.release(id);
+      if (!from_domain.empty()) (void)peer_pools_.at(from_domain).release(id);
       record_rejection(spec, durable.error().message);
       admission_hist_->observe(wall_us_since(t0));
       return durable.error();
@@ -281,103 +276,94 @@ std::vector<Result<ReservationId>> BandwidthBroker::commit_batch(
     pending.push_back(Pending{i, std::move(id)});
   }
 
-  // Apply half (routed to the owning worker in engine mode): both pool
-  // batches, the record-shard inserts and ONE WAL *append*. Bookkeeping
-  // (audit appends, counters, results) stays in the same order as the
-  // single-threaded path, so engine-on and engine-off reach identical
-  // observable state.
+  // Apply half: both pool batches, the record-shard inserts and ONE WAL
+  // *append*. One lock acquisition on the local pool for the whole batch;
+  // the pool evaluates in ascending start order.
+  const std::vector<Status> local_statuses =
+      local_pool_.commit_batch(local_batch);
   std::vector<Pending> admitted;
-  std::vector<Reservation> installed;
-  std::uint64_t lsn = 0;
-  auto apply = [&] {
-    // One lock acquisition on the local pool for the whole batch; the pool
-    // evaluates in ascending start order.
-    const std::vector<Status> local_statuses =
-        local_pool_.commit_batch(local_batch);
-    admitted.reserve(pending.size());
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      if (!local_statuses[j].ok()) {
-        record_rejection(specs[pending[j].index],
-                         local_statuses[j].error().message);
-        results[pending[j].index] = local_statuses[j].error();
+  admitted.reserve(pending.size());
+  for (std::size_t j = 0; j < pending.size(); ++j) {
+    if (!local_statuses[j].ok()) {
+      record_rejection(specs[pending[j].index],
+                       local_statuses[j].error().message);
+      results[pending[j].index] = local_statuses[j].error();
+      continue;
+    }
+    admitted.push_back(std::move(pending[j]));
+  }
+
+  // Transit traffic additionally debits the per-peer SLA pool, again in
+  // one lock acquisition, rolling back local commits that don't fit.
+  if (!from_domain.empty() && !admitted.empty()) {
+    CapacityPool& peer = peer_pools_.at(from_domain);
+    std::vector<CapacityPool::BatchRequest> peer_batch;
+    peer_batch.reserve(admitted.size());
+    for (const Pending& p : admitted) {
+      peer_batch.push_back(CapacityPool::BatchRequest{
+          p.id, specs[p.index].interval, specs[p.index].rate_bits_per_s});
+    }
+    const std::vector<Status> peer_statuses = peer.commit_batch(peer_batch);
+    std::vector<Pending> kept;
+    kept.reserve(admitted.size());
+    for (std::size_t j = 0; j < admitted.size(); ++j) {
+      if (!peer_statuses[j].ok()) {
+        (void)local_pool_.release(admitted[j].id);  // rollback
+        record_rejection(specs[admitted[j].index],
+                         peer_statuses[j].error().message);
+        results[admitted[j].index] = peer_statuses[j].error();
         continue;
       }
-      admitted.push_back(std::move(pending[j]));
+      kept.push_back(std::move(admitted[j]));
     }
+    admitted = std::move(kept);
+  }
 
-    // Transit traffic additionally debits the per-peer SLA pool, again in
-    // one lock acquisition, rolling back local commits that don't fit.
-    if (!from_domain.empty() && !admitted.empty()) {
-      CapacityPool& peer = peer_pools_.at(from_domain);
-      std::vector<CapacityPool::BatchRequest> peer_batch;
-      peer_batch.reserve(admitted.size());
-      for (const Pending& p : admitted) {
-        peer_batch.push_back(CapacityPool::BatchRequest{
-            p.id, specs[p.index].interval, specs[p.index].rate_bits_per_s});
-      }
-      const std::vector<Status> peer_statuses = peer.commit_batch(peer_batch);
-      std::vector<Pending> kept;
-      kept.reserve(admitted.size());
-      for (std::size_t j = 0; j < admitted.size(); ++j) {
-        if (!peer_statuses[j].ok()) {
-          (void)local_pool_.release(admitted[j].id);  // rollback
-          record_rejection(specs[admitted[j].index],
-                           peer_statuses[j].error().message);
-          results[admitted[j].index] = peer_statuses[j].error();
-          continue;
-        }
-        kept.push_back(std::move(admitted[j]));
-      }
-      admitted = std::move(kept);
+  std::vector<Reservation> installed;
+  installed.reserve(admitted.size());
+  for (const Pending& p : admitted) {
+    Reservation resv{p.id, specs[p.index], ReservationState::kGranted,
+                     from_domain};
+    {
+      RecordShard& shard = shard_for(p.id);
+      std::lock_guard lock(shard.mutex);
+      shard.records.emplace(p.id, resv);
     }
+    installed.push_back(std::move(resv));
+  }
+  // ONE WAL record for the whole batch (granted entries only), so batch
+  // admission pays one line and one group-committed fsync, not one per
+  // flow.
+  std::uint64_t lsn = 0;
+  if (wal_ != nullptr && !installed.empty()) {
+    std::vector<WalFields> items;
+    items.reserve(installed.size());
+    for (const Reservation& resv : installed) {
+      items.push_back(reservation_to_fields(resv));
+    }
+    lsn = wal_->append(config_.domain, wal_kind::kAdmitBatch,
+                       {{"upstream", from_domain},
+                        {"count", std::to_string(installed.size())}},
+                       std::move(items));
+  }
 
-    installed.reserve(admitted.size());
-    for (const Pending& p : admitted) {
-      Reservation resv{p.id, specs[p.index], ReservationState::kGranted,
-                       from_domain};
-      {
-        RecordShard& shard = shard_for(p.id);
-        std::lock_guard lock(shard.mutex);
-        shard.records.emplace(p.id, resv);
-      }
-      installed.push_back(std::move(resv));
-    }
-    // ONE WAL record for the whole batch (granted entries only), so batch
-    // admission pays one line and one group-committed fsync, not one per
-    // flow.
-    if (wal_ != nullptr && !installed.empty()) {
-      std::vector<WalFields> items;
-      items.reserve(installed.size());
-      for (const Reservation& resv : installed) {
-        items.push_back(reservation_to_fields(resv));
-      }
-      lsn = wal_->append(config_.domain, wal_kind::kAdmitBatch,
-                         {{"upstream", from_domain},
-                          {"count", std::to_string(installed.size())}},
-                         std::move(items));
-    }
-  };
-  run_owned(apply);
-
-  // Finish half, on the caller: ONE group commit makes every grant in the
-  // batch durable. A sync failure unwinds all of them on the owner.
+  // Finish half: ONE group commit makes every grant in the batch durable.
+  // A sync failure unwinds all of them.
   if (lsn != 0) {
     auto durable = wal_->commit(lsn);
     if (!durable.ok()) {
-      run_owned([&] {
-        for (const Reservation& resv : installed) {
-          {
-            RecordShard& shard = shard_for(resv.id);
-            std::lock_guard lock(shard.mutex);
-            shard.records.erase(resv.id);
-          }
-          (void)local_pool_.release(resv.id);
-          if (!from_domain.empty()) {
-            (void)peer_pools_.at(from_domain).release(resv.id);
-          }
-          record_rejection(resv.spec, durable.error().message);
+      for (const Reservation& resv : installed) {
+        {
+          RecordShard& shard = shard_for(resv.id);
+          std::lock_guard lock(shard.mutex);
+          shard.records.erase(resv.id);
         }
-      });
+        (void)local_pool_.release(resv.id);
+        if (!from_domain.empty()) {
+          (void)peer_pools_.at(from_domain).release(resv.id);
+        }
+        record_rejection(resv.spec, durable.error().message);
+      }
       for (const Pending& p : admitted) {
         results[p.index] = durable.error();
       }
@@ -406,8 +392,8 @@ std::vector<Result<ReservationId>> BandwidthBroker::commit_batch(
 Status BandwidthBroker::release(const ReservationId& id) {
   Reservation resv;
   std::uint64_t lsn = 0;
-  // Apply half: record erase + pool releases + WAL append on the owning
-  // worker (engine mode); everything after runs on the caller.
+  // Apply half: record erase + pool releases + WAL append; the group
+  // commit runs last, outside every admission lock.
   auto apply = [&]() -> Status {
     {
       RecordShard& shard = shard_for(id);
@@ -430,7 +416,7 @@ Status BandwidthBroker::release(const ReservationId& id) {
     }
     return Status::ok_status();
   };
-  auto applied = run_owned(apply);
+  auto applied = apply();
   if (!applied.ok()) return applied;
   resv.state = ReservationState::kReleased;
   stats_.released.fetch_add(1, std::memory_order_relaxed);
@@ -509,9 +495,6 @@ Result<TunnelId> BandwidthBroker::register_tunnel(
     if (inserted) {
       it->second.set_owner_domain(config_.domain);
       it->second.set_wal(wal_);
-      if (engine_ != nullptr) {
-        it->second.set_engine(engine_.get(), tunnel_owner_worker(id));
-      }
     }
   }
   auto durable = wal_log(
@@ -553,115 +536,6 @@ std::uint64_t BandwidthBroker::next_certificate_serial() {
   (void)wal_log(wal_kind::kDelegationSerial,
                 {{"serial", std::to_string(serial)}});
   return serial;
-}
-
-std::size_t BandwidthBroker::tunnel_owner_worker(const TunnelId& id) const {
-  // Sequentially minted tunnel ids round-robin the workers; foreign id
-  // shapes all land on worker 0 (still correct, just unbalanced).
-  return reservation_handle_number(id) % engine_->worker_count();
-}
-
-void BandwidthBroker::enable_shard_engine(std::size_t workers) {
-  disable_shard_engine();
-  engine_ = std::make_unique<ShardEngine>(workers);
-  // Owned pools batch their registry traffic (totals flush on disable or
-  // destruction, so engine on/off reaches identical final counts).
-  local_pool_.set_metrics_flush_interval(kEngineMetricsFlushInterval);
-  for (auto& [domain, pool] : peer_pools_) {
-    pool.set_metrics_flush_interval(kEngineMetricsFlushInterval);
-  }
-  std::lock_guard lock(tunnels_mutex_);
-  for (auto& [id, tunnel] : tunnels_) {
-    tunnel.set_engine(engine_.get(), tunnel_owner_worker(id));
-  }
-}
-
-void BandwidthBroker::disable_shard_engine() {
-  if (engine_ == nullptr) return;
-  {
-    std::lock_guard lock(tunnels_mutex_);
-    for (auto& [id, tunnel] : tunnels_) tunnel.set_engine(nullptr, 0);
-  }
-  local_pool_.set_metrics_flush_interval(1);
-  for (auto& [domain, pool] : peer_pools_) pool.set_metrics_flush_interval(1);
-  engine_.reset();  // drains the queues, joins the workers
-}
-
-std::vector<Status> BandwidthBroker::allocate_across_tunnels(
-    const std::vector<TunnelFlowRequest>& requests) {
-  std::vector<Status> statuses(requests.size(), Status::ok_status());
-  std::vector<Tunnel*> targets(requests.size(), nullptr);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Tunnel* tunnel = find_tunnel(requests[i].tunnel);
-    if (tunnel == nullptr) {
-      statuses[i] =
-          make_error(ErrorCode::kNotFound,
-                     "unknown tunnel " + requests[i].tunnel, config_.domain);
-      continue;
-    }
-    targets[i] = tunnel;
-  }
-
-  // Apply: in engine mode, ONE task per owning worker applies that
-  // worker's whole slice of the batch, so the request pipelines across
-  // every shard at once instead of one synchronous round-trip per flow.
-  // (A worker thread itself falls back to the sequential path — posting
-  // to our own queue and waiting would self-deadlock.)
-  std::vector<std::uint64_t> lsns(requests.size(), 0);
-  if (engine_ != nullptr && !engine_->on_worker_thread()) {
-    std::vector<std::vector<std::size_t>> by_worker(engine_->worker_count());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (targets[i] != nullptr) {
-        by_worker[targets[i]->owner_worker()].push_back(i);
-      }
-    }
-    std::ptrdiff_t used = 0;
-    for (const auto& slice : by_worker) used += slice.empty() ? 0 : 1;
-    if (used != 0) {
-      std::latch joined(used);
-      for (std::size_t w = 0; w < by_worker.size(); ++w) {
-        if (by_worker[w].empty()) continue;
-        engine_->post(w, [&, w] {
-          for (std::size_t i : by_worker[w]) {
-            statuses[i] =
-                targets[i]->allocate_apply(requests[i].flow, &lsns[i]);
-          }
-          joined.count_down();
-        });
-      }
-      joined.wait();
-    }
-  } else {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (targets[i] != nullptr) {
-        statuses[i] = targets[i]->allocate_apply(requests[i].flow, &lsns[i]);
-      }
-    }
-  }
-
-  // Finish: ONE group commit covers every record the batch appended (the
-  // WAL's LSNs are totally ordered, so committing the max fsyncs all of
-  // them). A sync failure unwinds each granted flow on its owner.
-  std::uint64_t max_lsn = 0;
-  for (const std::uint64_t lsn : lsns) max_lsn = std::max(max_lsn, lsn);
-  if (max_lsn != 0) {
-    auto durable = wal_->commit(max_lsn);
-    if (!durable.ok()) {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (lsns[i] == 0 || !statuses[i].ok()) continue;
-        Tunnel* tunnel = targets[i];
-        const ReservationId& sub_id = requests[i].flow.sub_id;
-        if (engine_ != nullptr) {
-          engine_->run_on(tunnel->owner_worker(),
-                          [&] { tunnel->allocate_unwind(sub_id); });
-        } else {
-          tunnel->allocate_unwind(sub_id);
-        }
-        statuses[i] = durable;
-      }
-    }
-  }
-  return statuses;
 }
 
 Status BandwidthBroker::wal_log(const char* kind, WalFields fields,

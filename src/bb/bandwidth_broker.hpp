@@ -16,17 +16,14 @@
 #include <atomic>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bb/admission.hpp"
 #include "bb/reservation.hpp"
-#include "bb/shard_engine.hpp"
 #include "bb/tunnel.hpp"
 #include "common/rng.hpp"
 #include "crypto/ca.hpp"
@@ -101,9 +98,9 @@ class BandwidthBroker {
   const policy::PolicyServer& policy_server() const { return policy_server_; }
 
   // --- Admission control ----------------------------------------------------
-  // A broker is a server: the parallel source-based engine, concurrent
-  // tunnel sub-reservations and the load harness all issue requests
-  // against it from worker threads. Admission state is sharded instead of
+  // A broker is a server: the daemon's RPC workers, concurrent tunnel
+  // sub-reservations and the load harness all issue requests against it
+  // from several threads. Admission state is sharded instead of
   // serialized behind one broker lock: each capacity pool carries its own
   // internal mutex (commit is an atomic check+insert), reservation records
   // are striped across kRecordShards lock shards keyed by handle hash, and
@@ -134,34 +131,6 @@ class BandwidthBroker {
   Status release(const ReservationId& id);
   const Reservation* find(const ReservationId& id) const;
 
-  // --- Shared-nothing shard engine (ISSUE 8) --------------------------------
-  /// Switch admission to thread-per-shard mode: `workers` owner threads
-  /// are spawned; the broker's own pools + record shards are owned by
-  /// worker 0, and every registered tunnel is owned by worker
-  /// (handle-number % workers). commit/release/headroom and the tunnel
-  /// allocate paths route their state-touching half to the owner's queue;
-  /// the WAL group commit stays on the caller. Decisions, handles and
-  /// final metric totals are identical to engine-off (differential-tested
-  /// in tests/bb_shard_engine_test.cpp). Call at setup, not under
-  /// traffic; tunnels registered later inherit the engine.
-  void enable_shard_engine(std::size_t workers);
-  /// Drain + join the workers and revert to caller-thread admission.
-  void disable_shard_engine();
-  ShardEngine* shard_engine() const { return engine_.get(); }
-
-  /// One per-flow allocation inside a cross-tunnel batch.
-  struct TunnelFlowRequest {
-    TunnelId tunnel;
-    Tunnel::SubFlowRequest flow;
-  };
-  /// Pipeline a batch of per-flow allocations spanning many tunnels: one
-  /// task per owning worker applies that worker's slice (engine mode), and
-  /// everything appended WAL-side is made durable with ONE group commit
-  /// before any grant is acked. Statuses come back in input order and are
-  /// identical to calling Tunnel::allocate sequentially per flow.
-  std::vector<Status> allocate_across_tunnels(
-      const std::vector<TunnelFlowRequest>& requests);
-
   /// Housekeeping: drop reservations whose interval ended at or before
   /// `now`. Expired commitments no longer affect admission (the pools are
   /// interval-aware), so this only reclaims records and pool entries.
@@ -177,12 +146,6 @@ class BandwidthBroker {
   }
   double committed_at(SimTime t) const { return local_pool_.committed_at(t); }
   double headroom(const TimeInterval& iv) const {
-    // Headroom reads route to the owning worker too (engine mode): the
-    // pool's timeline stays a single-core working set.
-    if (engine_ != nullptr) {
-      return engine_->run_on(kBrokerOwnerWorker,
-                             [&] { return local_pool_.headroom(iv); });
-    }
     return local_pool_.headroom(iv);
   }
 
@@ -268,15 +231,6 @@ class BandwidthBroker {
   /// by handle hash) so concurrent commits/releases on different handles
   /// don't contend on one broker-wide mutex.
   static constexpr std::size_t kRecordShards = 16;
-  /// Shard-engine worker that owns the broker's own state (local + peer
-  /// pools, record shards). Tunnels spread across ALL workers; the
-  /// broker's single local pool is one shard and gets one owner.
-  static constexpr std::size_t kBrokerOwnerWorker = 0;
-  /// How many mutations an engine-owned pool accumulates before flushing
-  /// its registry counters (engine-off pools flush every mutation).
-  static constexpr std::size_t kEngineMetricsFlushInterval = 256;
-  /// Owning worker for a tunnel's admission state (engine mode only).
-  std::size_t tunnel_owner_worker(const TunnelId& id) const;
   struct RecordShard {
     mutable std::mutex mutex;
     std::map<ReservationId, Reservation> records;
@@ -344,22 +298,6 @@ class BandwidthBroker {
   Status wal_log(const char* kind, WalFields fields,
                  std::vector<WalFields> items = {});
 
-  /// Apply half of commit()/commit_batch()/release(): everything that
-  /// touches owned state (pools, record shards) plus the WAL *append*;
-  /// runs on kBrokerOwnerWorker in engine mode. The caller finishes with
-  /// the group commit and, on sync failure, an unwind task.
-  struct ApplyOutcome {
-    Status status;
-    std::uint64_t lsn = 0;  ///< 0 = nothing appended
-  };
-  /// Run `fn` on the broker-owner worker (inline without an engine, or
-  /// when the calling thread already is that worker).
-  template <typename F>
-  auto run_owned(F&& fn) -> std::invoke_result_t<F&> {
-    if (engine_ == nullptr) return fn();
-    return engine_->run_on(kBrokerOwnerWorker, std::forward<F>(fn));
-  }
-
   EdgeConfigurator edge_configurator_;
   AtomicCounters stats_;
   WriteAheadLog* wal_ = nullptr;  // owned by the deployment, not the broker
@@ -373,10 +311,6 @@ class BandwidthBroker {
   obs::Counter* released_counter_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
   obs::Histogram* admission_hist_ = nullptr;
-
-  /// Declared LAST: the workers must drain and join BEFORE any owned
-  /// state above is destroyed.
-  std::unique_ptr<ShardEngine> engine_;
 };
 
 }  // namespace e2e::bb

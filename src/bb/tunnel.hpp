@@ -10,13 +10,11 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bb/admission.hpp"
 #include "bb/reservation.hpp"
-#include "bb/shard_engine.hpp"
 #include "bb/wal.hpp"
 
 namespace e2e::bb {
@@ -46,23 +44,6 @@ class Tunnel {
   /// releases and authorization grants become durable-before-ack. Set at
   /// registration (or recovery completion), before concurrent use.
   void set_wal(WriteAheadLog* wal) { wal_ = wal; }
-
-  /// Hand this tunnel's admission state to shard-engine worker `owner`
-  /// (shared-nothing mode): allocate/release route their pool+WAL-append
-  /// work to that worker's queue, so the pool stays resident in one
-  /// core's cache. nullptr reverts to caller-thread execution. Set at
-  /// setup (BandwidthBroker::enable_shard_engine), not under traffic.
-  /// The blocking WAL group commit always stays on the CALLER's thread —
-  /// an fsync must never stall the owning worker's queue.
-  void set_engine(ShardEngine* engine, std::size_t owner) {
-    engine_ = engine;
-    owner_ = owner;
-    // An owned pool batches its registry traffic; totals flush on
-    // disable/destruction, so engine on/off reaches identical counts.
-    pool_.set_metrics_flush_interval(engine == nullptr ? 1 : 256);
-  }
-  ShardEngine* engine() const { return engine_; }
-  std::size_t owner_worker() const { return owner_; }
 
   /// Principals authorized to draw bandwidth from this tunnel. Setup-time
   /// only: authorization is not synchronized against concurrent allocate().
@@ -96,21 +77,19 @@ class Tunnel {
 
   /// Allocate a per-flow slice inside the aggregate. Only the two end
   /// domains run this check — no intermediate signalling. Thread-safe:
-  /// the pool's internal lock makes the check-and-commit atomic (and the
-  /// shard engine, when attached, serializes the apply on the owner).
+  /// the pool's internal lock makes the check-and-commit atomic.
   Status allocate(const ReservationId& sub_id, const std::string& user_dn,
                   const TimeInterval& interval, double rate) {
     std::uint64_t lsn = 0;
     const SubFlowRequest flow{sub_id, user_dn, interval, rate};
-    auto status = run_owned([&] { return allocate_apply(flow, &lsn); });
+    auto status = allocate_apply(flow, &lsn);
     if (!status.ok()) return status;
     if (lsn != 0) {
-      // Finish half, on the caller: block for the group commit. A sync
-      // failure unwinds the grant on the owner — never ack what isn't
-      // durable.
+      // Finish half: block for the group commit outside the pool lock. A
+      // sync failure unwinds the grant — never ack what isn't durable.
       auto durable = wal_->commit(lsn);
       if (!durable.ok()) {
-        run_owned([&] { allocate_unwind(sub_id); });
+        allocate_unwind(sub_id);
         return durable;
       }
     }
@@ -118,11 +97,9 @@ class Tunnel {
   }
 
   /// Apply half of allocate(): authorization gate, pool commit, WAL
-  /// *append* (no sync). Runs on the owning worker in engine mode —
-  /// BandwidthBroker::allocate_across_tunnels posts it directly to
-  /// pipeline a cross-tunnel batch. When it sets `*lsn` (non-zero), the
-  /// caller owns the finish half: WriteAheadLog::commit(lsn) before
-  /// acking, allocate_unwind() on the owner if that fails.
+  /// *append* (no sync). When it sets `*lsn` (non-zero), the caller owns
+  /// the finish half: WriteAheadLog::commit(lsn) before acking,
+  /// allocate_unwind() if that fails.
   Status allocate_apply(const SubFlowRequest& flow, std::uint64_t* lsn) {
     auto gate = admission_gate(flow.user_dn, flow.interval);
     if (!gate.ok()) return gate;
@@ -153,15 +130,14 @@ class Tunnel {
       const std::vector<SubFlowRequest>& flows) {
     std::uint64_t lsn = 0;
     std::vector<std::size_t> granted;
-    auto statuses = run_owned(
-        [&] { return allocate_batch_apply(flows, &lsn, &granted); });
+    auto statuses = allocate_batch_apply(flows, &lsn, &granted);
     if (lsn != 0) {
       auto durable = wal_->commit(lsn);
       if (!durable.ok()) {
-        run_owned([&] {
-          for (std::size_t i : granted) allocate_unwind(flows[i].sub_id);
-        });
-        for (std::size_t i : granted) statuses[i] = durable;
+        for (std::size_t i : granted) {
+          allocate_unwind(flows[i].sub_id);
+          statuses[i] = durable;
+        }
       }
     }
     return statuses;
@@ -216,17 +192,14 @@ class Tunnel {
 
   Status release(const ReservationId& sub_id) {
     std::uint64_t lsn = 0;
-    auto status = run_owned([&] {
-      auto s = pool_.release(sub_id);
-      if (s.ok() && wal_ != nullptr) {
-        lsn = wal_->append(owner_domain_, wal_kind::kTunnelRelease,
-                           {{"tunnel", id_}, {"sub_id", sub_id}});
-      }
-      return s;
-    });
+    auto status = pool_.release(sub_id);
+    if (status.ok() && wal_ != nullptr) {
+      lsn = wal_->append(owner_domain_, wal_kind::kTunnelRelease,
+                         {{"tunnel", id_}, {"sub_id", sub_id}});
+    }
     // Apply-then-log: a lost release record is conservative on replay
     // (capacity stays reserved, never double-granted), so the sync result
-    // does not gate the status — same contract as before the engine.
+    // does not gate the status.
     if (lsn != 0) (void)wal_->commit(lsn);
     return status;
   }
@@ -253,14 +226,6 @@ class Tunnel {
   std::size_t active_allocations() const { return pool_.commitment_count(); }
 
  private:
-  /// Run `fn` on the owning shard worker (inline without an engine, or
-  /// when the calling thread already is the owner).
-  template <typename F>
-  auto run_owned(F&& fn) -> std::invoke_result_t<F&> {
-    if (engine_ == nullptr) return fn();
-    return engine_->run_on(owner_, std::forward<F>(fn));
-  }
-
   /// Authorization + lifetime checks shared by allocate()/allocate_batch().
   Status admission_gate(const std::string& user_dn,
                         const TimeInterval& interval) const {
@@ -282,8 +247,6 @@ class Tunnel {
   std::set<std::string> authorized_;
   std::string owner_domain_;
   WriteAheadLog* wal_ = nullptr;  // owned by the deployment, not the tunnel
-  ShardEngine* engine_ = nullptr;  // owned by the broker, not the tunnel
-  std::size_t owner_ = 0;          // owning worker index when engine_ set
 };
 
 }  // namespace e2e::bb

@@ -1,16 +1,20 @@
-// Fixed-size thread pool.
+// Fixed-size keyed worker pool: the one thread abstraction in src/.
 //
-// Used by the source-domain signalling engine to contact all bandwidth
-// brokers concurrently (the paper notes source-based signalling "may be
-// faster ... because the reservations for each domain can be made in
-// parallel") and by benchmark drivers that admit many flows at once.
+// N workers, each draining its own FIFO queue. post(key, task) always
+// lands on worker `key % N`, so tasks posted under one key run in order
+// on one thread — the bbd daemon keys by connection id, which keeps each
+// sealed channel's sequence numbers advancing in FIFO order with no
+// cross-thread session use. A worker takes its whole queue in one lock
+// acquisition per wakeup, so a burst of posts costs one hand-off, not
+// one per task.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
+#include <deque>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -18,40 +22,33 @@ namespace e2e {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>=1).
+  using Task = std::function<void()>;
+
+  /// Spawns `num_threads` workers (0 is clamped to 1).
   explicit ThreadPool(std::size_t num_threads);
+  /// Drains every queue, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Schedule `fn` and get a future for its result.
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) {
-        throw std::logic_error("ThreadPool::submit after shutdown");
-      }
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
+  /// Enqueue `task` on worker `key % size()` and return immediately.
+  void post(std::size_t key, Task task);
 
   std::size_t size() const { return workers_.size(); }
 
  private:
-  void worker_loop();
+  struct Worker {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<Task> queue;
+    bool stop = false;
+    std::thread thread;
+  };
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+  static void worker_loop(Worker& worker);
+
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace e2e

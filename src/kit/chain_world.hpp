@@ -16,7 +16,6 @@
 #include "bb/recovery.hpp"
 #include "bb/snapshot.hpp"
 #include "bb/wal.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/collector.hpp"
 #include "obs/trace.hpp"
 #include "policy/cas.hpp"
@@ -64,11 +63,6 @@ struct ChainWorldConfig {
   std::uint64_t fault_seed = 20010801;
   /// Retry/backoff policy installed on both signalling engines.
   sig::RetryPolicy retry_policy;
-  /// Worker threads for concurrent tunnel admission (0 = sequential).
-  /// When set, the world owns a ThreadPool and attaches it to the
-  /// hop-by-hop engine so reserve_in_tunnel_batch evaluates the two
-  /// endpoint pools in parallel; grants are identical either way.
-  std::size_t admission_threads = 0;
   /// Directory for per-domain durability state (`<dir>/<domain>.wal` and
   /// `<dir>/<domain>.snapshot`). Empty (the default) disables durability
   /// entirely — the world is byte-identical to one without this field.
@@ -169,10 +163,6 @@ class ChainWorld {
     }
     engine_.set_retry_policy(config.retry_policy);
     source_engine_.set_retry_policy(config.retry_policy);
-    if (config.admission_threads > 0) {
-      admission_pool_ = std::make_unique<ThreadPool>(config.admission_threads);
-      engine_.set_admission_pool(admission_pool_.get());
-    }
     // Durability: one WAL per domain, fsync'd before any grant is acked.
     if (!config.durability_dir.empty()) {
       wals_.resize(config.domains);
@@ -202,21 +192,7 @@ class ChainWorld {
         brokers_[i]->attach_wal(wals_[i].get());
       }
     }
-    // Shared-nothing admission: each broker gets a thread-per-shard engine
-    // sized like the legacy pool. Enabled LAST — recovery and WAL attach
-    // above run caller-threaded; the engine takes ownership only once the
-    // world's state is fully wired. Grants/handles/metric totals are
-    // identical with the engine on or off.
-    if (config.admission_threads > 0) {
-      for (auto& broker : brokers_) {
-        broker->enable_shard_engine(config.admission_threads);
-      }
-    }
   }
-
-  /// The world-owned admission worker pool (nullptr when
-  /// admission_threads == 0).
-  ThreadPool* admission_pool() { return admission_pool_.get(); }
 
   static std::string domain_name(std::size_t i) {
     if (i < 26) return std::string("Domain") + static_cast<char>('A' + i);
@@ -382,9 +358,6 @@ class ChainWorld {
   std::vector<std::unique_ptr<bb::BandwidthBroker>> brokers_;
   policy::CommunityAuthorizationServer cas_esnet_;
   policy::GroupServer group_server_{"world-group-server"};
-  // Declared before the engines so it outlives them (the engines hold a
-  // raw pointer to the pool while an admission batch is in flight).
-  std::unique_ptr<ThreadPool> admission_pool_;
   sig::Fabric fabric_;
   sig::HopByHopEngine engine_;
   sig::SourceDomainEngine source_engine_;

@@ -93,12 +93,7 @@ Status BbdService::start() {
   if (auto built = rebuild_world(std::move(config)); !built.ok()) {
     return built;
   }
-  // The RPC execution pool. No e2e_bb_shard_* series: those belong to
-  // the admission engine inside the world; this pool reuses only the
-  // queue/worker machinery.
-  rpc_pool_ = std::make_unique<bb::ShardEngine>(
-      options_.rpc_workers == 0 ? 1 : options_.rpc_workers,
-      /*register_metrics=*/false);
+  rpc_pool_ = std::make_unique<ThreadPool>(options_.rpc_workers);
   StreamServer::Options server_options;
   server_options.listen_on = options_.listen_on;
   server_options.idle_timeout = options_.idle_timeout;
@@ -259,56 +254,8 @@ std::string BbdService::build_statz() const {
       out += "}";
     }
   }
-  out += "],\"shards\":[";
-  std::uint64_t depth_total = 0;
-  std::uint64_t tasks_total = 0;
-  std::uint64_t busy_total = 0;
-  // Shard stats are relaxed atomics and names() is immutable, so only
-  // the pointer needs protection: the shared_ptr copy keeps the world
-  // alive across a concurrent kConfigure, and no RPC is blocked.
-  std::shared_ptr<kit::ChainWorld> world;
-  {
-    std::lock_guard lock(world_ptr_mutex_);
-    world = world_;
-  }
-  {
-    if (world != nullptr) {
-      bool first_domain = true;
-      for (std::size_t i = 0; i < world->names().size(); ++i) {
-        const bb::ShardEngine* engine = world->broker(i).shard_engine();
-        if (engine == nullptr) continue;
-        if (!first_domain) out += ",";
-        first_domain = false;
-        out += "{\"domain\":\"" +
-               obs::chain_json_escape(world->names()[i]) + "\"";
-        out += ",\"queue_depth\":" + std::to_string(engine->queue_depth());
-        out += ",\"queue_depth_highwater\":" +
-               std::to_string(engine->queue_depth_highwater());
-        out += ",\"workers\":[";
-        const auto workers = engine->stats();
-        for (std::size_t w = 0; w < workers.size(); ++w) {
-          if (w > 0) out += ",";
-          out += "{\"worker\":" + std::to_string(w);
-          out += ",\"queue_depth\":" +
-                 std::to_string(workers[w].queue_depth);
-          out += ",\"tasks_total\":" +
-                 std::to_string(workers[w].tasks_total);
-          out += ",\"busy_us_total\":" +
-                 std::to_string(workers[w].busy_us_total);
-          out += "}";
-          depth_total += workers[w].queue_depth;
-          tasks_total += workers[w].tasks_total;
-          busy_total += workers[w].busy_us_total;
-        }
-        out += "]}";
-      }
-    }
-  }
   out += "],\"totals\":{";
   out += "\"connections\":" + std::to_string(conn_count);
-  out += ",\"shard_queue_depth\":" + std::to_string(depth_total);
-  out += ",\"shard_tasks\":" + std::to_string(tasks_total);
-  out += ",\"shard_busy_us\":" + std::to_string(busy_total);
   out += "}}";
   return out;
 }
@@ -384,24 +331,17 @@ const char* BbdService::poller_name() const {
 Status BbdService::rebuild_world(kit::ChainWorldConfig config) {
   config.durability_dir = options_.durability_dir;
   config.recover_on_open = options_.recover && !options_.durability_dir.empty();
-  // A kConfigure with no explicit thread count keeps the daemon's
-  // configured admission engine instead of silently dropping to zero.
-  if (config.admission_threads == 0) {
-    config.admission_threads = options_.world.admission_threads;
-  }
   users_.clear();
-  // The old world must release its WALs before the new one reopens them.
-  // The admin thread may still hold a shared_ptr copy (its shard-stats
-  // read finishes against the dying world), but the WAL handles close
-  // only with the last reference — so drop ours first and publish the
-  // replacement after construction succeeds.
+  // The old world must release its WALs before the new one reopens them,
+  // so drop it first and publish the replacement after construction
+  // succeeds.
   {
     std::lock_guard ptr_lock(world_ptr_mutex_);
     world_.reset();
   }
-  std::shared_ptr<kit::ChainWorld> rebuilt;
+  std::unique_ptr<kit::ChainWorld> rebuilt;
   try {
-    rebuilt = std::make_shared<kit::ChainWorld>(config);
+    rebuilt = std::make_unique<kit::ChainWorld>(config);
   } catch (const std::exception& e) {
     return make_error(ErrorCode::kInternal, "world construction failed",
                       e.what());
@@ -415,12 +355,6 @@ BbdService::ConnPtr BbdService::find_conn(StreamServer::ConnId id) const {
   std::lock_guard lock(conns_mutex_);
   const auto it = conns_.find(id);
   return it != conns_.end() ? it->second : nullptr;
-}
-
-std::size_t BbdService::worker_for(StreamServer::ConnId id) const {
-  // Connection affinity: all of a connection's requests execute on one
-  // worker, preserving the sealed channel's FIFO sequence chain.
-  return static_cast<std::size_t>(id) % rpc_pool_->worker_count();
 }
 
 void BbdService::on_open(StreamServer::ConnId id, const Endpoint& via) {
@@ -447,7 +381,7 @@ void BbdService::on_close(StreamServer::ConnId id, const Status& reason) {
   // queues BEHIND every request dispatched before the close: the grants
   // list is final when it runs, and orphan release happens exactly once,
   // after the last grant of the connection landed.
-  rpc_pool_->post(worker_for(id), [this, conn] {
+  rpc_pool_->post(id, [this, conn] {
     if (conn->release_on_disconnect) {
       std::lock_guard lock(world_mutex_);
       release_orphans(*conn);
@@ -517,11 +451,12 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
     return;
   }
   // Everything else — unseal, decode, execute, re-seal — happens on the
-  // connection's affine worker; the loop goes straight back to IO.
-  rpc_pool_->post(worker_for(id),
-                  [this, id, conn, frame = std::move(frame)]() mutable {
-                    process_frame(id, conn, std::move(frame));
-                  });
+  // connection's affine worker (keyed by connection id, so its sealed
+  // channel's sequence chain advances in FIFO order); the loop goes
+  // straight back to IO.
+  rpc_pool_->post(id, [this, id, conn, frame = std::move(frame)]() mutable {
+    process_frame(id, conn, std::move(frame));
+  });
 }
 
 /// Worker-thread half of the RPC path.

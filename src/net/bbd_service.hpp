@@ -8,25 +8,26 @@
 // RarReply crosses the wire as its canonical encoding, a multi-process run
 // produces byte-identical protocol output to the in-memory one.
 //
-// Threading (ISSUE 10): the daemon is a three-stage pipeline.
+// Threading: the daemon is a three-stage pipeline, and the RPC worker
+// pool is its only thread pool.
 //   1. The StreamServer loop thread owns sockets and frames: it runs the
 //      handshake stages inline, dispatches established frames to the RPC
 //      worker pool, and is the only thread that calls send().
-//   2. The RPC worker pool (Options::rpc_workers ShardEngine threads, no
-//      e2e_bb_shard_* series — those stay attributable to admission)
-//      unseals, decodes, executes and re-seals each request. A connection
-//      is affine to one worker (conn id mod pool size), so its sealed
-//      sequence numbers advance in FIFO order with no cross-thread
-//      session use; completions return to the loop via
-//      StreamServer::post().
+//   2. The RPC worker pool (a ThreadPool of Options::rpc_workers threads)
+//      unseals, decodes, executes and re-seals each request. Requests
+//      are posted under their connection id, so a connection is affine
+//      to one worker (id mod pool size) and its sealed sequence numbers
+//      advance in FIFO order with no cross-thread session use;
+//      completions return to the loop via StreamServer::post().
+//      Admission runs inline on the worker against the brokers'
+//      self-locked pools.
 //   3. The admin plane thread renders introspection documents.
 // Locks are per-stage, not monolithic:
 //   - world_mutex_   serializes world/engine/users mutation (the engines
 //     are not internally synchronized), taken by workers per request and
 //     by /tracez;
-//   - world_ptr_mutex_ guards only the world_ shared_ptr itself, so
-//     /statz and /healthz observe the world without queueing behind a
-//     long-running RPC;
+//   - world_ptr_mutex_ guards only the world_ pointer itself, so /healthz
+//     observes the world without queueing behind a long-running RPC;
 //   - conns_mutex_   guards the connection-state map (loop inserts and
 //     erases; /statz reads the per-connection in-flight gauges).
 // Per-connection mutable state is either loop-owned (handshake stage),
@@ -45,9 +46,9 @@
 #include <utility>
 #include <vector>
 
-#include "bb/shard_engine.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/ca.hpp"
 #include "kit/chain_world.hpp"
 #include "net/bbd_protocol.hpp"
@@ -178,7 +179,6 @@ class BbdService {
   void release_orphans(ConnState& conn);
   /// conns_ lookup under conns_mutex_.
   ConnPtr find_conn(StreamServer::ConnId id) const;
-  std::size_t worker_for(StreamServer::ConnId id) const;
 
   /// Admin plane (options_.admin_on non-empty only). The admin server
   /// runs raw HTTP on its own thread; see the threading note above for
@@ -203,9 +203,9 @@ class BbdService {
   /// /tracez). The signalling engines are not internally synchronized.
   mutable std::mutex world_mutex_;
   /// Guards only the world_ pointer (swap on kConfigure vs the admin
-  /// thread's shared_ptr copy); never held across engine work.
+  /// thread's /healthz read); never held across engine work.
   mutable std::mutex world_ptr_mutex_;
-  std::shared_ptr<kit::ChainWorld> world_;
+  std::unique_ptr<kit::ChainWorld> world_;
 
   /// Connection-state map: loop thread writes, /statz reads.
   mutable std::mutex conns_mutex_;
@@ -231,7 +231,7 @@ class BbdService {
 
   /// Declared last: its destructor drains all queued tasks, which may
   /// still touch the members above.
-  std::unique_ptr<bb::ShardEngine> rpc_pool_;
+  std::unique_ptr<ThreadPool> rpc_pool_;
 };
 
 }  // namespace e2e::net

@@ -12,8 +12,8 @@
 //   GET /metrics       Prometheus text exposition (registry.to_text())
 //   GET /metrics.json  the registry's JSON snapshot (registry.to_json())
 //   GET /healthz       liveness: 200 "ok" while the loop serves
-//   GET /readyz        readiness: world built, WALs open, shards alive
-//   GET /statz         per-connection / per-shard introspection JSON
+//   GET /readyz        readiness: RPC loop live, world built, not draining
+//   GET /statz         per-connection introspection JSON
 //   GET /tracez        recent reservation trace trees, collector-
 //                      compatible JSON (tools/tracedump --from-json)
 //
@@ -70,7 +70,7 @@ class AdminPlane {
  public:
   struct Health {
     bool live = false;    // the serving loop is running
-    bool ready = false;   // world built; durability + shards healthy
+    bool ready = false;   // loop live, world built, not draining
     std::string detail;   // short human-readable reason when not ready
   };
 

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace e2e::obs {
@@ -89,12 +91,7 @@ std::vector<CollectedSpan> stitch(std::vector<CollectedSpan> entries) {
 
 void SpanCollector::ingest(const std::string& domain,
                            const TraceRecorder& recorder) {
-  std::vector<Span> spans;
-  for (const std::string& trace_id : recorder.trace_ids()) {
-    for (Span& span : recorder.trace(trace_id)) {
-      spans.push_back(std::move(span));
-    }
-  }
+  std::vector<Span> spans = recorder.spans();
   std::lock_guard lock(mutex_);
   for (Export& exp : exports_) {
     if (exp.domain == domain) {
@@ -108,11 +105,10 @@ void SpanCollector::ingest(const std::string& domain,
 std::vector<std::string> SpanCollector::trace_ids() const {
   std::lock_guard lock(mutex_);
   std::vector<std::string> ids;
+  std::unordered_set<std::string_view> seen;
   for (const Export& exp : exports_) {
     for (const Span& span : exp.spans) {
-      if (std::find(ids.begin(), ids.end(), span.trace_id) == ids.end()) {
-        ids.push_back(span.trace_id);
-      }
+      if (seen.insert(span.trace_id).second) ids.push_back(span.trace_id);
     }
   }
   return ids;

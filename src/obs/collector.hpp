@@ -39,9 +39,8 @@ class SpanCollector {
   SpanCollector(const SpanCollector&) = delete;
   SpanCollector& operator=(const SpanCollector&) = delete;
 
-  /// Merge one domain's full recorder export. Re-ingesting the same
-  /// domain replaces its previous export (recorders only grow, so the
-  /// newest export subsumes older ones).
+  /// Merge one domain's recorder export (its retained spans).
+  /// Re-ingesting the same domain replaces its previous export.
   void ingest(const std::string& domain, const TraceRecorder& recorder);
 
   std::vector<std::string> trace_ids() const;

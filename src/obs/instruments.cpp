@@ -38,16 +38,6 @@ std::vector<MetricInfo> build_catalog() {
        "Reservations committed by a broker"},
       {kBbReservationsReleasedTotal, MetricType::kCounter, kOne, {"domain"},
        "Reservations released or purged by a broker"},
-      {kBbShardBusyUsTotal, MetricType::kCounter, kUs, {"worker"},
-       "Wall-clock microseconds shard workers spent running drained tasks"},
-      {kBbShardDrainBatch, MetricType::kHistogram, kOne, {},
-       "Tasks drained per shard-worker wakeup (batch coalescing factor)"},
-      {kBbShardQueueDepth, MetricType::kGauge, kOne, {},
-       "Requests queued across shard-engine workers (published per drain)"},
-      {kBbShardQueueDepthHighwater, MetricType::kGauge, kOne, {},
-       "High-water mark of the total shard queue depth since engine start"},
-      {kBbShardRequestsTotal, MetricType::kCounter, kOne, {"worker"},
-       "Requests executed by shard-engine workers"},
       {kBbTunnelsRegisteredTotal, MetricType::kCounter, kOne, {"domain"},
        "Aggregate tunnels registered at an end domain"},
       {kBbWalBytesTotal, MetricType::kCounter, "bytes", {},
@@ -216,11 +206,6 @@ void register_all(MetricsRegistry& registry) {
     // to the largest plausible burst.
     if (info.type == MetricType::kHistogram &&
         std::string(info.name) == kBbWalGroupCommitRecords) {
-      metadata.buckets = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-    }
-    // Shard drain batches coalesce the same way group commits do.
-    if (info.type == MetricType::kHistogram &&
-        std::string(info.name) == kBbShardDrainBatch) {
       metadata.buckets = {1, 2, 4, 8, 16, 32, 64, 128, 256};
     }
     registry.declare(std::move(metadata));

@@ -157,21 +157,6 @@ inline constexpr char kBbReservationsActive[] = "e2e_bb_reservations_active";
 /// Aggregate tunnels registered. Labels: domain.
 inline constexpr char kBbTunnelsRegisteredTotal[] =
     "e2e_bb_tunnels_registered_total";
-/// Requests executed by shard-engine workers (shared-nothing admission;
-/// bumped once per drained queue batch). Labels: worker (queue index).
-inline constexpr char kBbShardRequestsTotal[] = "e2e_bb_shard_requests_total";
-/// Requests currently queued across all shard-engine workers (published
-/// after each drain, so spikes between drains are invisible by design).
-inline constexpr char kBbShardQueueDepth[] = "e2e_bb_shard_queue_depth";
-/// High-water mark of the total shard queue depth since engine start
-/// (updated at enqueue, so spikes between drains ARE visible here).
-inline constexpr char kBbShardQueueDepthHighwater[] =
-    "e2e_bb_shard_queue_depth_highwater";
-/// Wall-clock microseconds shard workers spent running drained tasks
-/// (busy fraction = rate of this over wall time). Labels: worker.
-inline constexpr char kBbShardBusyUsTotal[] = "e2e_bb_shard_busy_us_total";
-/// Tasks drained per worker wakeup (batch coalescing factor).
-inline constexpr char kBbShardDrainBatch[] = "e2e_bb_shard_drain_batch";
 /// Wall-clock time a broker spent deciding one admission (or one batch;
 /// the only wall-clock histogram — every other latency metric is virtual
 /// time, so this family's values vary run to run). Labels: domain.

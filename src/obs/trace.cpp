@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace e2e::obs {
@@ -36,9 +38,10 @@ const std::string* Span::attribute(std::string_view key) const {
 }
 
 Span* TraceRecorder::find_locked(SpanId id) {
-  // Ids are dense and ascending; index directly.
-  if (id == 0 || id > spans_.size()) return nullptr;
-  return &spans_[id - 1];
+  // Ids are dense and ascending from first_id_; index directly.
+  if (id < first_id_ || id - first_id_ >= spans_.size()) return nullptr;
+  Span& span = spans_[id - first_id_];
+  return span.id == 0 ? nullptr : &span;
 }
 
 SpanId TraceRecorder::begin_span(const std::string& trace_id,
@@ -52,8 +55,52 @@ SpanId TraceRecorder::begin_span(const std::string& trace_id,
   span.name = name;
   span.start = start;
   span.end = start;
+  const SpanId id = span.id;
   spans_.push_back(std::move(span));
-  return spans_.back().id;
+  if (++live_ > evict_at_) evict_locked(trace_id);
+  return id;
+}
+
+void TraceRecorder::evict_locked(const std::string& keep) {
+  // One pass frees about half the bound, so eviction costs amortised O(1)
+  // per span. A trace's spans mostly sit next to each other, so both
+  // loops touch the set only where the trace id changes. The trace being
+  // written is never split.
+  std::unordered_set<std::string> oldest;
+  std::size_t seen = 0;
+  const std::string* run = nullptr;
+  for (const Span& span : spans_) {
+    if (seen == live_ / 2) break;
+    if (span.id == 0) continue;
+    ++seen;
+    if (run != nullptr && span.trace_id == *run) continue;
+    run = &span.trace_id;
+    if (span.trace_id != keep) oldest.insert(span.trace_id);
+  }
+  if (!oldest.empty()) {
+    std::string run_id;
+    bool in_run = false;
+    bool evict = false;
+    for (Span& span : spans_) {
+      if (span.id == 0) continue;
+      if (!in_run || span.trace_id != run_id) {
+        run_id = span.trace_id;
+        in_run = true;
+        evict = oldest.contains(run_id);
+      }
+      if (evict) {
+        span = Span{};
+        --live_;
+      }
+    }
+  }
+  while (!spans_.empty() && spans_.front().id == 0) {
+    spans_.pop_front();
+    ++first_id_;
+  }
+  // When one trace alone outgrows the bound, wait for another quarter of
+  // growth before the next pass instead of rescanning on every span.
+  evict_at_ = std::max(kMaxSpans, live_ + live_ / 4);
 }
 
 void TraceRecorder::end_span(SpanId id, SimTime end) {
@@ -79,7 +126,17 @@ std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
   std::lock_guard lock(mutex_);
   std::vector<Span> out;
   for (const Span& span : spans_) {
-    if (span.trace_id == trace_id) out.push_back(span);
+    if (span.id != 0 && span.trace_id == trace_id) out.push_back(span);
+  }
+  return out;
+}
+
+std::vector<Span> TraceRecorder::spans() const {
+  std::lock_guard lock(mutex_);
+  std::vector<Span> out;
+  out.reserve(live_);
+  for (const Span& span : spans_) {
+    if (span.id != 0) out.push_back(span);
   }
   return out;
 }
@@ -87,8 +144,9 @@ std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
 std::vector<std::string> TraceRecorder::trace_ids() const {
   std::lock_guard lock(mutex_);
   std::vector<std::string> ids;
+  std::unordered_set<std::string_view> seen;
   for (const Span& span : spans_) {
-    if (std::find(ids.begin(), ids.end(), span.trace_id) == ids.end()) {
+    if (span.id != 0 && seen.insert(span.trace_id).second) {
       ids.push_back(span.trace_id);
     }
   }
@@ -97,12 +155,15 @@ std::vector<std::string> TraceRecorder::trace_ids() const {
 
 std::size_t TraceRecorder::span_count() const {
   std::lock_guard lock(mutex_);
-  return spans_.size();
+  return live_;
 }
 
 void TraceRecorder::clear() {
   std::lock_guard lock(mutex_);
   spans_.clear();
+  live_ = 0;
+  evict_at_ = kMaxSpans;
+  first_id_ = 1;
   next_id_ = 1;
 }
 

@@ -10,9 +10,16 @@
 // The span schema — names, attribute keys, failure tagging — is the
 // contract documented in docs/OBSERVABILITY.md; obs_contract_test diffs
 // emitted attribute keys against that document.
+//
+// Retention is bounded: once a recorder holds more than kMaxSpans live
+// spans it evicts its oldest whole traces (first-seen order), so a
+// long-running daemon keeps its most recent traces instead of growing
+// without limit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -62,6 +69,9 @@ struct Span {
 
 class TraceRecorder {
  public:
+  /// Live spans a recorder holds before it evicts its oldest traces.
+  static constexpr std::size_t kMaxSpans = std::size_t{1} << 16;
+
   TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -77,8 +87,11 @@ class TraceRecorder {
 
   /// All spans of one trace, in creation order (parents before children).
   std::vector<Span> trace(const std::string& trace_id) const;
-  /// Distinct trace ids, in first-seen order.
+  /// Every retained span, in creation order.
+  std::vector<Span> spans() const;
+  /// Distinct retained trace ids, in first-seen order.
   std::vector<std::string> trace_ids() const;
+  /// Live (retained) spans.
   std::size_t span_count() const;
   void clear();
 
@@ -94,10 +107,20 @@ class TraceRecorder {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<Span> spans_;
+  /// Spans in id order: spans_[i] has id first_id_ + i. An evicted span
+  /// with live spans in front of it stays as a tombstone (id 0) until it
+  /// reaches the front.
+  std::deque<Span> spans_;
+  SpanId first_id_ = 1;
   SpanId next_id_ = 1;
+  std::size_t live_ = 0;
+  /// Live span count past which begin_span runs an eviction pass.
+  std::size_t evict_at_ = kMaxSpans;
 
   Span* find_locked(SpanId id);
+  /// Evict every trace, except `keep`, that has a span among the oldest
+  /// half of the live spans.
+  void evict_locked(const std::string& keep);
 };
 
 /// RAII span guard that mirrors one logical span into up to two recorders:

@@ -1,8 +1,6 @@
 #include "sig/delegation.hpp"
 
 #include <algorithm>
-#include <future>
-#include <optional>
 
 #include "obs/audit.hpp"
 #include "obs/trace.hpp"
@@ -75,42 +73,15 @@ Error chain_error(std::string msg) {
 Result<CapabilityChainResult> verify_capability_chain(
     std::span<const crypto::Certificate> chain,
     const crypto::PublicKey& cas_key, const crypto::PublicKey& holder_key,
-    const std::string& expected_rar, SimTime at, ThreadPool* pool) {
+    const std::string& expected_rar, SimTime at) {
   if (chain.empty()) return chain_error("empty");
-
-  // Signature layer i (0 = root vs the CAS key, i > 0 = link i vs its
-  // parent's subject key) is a pure function of the chain, so the layers
-  // can be checked out of order. With a pool and more than one layer, fan
-  // them out and let the sequential checklist below consume the verdicts;
-  // without one, verify lazily in place. Either way the checklist — and
-  // therefore which error surfaces first — is unchanged.
-  std::vector<std::optional<bool>> sig_ok(chain.size());
-  if (pool != nullptr && chain.size() > 1) {
-    std::vector<std::future<bool>> futures;
-    futures.reserve(chain.size());
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      const crypto::PublicKey& signer_key =
-          i == 0 ? cas_key : chain[i - 1].subject_public_key();
-      futures.push_back(pool->submit(
-          [&cert = chain[i], &signer_key] {
-            return cert.verify_signature(signer_key);
-          }));
-    }
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      sig_ok[i] = futures[i].get();
-    }
-  }
-  const auto layer_ok = [&](std::size_t i, const crypto::PublicKey& key) {
-    if (sig_ok[i]) return *sig_ok[i];
-    return chain[i].verify_signature(key);
-  };
 
   const crypto::Certificate& root = chain[0];
   // "checks that CAS was issuing a capability certificate for the user"
   if (!root.is_capability_certificate()) {
     return chain_error("root lacks the capability-certificate flag");
   }
-  if (!layer_ok(0, cas_key)) {
+  if (!root.verify_signature(cas_key)) {
     return chain_error("root not signed by the community CAS");
   }
 
@@ -143,7 +114,7 @@ Result<CapabilityChainResult> verify_capability_chain(
     // certificate was signed using pkey of the delegator" — the proxy-key
     // cascade: each link is signed with the key matching the parent's
     // subject public key.
-    if (!layer_ok(i, parent.subject_public_key())) {
+    if (!cert.verify_signature(parent.subject_public_key())) {
       return chain_error("link " + std::to_string(i) +
                          " not signed with parent's subject key");
     }

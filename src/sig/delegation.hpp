@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/x509.hpp"
 #include "policy/context.hpp"
 
@@ -74,15 +73,10 @@ struct CapabilityChainResult {
 ///  - the final subject key equals `holder_key` (the verifier then demands
 ///    proof of possession of the matching private key — `prove_possession`
 ///    / `check_possession` below).
-///
-/// The per-link signature verifications are independent of each other, so
-/// when `pool` is non-null they are fanned out across it before the
-/// sequential checklist consumes the results — the outcome (including which
-/// error is reported first) is identical to the serial walk.
 Result<CapabilityChainResult> verify_capability_chain(
     std::span<const crypto::Certificate> chain,
     const crypto::PublicKey& cas_key, const crypto::PublicKey& holder_key,
-    const std::string& expected_rar, SimTime at, ThreadPool* pool = nullptr);
+    const std::string& expected_rar, SimTime at);
 
 /// Proof of possession: the holder signs a verifier-chosen nonce with the
 /// private key matching the last chain certificate's subject key.

@@ -204,7 +204,7 @@ HopByHopEngine::validate_capabilities(Node& node, const VerifiedRar& vr,
       "Valid for Reservation in " + vr.res_spec.destination_domain;
   auto result = verify_capability_chain(*chain, cas_it->second,
                                         node.broker->public_key(),
-                                        expected_rar, at, verify_pool_);
+                                        expected_rar, at);
   if (!result.ok()) {
     log::warn("sig[" + node.broker->domain() + "]")
         << "capability chain rejected: " << result.error().to_text();
@@ -1223,23 +1223,10 @@ HopByHopEngine::reserve_in_tunnel_batch(
     return finish(std::move(outcome));
   }
 
-  // Both endpoints evaluate the full batch against their tunnel pools —
-  // independent pools, so running them concurrently (admission pool
-  // attached) grants exactly what sequential evaluation grants.
+  // Both endpoints evaluate the full batch against their tunnel pools.
   outcome.latency += 2 * fabric_->processing_delay();
-  std::vector<Status> src_statuses;
-  std::vector<Status> dst_statuses;
-  if (admission_pool_ != nullptr) {
-    auto src_future =
-        admission_pool_->submit([&] { return src_tunnel->allocate_batch(batch); });
-    auto dst_future =
-        admission_pool_->submit([&] { return dst_tunnel->allocate_batch(batch); });
-    src_statuses = src_future.get();
-    dst_statuses = dst_future.get();
-  } else {
-    src_statuses = src_tunnel->allocate_batch(batch);
-    dst_statuses = dst_tunnel->allocate_batch(batch);
-  }
+  const std::vector<Status> src_statuses = src_tunnel->allocate_batch(batch);
+  const std::vector<Status> dst_statuses = dst_tunnel->allocate_batch(batch);
   auto audit_end = [&](const std::string& domain, const std::string& sub_id,
                        double rate, bool admitted) {
     obs::AuditLog::global().append(

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/trace.hpp"
 #include "policy/group_server.hpp"
@@ -128,18 +127,6 @@ class HopByHopEngine {
     std::string trace_id;
   };
 
-  /// Attach a thread pool used to verify the independent signature layers
-  /// of capability chains concurrently (see verify_capability_chain).
-  /// Pass nullptr to go back to serial verification. The pool must outlive
-  /// the engine's use; results are identical either way.
-  void set_verify_pool(ThreadPool* pool) { verify_pool_ = pool; }
-
-  /// Attach a thread pool used to run the two endpoint evaluations of a
-  /// batched tunnel allocation concurrently (reserve_in_tunnel_batch).
-  /// Pass nullptr to go back to sequential evaluation. The pool must
-  /// outlive the engine's use; grants are identical either way.
-  void set_admission_pool(ThreadPool* pool) { admission_pool_ = pool; }
-
   /// Attach a trace recorder: every reserve() then produces a per-request
   /// trace tree (root reservation span, one hop span per broker, step spans
   /// for verify/policy/admission/sign_and_forward) against virtual time.
@@ -194,10 +181,8 @@ class HopByHopEngine {
   /// the full batch against their tunnel pools in one lock acquisition
   /// each (ascending interval.start order; see Tunnel::allocate_batch).
   /// A flow is granted iff both endpoints admit it — one-sided admissions
-  /// are rolled back, so the two tunnel halves never diverge. With an
-  /// admission pool attached (set_admission_pool) the two endpoint batch
-  /// evaluations run concurrently; grants are identical either way because
-  /// the endpoints evaluate independent pools. If the exchange exhausts
+  /// are rolled back, so the two tunnel halves never diverge. If the
+  /// exchange exhausts
   /// the retry budget (or the reply leg is lost) nothing is committed and
   /// every flow is denied with kTimeout.
   Result<TunnelBatchOutcome> reserve_in_tunnel_batch(
@@ -304,8 +289,6 @@ class HopByHopEngine {
   std::uint64_t next_request_ = 1;
   Observer observer_;
   obs::TraceRecorder* tracer_ = nullptr;
-  ThreadPool* verify_pool_ = nullptr;
-  ThreadPool* admission_pool_ = nullptr;
 };
 
 }  // namespace e2e::sig

@@ -8,9 +8,8 @@
 //
 // The timeout is a *pure function* of (policy, attempt, jitter_seed):
 // capped geometric backoff plus deterministic jitter derived with a
-// SplitMix64 mix of the seed. No shared RNG is consulted, so the parallel
-// source-domain engine can compute timeouts from worker threads and every
-// run stays replayable from its seed.
+// SplitMix64 mix of the seed. No shared RNG is consulted, so every run
+// stays replayable from its seed.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "sig/source_signalling.hpp"
 
 #include <algorithm>
-#include <future>
 #include <optional>
 
 #include "crypto/sha256.hpp"
@@ -308,37 +307,21 @@ Result<SourceDomainEngine::Outcome> SourceDomainEngine::reserve_subset(
   std::vector<PerDomainResult> results;
   results.reserve(contacted.size());
 
-  if (mode == Mode::kSequential) {
-    for (std::size_t i = 0; i < contacted.size(); ++i) {
-      results.push_back(reserve_at(contacted[i], agent_domain, spec,
-                                   user_cert, user_key, at, trace, i));
-      outcome.latency += results.back().rtt;  // one request at a time
-      outcome.messages += 2;
-      outcome.domains_contacted++;
-      if (!results.back().outcome.ok()) break;  // stop on first denial
+  // Sequential: one request at a time, latencies add up, stop at the
+  // first denial. Parallel: every request leaves at `at`, so the answer
+  // arrives when the slowest domain answers.
+  for (std::size_t i = 0; i < contacted.size(); ++i) {
+    results.push_back(reserve_at(contacted[i], agent_domain, spec, user_cert,
+                                 user_key, at, trace, i));
+    outcome.messages += 2;
+    outcome.domains_contacted++;
+    const PerDomainResult& last = results.back();
+    if (mode == Mode::kParallel) {
+      outcome.latency = std::max(outcome.latency, last.rtt);
+    } else {
+      outcome.latency += last.rtt;
+      if (!last.outcome.ok()) break;
     }
-  } else {
-    // Parallel: all requests in flight at once; the answer arrives when the
-    // slowest domain answers.
-    ThreadPool pool(std::min<std::size_t>(contacted.size(), 16));
-    std::vector<std::future<PerDomainResult>> futures;
-    futures.reserve(contacted.size());
-    for (std::size_t i = 0; i < contacted.size(); ++i) {
-      futures.push_back(pool.submit([this, domain = contacted[i],
-                                     agent_domain, &spec, &user_cert,
-                                     &user_key, at, &trace, i] {
-        return reserve_at(domain, agent_domain, spec, user_cert, user_key,
-                          at, trace, i);
-      }));
-    }
-    SimDuration slowest = 0;
-    for (auto& f : futures) {
-      results.push_back(f.get());
-      slowest = std::max(slowest, results.back().rtt);
-      outcome.messages += 2;
-      outcome.domains_contacted++;
-    }
-    outcome.latency = slowest;
   }
 
   const bool all_granted =

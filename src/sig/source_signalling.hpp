@@ -13,7 +13,11 @@
 //    registry of known users — the scalability problem);
 //  - reservations can be issued sequentially or in parallel ("source-
 //    domain-based signalling may be faster ... because the reservations
-//    for each domain can be made in parallel");
+//    for each domain can be made in parallel"). Parallel is a property of
+//    virtual time: every request leaves at `at`, so the answer arrives
+//    after the slowest domain's round trip. The engine still contacts the
+//    domains one after another on the calling thread, which keeps fault
+//    draws, audit records and spans in one reproducible order;
 //  - nothing forces the agent to contact every domain on the path:
 //    `reserve_subset` models David's misreservation.
 #pragma once
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "policy/group_server.hpp"
 #include "sig/message.hpp"
@@ -37,8 +40,7 @@ class SourceDomainEngine {
   explicit SourceDomainEngine(Transport& fabric) : fabric_(&fabric) {}
 
   /// Retry budget and backoff for each per-domain request. Timeouts are a
-  /// pure function of (policy, attempt, request digest), so the parallel
-  /// mode stays deterministic without a shared RNG.
+  /// pure function of (policy, attempt, request digest).
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
@@ -70,9 +72,7 @@ class SourceDomainEngine {
     std::string trace_id;
   };
 
-  /// Attach an engine-wide trace recorder (mirrors HopByHopEngine). In
-  /// parallel mode span creation order across domains is nondeterministic;
-  /// tests asserting exact trees use sequential mode.
+  /// Attach an engine-wide trace recorder (mirrors HopByHopEngine).
   void set_trace_recorder(obs::TraceRecorder* recorder) { tracer_ = recorder; }
 
   /// Attach `domain`'s own recorder; cross-domain linkage travels in the
@@ -81,8 +81,9 @@ class SourceDomainEngine {
                                  obs::TraceRecorder* recorder);
 
   /// Reserve in every domain on `domain_path` (source first). The agent
-  /// runs in `domain_path.front()`. On any denial, already-granted
-  /// per-domain reservations are rolled back.
+  /// runs in `domain_path.front()`. Sequential mode stops at the first
+  /// denial; parallel mode contacts every domain. On any denial,
+  /// already-granted per-domain reservations are rolled back.
   Result<Outcome> reserve(const std::vector<std::string>& domain_path,
                           const bb::ResSpec& spec,
                           const crypto::Certificate& user_cert,
@@ -130,7 +131,7 @@ class SourceDomainEngine {
   };
 
   /// One per-domain reservation: authenticate the user, evaluate policy,
-  /// admit. Thread-safe across distinct domains.
+  /// admit.
   PerDomainResult reserve_at(const std::string& domain,
                              const std::string& agent_domain,
                              const bb::ResSpec& spec,

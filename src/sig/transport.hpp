@@ -16,8 +16,8 @@
 // seed_faults(), so a run is replayable from its seed.
 //
 // Thread safety: one mutex guards latencies, counters and all fault state
-// — the parallel source-based engine calls one_way()/transmit() from
-// worker threads while tests and benches mutate latencies.
+// — the daemon's RPC workers call one_way()/transmit() from several
+// threads while tests and benches mutate latencies.
 #pragma once
 
 #include <chrono>
@@ -146,8 +146,7 @@ class Transport {
   virtual SimDuration processing_delay() const = 0;
 
   /// Account one message without transmitting (modeled side channels).
-  /// Thread-safe: the parallel source-based engine records messages from
-  /// worker threads.
+  /// Thread-safe.
   virtual void record_message(const std::string& from, const std::string& to,
                               std::size_t bytes) = 0;
 
@@ -195,8 +194,7 @@ class Fabric : public Transport {
   void set_processing_delay(SimDuration d) { processing_delay_ = d; }
   SimDuration processing_delay() const override { return processing_delay_; }
 
-  /// Thread-safe: the parallel source-based engine records messages from
-  /// worker threads.
+  /// Thread-safe.
   void record_message(const std::string& from, const std::string& to,
                       std::size_t bytes) override;
   Stats total() const override;

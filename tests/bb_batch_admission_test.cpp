@@ -4,19 +4,27 @@
 // CapacityPool::commit_batch (one lock acquisition), Tunnel::allocate_batch
 // (authorization gate + pool batch) and BandwidthBroker::commit_batch
 // (local + peer-SLA pools with rollback) — plus the engine-level
-// reserve_in_tunnel_batch with and without a concurrent admission pool.
+// reserve_in_tunnel_batch.
 //
 // The *Concurrent* tests drive brokers and tunnels from several threads at
-// once; scripts/tier1.sh --load builds and runs this binary under the TSan
-// preset (build-tsan) so the sharded-state locking is actually checked.
+// once, through the self-locked pools and record shards; one of them
+// crashes a WAL-backed broker mid-stream and recovers it.
+// scripts/tier1.sh --load builds and runs this binary under the TSan
+// preset (build-tsan) so the locking is actually checked.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
+#include "bb/recovery.hpp"
+#include "bb/wal.hpp"
 #include "testing_world.hpp"
 
 namespace e2e::bb {
@@ -155,9 +163,7 @@ TEST(TunnelBatch, GateFailuresAndPoolDecisionsMergeInInputOrder) {
 // --- Engine-level batched tunnel allocation -------------------------------
 
 struct TunnelWorldFixture {
-  explicit TunnelWorldFixture(std::size_t admission_threads = 0)
-      : world(make_config(admission_threads)),
-        alice(world.make_user("Alice", 0)) {
+  TunnelWorldFixture() : alice(world.make_user("Alice", 0)) {
     bb::ResSpec agg = world.spec(alice, 50e6, {0, seconds(3600)});
     agg.is_tunnel = true;
     const auto msg =
@@ -166,12 +172,6 @@ struct TunnelWorldFixture {
     EXPECT_TRUE(outcome.ok());
     EXPECT_TRUE(outcome->reply.granted) << outcome->reply.denial.to_text();
     tunnel_id = outcome->reply.tunnel_id;
-  }
-
-  static testing::ChainWorldConfig make_config(std::size_t threads) {
-    testing::ChainWorldConfig cfg;
-    cfg.admission_threads = threads;
-    return cfg;
   }
 
   std::vector<sig::HopByHopEngine::TunnelFlowRequest> flows(
@@ -214,25 +214,6 @@ TEST(EngineBatch, PartialGrantStopsAtAggregate) {
   ASSERT_TRUE(extra.ok());
   ASSERT_FALSE(extra->reply.granted);
   EXPECT_EQ(extra->reply.denial.code, ErrorCode::kAdmissionRejected);
-}
-
-TEST(EngineBatch, AdmissionPoolGrantsIdenticalToSequential) {
-  TunnelWorldFixture serial;
-  TunnelWorldFixture pooled(2);
-  ASSERT_NE(pooled.world.admission_pool(), nullptr);
-  const auto a = serial.world.engine().reserve_in_tunnel_batch(
-      serial.tunnel_id, serial.flows(12, 5e6), seconds(2));
-  const auto b = pooled.world.engine().reserve_in_tunnel_batch(
-      pooled.tunnel_id, pooled.flows(12, 5e6), seconds(2));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->granted, b->granted);
-  EXPECT_EQ(a->latency, b->latency);
-  ASSERT_EQ(a->replies.size(), b->replies.size());
-  for (std::size_t i = 0; i < a->replies.size(); ++i) {
-    EXPECT_EQ(a->replies[i].granted, b->replies[i].granted) << "flow " << i;
-    EXPECT_EQ(a->replies[i].handles, b->replies[i].handles) << "flow " << i;
-  }
 }
 
 TEST(EngineBatch, UnknownTunnelFails) {
@@ -355,6 +336,165 @@ TEST(ConcurrentAdmission, BrokerBatchesFromManyThreads) {
   EXPECT_EQ(f.broker.counters().granted, granted.load());
   EXPECT_EQ(f.broker.reservation_count(), 0u);
   EXPECT_DOUBLE_EQ(f.broker.committed_at(seconds(10)), 0.0);
+}
+
+TEST(ConcurrentAdmission, MixedTrafficLeavesZeroResidual) {
+  BrokerFixture f;
+  const char* alice = "CN=Alice,O=DomainA,C=US";
+  std::vector<Tunnel*> tunnels;
+  for (int t = 0; t < 2; ++t) {
+    ResSpec agg = f.spec(20e6, {0, seconds(600)});
+    agg.is_tunnel = true;
+    const auto tid = f.broker.register_tunnel(agg);
+    ASSERT_TRUE(tid.ok());
+    Tunnel* tunnel = f.broker.find_tunnel(*tid);
+    ASSERT_TRUE(tunnel->authorize(alice).ok());
+    tunnels.push_back(tunnel);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  std::atomic<std::uint64_t> granted{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<ReservationId> mine;
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string tag =
+            "w" + std::to_string(t) + "-" + std::to_string(i);
+        switch (i % 4) {
+          case 0: {  // single commit (kept for a while, then released)
+            const SimTime start = seconds((t * kRounds + i) % 40);
+            auto id = f.broker.commit(
+                f.spec(4e6, {start, start + seconds(25)}), "");
+            if (id.ok()) {
+              granted.fetch_add(1, std::memory_order_relaxed);
+              mine.push_back(*id);
+            }
+            break;
+          }
+          case 1: {  // batch commit, released immediately
+            std::vector<ResSpec> specs;
+            for (int j = 0; j < 5; ++j) {
+              const SimTime start = seconds((t * 11 + i * 3 + j) % 45);
+              specs.push_back(f.spec(3e6, {start, start + seconds(15)}));
+            }
+            for (const auto& r : f.broker.commit_batch(specs, "")) {
+              if (r.ok()) {
+                granted.fetch_add(1, std::memory_order_relaxed);
+                ASSERT_TRUE(f.broker.release(*r).ok());
+              }
+            }
+            break;
+          }
+          case 2: {  // per-flow allocations across both tunnels
+            for (int j = 0; j < 4; ++j) {
+              Tunnel* tunnel = tunnels[static_cast<std::size_t>(j) % 2];
+              const std::string sub_id = tag + "-" + std::to_string(j);
+              if (tunnel->allocate(sub_id, alice, {0, seconds(60)}, 1e6)
+                      .ok()) {
+                ASSERT_TRUE(tunnel->release(sub_id).ok());
+              }
+            }
+            break;
+          }
+          default: {  // headroom reads race the writers
+            (void)f.broker.headroom({seconds(i % 40), seconds(i % 40 + 10)});
+            for (const Tunnel* tunnel : tunnels) {
+              (void)tunnel->headroom({0, seconds(60)});
+            }
+            break;
+          }
+        }
+        if (mine.size() > 3) {
+          ASSERT_TRUE(f.broker.release(mine.front()).ok());
+          mine.erase(mine.begin());
+        }
+      }
+      for (const auto& id : mine) ASSERT_TRUE(f.broker.release(id).ok());
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  // Zero residual: every grant released, broker and tunnel pools whole.
+  EXPECT_EQ(f.broker.reservation_count(), 0u);
+  for (SimTime t = 0; t <= seconds(80); t += seconds(1)) {
+    ASSERT_EQ(f.broker.committed_at(t), 0.0) << t;
+  }
+  for (const Tunnel* tunnel : tunnels) {
+    EXPECT_EQ(tunnel->active_allocations(), 0u);
+    EXPECT_DOUBLE_EQ(tunnel->headroom({0, seconds(60)}), 20e6);
+  }
+  const auto c = f.broker.counters();
+  EXPECT_EQ(c.granted, granted.load());
+  EXPECT_EQ(c.granted, c.released);
+}
+
+TEST(ConcurrentAdmission, CrashedWalReplaysEveryAckedGrant) {
+  BrokerFixture f;
+  const std::string wal_path =
+      ::testing::TempDir() + "bb_concurrent_crash.wal";
+  const std::string snap_path =
+      ::testing::TempDir() + "bb_concurrent_crash.snapshot";
+  std::remove(wal_path.c_str());
+  std::remove(snap_path.c_str());
+  auto opened = WriteAheadLog::open(wal_path);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<WriteAheadLog> wal = std::move(*opened);
+  f.broker.attach_wal(wal.get());
+
+  // Concurrent admit/release traffic, group-committed by the callers;
+  // every ack is remembered so the recovered broker can be audited
+  // against it.
+  std::mutex acked_mutex;
+  std::set<ReservationId> acked_live;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<ReservationId> mine;
+      for (int i = 0; i < 30; ++i) {
+        const SimTime start = seconds((t * 13 + i * 4) % 50);
+        auto id =
+            f.broker.commit(f.spec(3e6, {start, start + seconds(30)}), "");
+        if (id.ok()) {
+          mine.push_back(*id);
+          std::lock_guard lock(acked_mutex);
+          acked_live.insert(*id);
+        }
+        if (mine.size() > 5) {
+          ASSERT_TRUE(f.broker.release(mine.front()).ok());
+          {
+            std::lock_guard lock(acked_mutex);
+            acked_live.erase(mine.front());
+          }
+          mine.erase(mine.begin());
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  ASSERT_FALSE(acked_live.empty());
+
+  // Crash mid-stream: drop the WAL object cold — no snapshot, no
+  // truncation. The file keeps exactly the acked stream.
+  f.broker.attach_wal(nullptr);
+  wal.reset();
+
+  BrokerFixture fresh;
+  auto report = recover_broker(fresh.broker, snap_path, wal_path);
+  ASSERT_TRUE(report.ok()) << report.error().to_text();
+
+  // Every live acked grant is present; every released one is gone; the
+  // committed profile matches the live broker exactly.
+  EXPECT_EQ(fresh.broker.reservation_count(), f.broker.reservation_count());
+  for (const auto& id : acked_live) {
+    EXPECT_NE(fresh.broker.find(id), nullptr) << id;
+  }
+  for (SimTime t = 0; t <= seconds(90); t += seconds(1)) {
+    ASSERT_EQ(fresh.broker.committed_at(t), f.broker.committed_at(t)) << t;
+  }
+  // A recovered broker never reuses a handle.
+  EXPECT_GE(fresh.broker.next_id_value(), f.broker.next_id_value());
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // End-to-end check of the verification caches on the paper's fig5 shape: a
 // 6-domain hop-by-hop chain signs and re-verifies the same certificates and
 // RAR layers at every hop, so repeated reservations must produce cache hits
-// — while grants stay identical to the uncached outcome, with or without
-// the optional parallel chain verification.
+// — while grants stay identical to the uncached outcome.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hpp"
 #include "crypto/verify_cache.hpp"
 #include "kit/chain_world.hpp"
 #include "obs/instruments.hpp"
@@ -87,21 +85,6 @@ TEST(KitCacheReuse, CachedRunMatchesUncachedRunByteForByte) {
   crypto::VerifyCache::global().set_capacity(
       crypto::VerifyCache::kDefaultCapacity);
   EXPECT_EQ(cached, uncached);
-}
-
-TEST(KitCacheReuse, ParallelChainVerificationMatchesSerial) {
-  auto run = [](ThreadPool* pool) {
-    ChainWorld world(six_domain_config());
-    if (pool != nullptr) world.engine().set_verify_pool(pool);
-    WorldUser alice = world.make_user("Alice", 0);
-    const auto msg = world.engine().build_user_request(
-        alice.credentials(), world.spec(alice, 1e6), 0);
-    const auto outcome = world.engine().reserve(*msg, seconds(1));
-    EXPECT_TRUE(outcome.ok());
-    return outcome->reply.encode();
-  };
-  ThreadPool pool(4);
-  EXPECT_EQ(run(&pool), run(nullptr));
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ struct PlaneFixture {
       health.detail = ready ? "" : "no world configured";
       return health;
     };
-    providers.statz_json = [] { return std::string("{\"shards\":[]}"); };
+    providers.statz_json = [] { return std::string("{\"connections\":[]}"); };
     providers.tracez_json = [] { return std::string("{\"traces\":[]}"); };
     providers.refresh = [this](std::uint64_t) { ++refreshes; };
     return AdminPlane(registry, std::move(providers), ttl,
@@ -109,7 +109,7 @@ TEST(AdminPlane, RoutesEveryDocumentedPath) {
 
   EXPECT_EQ(plane.handle({"GET", "/healthz"}).body, "ok\n");
   EXPECT_EQ(plane.handle({"GET", "/readyz"}).body, "ready\n");
-  EXPECT_EQ(plane.handle({"GET", "/statz"}).body, "{\"shards\":[]}");
+  EXPECT_EQ(plane.handle({"GET", "/statz"}).body, "{\"connections\":[]}");
   EXPECT_EQ(plane.handle({"GET", "/tracez"}).body, "{\"traces\":[]}");
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -79,18 +78,17 @@ TEST(MetricsRegistry, ConcurrentIncrementsLoseNothing) {
   Histogram& h = registry.histogram("concurrent_us");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
-  ThreadPool pool(kThreads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    futures.push_back(pool.submit([&c, &h] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.increment();
-        h.observe(1.0);
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
+  {
+    ThreadPool pool(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.post(t, [&c, &h] {
+        for (int i = 0; i < kPerThread; ++i) {
+          c.increment();
+          h.observe(1.0);
+        }
+      });
+    }
+  }  // the destructor drains every worker's queue
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread);

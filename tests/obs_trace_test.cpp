@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "testing_world.hpp"
 
@@ -59,6 +60,61 @@ TEST(TraceRecorder, TracesAreIsolatedByTraceId) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "rar-1");
   EXPECT_EQ(ids[1], "rar-2");
+}
+
+TEST(TraceRecorder, RetentionEvictsOldestWholeTraces) {
+  // Three times the bound in five-span flows: the recorder must keep only
+  // the newest whole traces.
+  TraceRecorder rec;
+  constexpr std::size_t kSpansPerFlow = 5;
+  const std::size_t flows = 3 * TraceRecorder::kMaxSpans / kSpansPerFlow;
+  std::string newest;
+  for (std::size_t f = 0; f < flows; ++f) {
+    newest = "flow-" + std::to_string(f);
+    const SimTime t = static_cast<SimTime>(f);
+    const SpanId root = rec.begin_span(newest, "tunnel_flow", 0, t);
+    for (std::size_t k = 1; k < kSpansPerFlow; ++k) {
+      const SpanId step = rec.begin_span(newest, "admission", root, t);
+      rec.end_span(step, t + 1);
+    }
+    rec.end_span(root, t + 2);
+  }
+  EXPECT_LE(rec.span_count(), TraceRecorder::kMaxSpans);
+  EXPECT_GT(rec.span_count(), TraceRecorder::kMaxSpans / 4);
+  const auto ids = rec.trace_ids();
+  EXPECT_EQ(ids.size() * kSpansPerFlow, rec.span_count());  // whole traces
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(ids.back(), newest);
+  EXPECT_TRUE(rec.trace("flow-0").empty());
+  const auto spans = rec.trace(newest);
+  ASSERT_EQ(spans.size(), kSpansPerFlow);
+  EXPECT_EQ(spans.front().parent, 0u);
+  EXPECT_EQ(spans.front().duration(), 2);
+  const std::string tree = rec.render_tree(newest);
+  EXPECT_NE(tree.find("tunnel_flow"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("`- admission"), std::string::npos) << tree;
+}
+
+TEST(TraceRecorder, EvictedSpansIgnoreLateUpdates) {
+  // A long-lived trace whose spans interleave with short ones is evicted
+  // whole once it is the oldest; later updates to its spans are no-ops.
+  TraceRecorder rec;
+  const SpanId open = rec.begin_span("long", "reservation", 0, 0);
+  for (std::size_t f = 0; f <= TraceRecorder::kMaxSpans; ++f) {
+    const std::string id = "short-" + std::to_string(f);
+    rec.end_span(rec.begin_span(id, "hop", 0, 1), 2);
+    if (f == 10) rec.begin_span("long", "hop", open, 1);
+  }
+  EXPECT_TRUE(rec.trace("long").empty());
+  rec.annotate(open, "late", "yes");
+  rec.end_span(open, 99);
+  rec.fail_span(open, "late");
+  EXPECT_TRUE(rec.trace("long").empty());
+  EXPECT_LE(rec.span_count(), TraceRecorder::kMaxSpans);
+  // A new span under the evicted id starts a fresh trace.
+  rec.begin_span("long", "hop", open, 100);
+  EXPECT_EQ(rec.trace("long").size(), 1u);
+  EXPECT_EQ(rec.trace_ids().back(), "long");
 }
 
 /// Helper: run one hop-by-hop reservation through `world` and return its

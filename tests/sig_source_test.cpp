@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/audit.hpp"
+#include "obs/instruments.hpp"
+#include "obs/metrics.hpp"
 #include "testing_world.hpp"
 
 namespace e2e::sig {
@@ -88,6 +94,71 @@ TEST(SourceSignalling, PartialDenialRollsBackParallel) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(world.broker(i).reservation_count(), 0u);
   }
+}
+
+/// Everything one run of parallel reserves makes observable.
+struct ParallelRun {
+  std::vector<Bytes> replies;
+  std::vector<SimDuration> latencies;
+  std::vector<std::size_t> messages;
+  std::uint64_t retransmits = 0;
+  std::uint64_t fabric_messages = 0;
+  std::string audit_head;
+};
+
+ParallelRun run_parallel_under_faults() {
+  ChainWorldConfig config;
+  config.domains = 4;
+  config.fault_profile.drop = 0.2;
+  config.fault_profile.duplicate = 0.1;
+  config.fault_profile.jitter = 0.2;
+  config.fault_seed = 4242;
+  obs::Counter& retransmits = obs::MetricsRegistry::global().counter(
+      obs::kSigRetransmitsTotal, {{"engine", "source"}});
+  const std::uint64_t retransmits_before = retransmits.value();
+  // The audit chain is process-wide: restart it so both runs hash the
+  // same records from genesis.
+  obs::AuditLog::global().clear();
+  ChainWorld world(config);
+  const WorldUser alice = world.make_user("Alice", 0, true, true);
+  ParallelRun run;
+  for (int i = 0; i < 50; ++i) {
+    const auto outcome = world.source_engine().reserve(
+        world.names(), world.spec(alice, 1e6), alice.identity_cert,
+        alice.identity_keys.priv, SourceDomainEngine::Mode::kParallel,
+        seconds(1 + i));
+    EXPECT_TRUE(outcome.ok());
+    if (!outcome.ok()) break;
+    run.replies.push_back(outcome->reply.encode());
+    run.latencies.push_back(outcome->latency);
+    run.messages.push_back(outcome->messages);
+    if (outcome->reply.granted) {
+      EXPECT_TRUE(
+          world.source_engine().release_end_to_end(outcome->reply).ok());
+    }
+  }
+  run.retransmits = retransmits.value() - retransmits_before;
+  run.fabric_messages = world.fabric().total().messages;
+  run.audit_head = obs::AuditLog::global().head_hash();
+  return run;
+}
+
+TEST(SourceSignalling, ParallelReservesReproducibleUnderFaults) {
+  // Every per-domain request draws from the fabric's one fault RNG and
+  // appends to the one hash-chained audit log, so their order must not
+  // depend on thread scheduling: two identically seeded worlds agree on
+  // every observable.
+  const ParallelRun a = run_parallel_under_faults();
+  const ParallelRun b = run_parallel_under_faults();
+  ASSERT_EQ(a.replies.size(), 50u);
+  EXPECT_EQ(a.replies, b.replies);
+  EXPECT_EQ(a.latencies, b.latencies);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_GT(a.retransmits, 0u) << "the fault profile never forced a retry";
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.fabric_messages, b.fabric_messages);
+  EXPECT_NE(a.audit_head, obs::AuditLog::genesis_hash());
+  EXPECT_EQ(a.audit_head, b.audit_head);
 }
 
 TEST(SourceSignalling, MisreservationSkipsDomains) {

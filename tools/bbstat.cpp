@@ -2,10 +2,10 @@
 //
 // Polls a bbd admin endpoint (bbd --admin ..., docs/DAEMON.md "Live
 // operations") and renders a live operator view: health, RPC throughput
-// and wall-clock latency quantiles, SLO burn rate, per-shard queue/busy
-// introspection and per-connection IO. One-shot by default; --watch N
-// redraws every N seconds like top(1). --get PATH fetches one admin route
-// and prints the raw body (scripting / piping into tracedump).
+// and wall-clock latency quantiles, SLO burn rate and per-connection IO.
+// One-shot by default; --watch N redraws every N seconds like top(1).
+// --get PATH fetches one admin route and prints the raw body (scripting /
+// piping into tracedump).
 //
 // Usage:
 //   bbstat <tcp:HOST:PORT|unix:/PATH> [--watch SECONDS] [--iterations N]
@@ -172,24 +172,6 @@ void render(const Endpoint& endpoint, const HttpReply& healthz,
     std::printf("statz: unparseable (%s)\n",
                 parsed.error().to_text().c_str());
     return;
-  }
-  if (const auto* shards = object_array(parsed.value(), "shards")) {
-    std::printf("%-10s %6s %6s %8s %10s\n", "SHARD", "DEPTH", "HIGH",
-                "TASKS", "BUSY_US");
-    for (const auto& shard : shards->array) {
-      double tasks = 0;
-      double busy = 0;
-      if (const auto* workers = object_array(shard, "workers")) {
-        for (const auto& worker : workers->array) {
-          tasks += number_or(worker, "tasks_total", 0);
-          busy += number_or(worker, "busy_us_total", 0);
-        }
-      }
-      std::printf("%-10s %6.0f %6.0f %8.0f %10.0f\n",
-                  string_or(shard, "domain", "?").c_str(),
-                  number_or(shard, "queue_depth", 0),
-                  number_or(shard, "queue_depth_highwater", 0), tasks, busy);
-    }
   }
   if (const auto* conns = object_array(parsed.value(), "connections")) {
     std::printf("%-6s %-6s %10s %10s %8s %8s %8s %9s %6s\n", "CONN", "VIA",
