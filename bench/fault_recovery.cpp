@@ -56,7 +56,6 @@ LossPoint run_batch(double drop, std::size_t trials) {
       }
     }
     point.residual_free &= world.total_reservations() == 0;
-    world.engine().forget_completed_requests();
   }
   point.retransmits = retransmits.value() - retransmits_before;
   if (point.granted > 0) {

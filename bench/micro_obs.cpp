@@ -56,7 +56,6 @@ void BM_Fig3HotPath(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome);
     state.PauseTiming();
     (void)world.engine().release_end_to_end(outcome->reply);
-    world.engine().forget_completed_requests();
     state.ResumeTiming();
   }
 }

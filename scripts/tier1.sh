@@ -8,8 +8,10 @@
 #                                     every e2e_* series named in src/ must
 #                                     appear in docs/OBSERVABILITY.md)
 #        ./scripts/tier1.sh --soak   (seeded fault-injection soak suite under
-#                                     ASan/UBSan, 3 fixed seeds; build dir:
-#                                     ./build-asan via the "asan" preset)
+#                                     ASan/UBSan, 3 fixed seeds, plus the
+#                                     retry/exchange/failure-injection cases
+#                                     of sig_test; build dir: ./build-asan
+#                                     via the "asan" preset)
 #        ./scripts/tier1.sh --bench  (crypto differential tests + a smoke run
 #                                     of scripts/bench_snapshot.sh)
 #        ./scripts/tier1.sh --obs    (observability contract tests, the
@@ -289,13 +291,17 @@ fi
 
 if [[ "${1:-}" == "--soak" ]]; then
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target sig_soak_test
+  cmake --build build-asan -j --target sig_soak_test sig_test
   # Three fixed seeds: every trial prints its mix + seed, so a failure is
   # reproducible with E2E_SOAK_SEED=<seed> ./build-asan/tests/sig_soak_test.
   for seed in 20010801 31337 987654321; do
     echo "tier1 --soak: running sig_soak_test with E2E_SOAK_SEED=$seed"
     E2E_SOAK_SEED=$seed ./build-asan/tests/sig_soak_test
   done
+  # Every path through sig/exchange.cpp: lost requests and replies,
+  # duplicates, corruption, budget exhaustion and the failure matrix.
+  ./build-asan/tests/sig_test \
+    --gtest_filter='Retry*:Exchange*:FailureMatrix*:FailureInjection*'
   echo "tier1 --soak: OK"
   exit 0
 fi

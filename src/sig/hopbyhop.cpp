@@ -7,6 +7,8 @@
 #include "obs/instruments.hpp"
 #include "sig/context_builder.hpp"
 #include "sig/delegation.hpp"
+#include "sig/exchange.hpp"
+#include "sig/hop_span.hpp"
 
 namespace e2e::sig {
 
@@ -14,6 +16,16 @@ namespace {
 
 obs::Labels engine_label(const char* engine) {
   return {{"engine", engine}};
+}
+
+/// Audit one end domain's admission decision on a tunnel flow.
+void audit_flow_admission(const std::string& domain, const std::string& sub_id,
+                          double rate, bool admitted) {
+  obs::AuditLog::global().append(
+      domain, obs::audit_kind::kAdmission,
+      {{"result", admitted ? "admitted" : "rejected"},
+       {"flow", sub_id},
+       {"rate_bits_per_s", std::to_string(rate)}});
 }
 
 }  // namespace
@@ -35,13 +47,6 @@ const HopByHopEngine::Node* HopByHopEngine::find_node(
     const std::string& domain) const {
   const auto it = nodes_.find(domain);
   return it == nodes_.end() ? nullptr : &it->second;
-}
-
-HopByHopEngine::Node* HopByHopEngine::node_by_dn(const std::string& dn_text) {
-  for (auto& [name, node] : nodes_) {
-    if (node.broker->dn().to_string() == dn_text) return &node;
-  }
-  return nullptr;
 }
 
 ChannelEndpoint HopByHopEngine::endpoint_for(
@@ -112,30 +117,6 @@ void HopByHopEngine::set_domain_trace_recorder(const std::string& domain,
   if (Node* node = find_node(domain)) {
     node->recorder = recorder;
   }
-}
-
-void HopByHopEngine::forget_completed_requests() {
-  for (auto& [name, node] : nodes_) node.completed_requests.clear();
-  for (auto& [id, rec] : tunnels_) rec.completed_subs.clear();
-}
-
-void HopByHopEngine::release_orphaned(const std::string& domain,
-                                      const crypto::Digest& digest) {
-  Node* node = find_node(domain);
-  if (node == nullptr) return;
-  const auto it = node->completed_requests.find(digest);
-  if (it == node->completed_requests.end()) return;
-  if (it->second.granted) {
-    auto& registry = obs::MetricsRegistry::global();
-    for (const auto& [d, handle] : it->second.handles) {
-      if (Node* owner = find_node(d)) {
-        (void)owner->broker->release(handle);
-        registry.counter(obs::kSigReleasedOnFailureTotal, {{"domain", d}})
-            .increment();
-      }
-    }
-  }
-  node->completed_requests.erase(it);
 }
 
 Result<RarMessage> HopByHopEngine::build_user_request(
@@ -303,84 +284,143 @@ RarReply HopByHopEngine::process(const std::string& domain,
   }
   outcome.domains_contacted++;
   outcome.latency += fabric_->processing_delay();
-  bb::BandwidthBroker& broker = *node->broker;
 
   auto& registry = obs::MetricsRegistry::global();
   registry.counter(obs::kSigHopsProcessedTotal, {{"domain", domain}})
       .increment();
 
-  // Per-stage virtual-time model: the hop's processing budget
-  // (Fabric::processing_delay) is apportioned across the §6.1/§6.2 pipeline
-  // stages so trace spans carry non-zero deterministic durations that sum
-  // to exactly the budget the latency model already charges.
-  const SimDuration budget = fabric_->processing_delay();
-  const SimDuration verify_cost = budget * 2 / 5;
-  const SimDuration policy_cost = budget / 4;
-  const SimDuration admission_cost = budget / 5;
-  const SimDuration forward_cost =
-      budget - verify_cost - policy_cost - admission_cost;
-
-  // `cursor` walks virtual time through the hop; spans start/end on it.
-  SimTime cursor = trace.arrival;
-  const bool at_source = from_domain.empty();
-  // The domain's own recorder joins in only when the wire trace context
-  // originated here or actually arrived in the transport envelope (and
-  // stayed sampled) — the envelope, not shared engine state, is what links
-  // the per-domain recorders.
-  obs::TraceRecorder* local = nullptr;
-  obs::SpanId local_parent = 0;
-  if (node->recorder != nullptr &&
-      (at_source || (trace.wire.valid() && trace.wire.sampled))) {
-    local = node->recorder;
-    local_parent = at_source ? trace.local_parent : 0;
-  }
-  obs::SpanScope hop(tracer_, local, trace.trace_id, "hop", trace.root,
-                     local_parent, &cursor);
-  hop.annotate("domain", domain);
-  if (!at_source && local != nullptr) {
-    hop.annotate_secondary("remote.parent", trace.wire.remote_parent_ref());
-    hop.annotate_secondary("hop.index",
-                           std::to_string(trace.wire.hop_count));
-  }
-  // Audit records emitted inside a stage join that stage's local span (the
-  // reference span when no domain recorder is attached).
-  auto stage_ref = [&](const obs::SpanScope& scope) {
-    const obs::SpanId id =
-        scope.secondary_id() != 0 ? scope.secondary_id() : scope.id();
-    return obs::SpanRef{id != 0 ? trace.trace_id : std::string(), id, cursor};
-  };
+  HopSpan hop(tracer_, node->recorder, trace.trace_id, trace.root,
+              trace.local_parent, trace.wire, domain, trace.arrival);
 
   // Every exit path closes the hop span and records the hop metrics;
   // `stage` names the pipeline stage that denied (nullptr on success or
   // when the denial came from a downstream hop).
   auto finish_hop = [&](RarReply reply, const char* stage) {
     registry.histogram(obs::kSigHopProcessingUs, {{"domain", domain}})
-        .observe(static_cast<double>(cursor - trace.arrival));
+        .observe(static_cast<double>(hop.cursor - trace.arrival));
     if (stage != nullptr) {
       registry
           .counter(obs::kSigHopDenialsTotal,
                    {{"domain", domain}, {"stage", stage}})
           .increment();
-      hop.annotate("stage", stage);
-      hop.fail(reply.denial.to_text());
+      hop.span.annotate("stage", stage);
+      hop.span.fail(reply.denial.to_text());
     }
-    hop.finish();
+    hop.span.finish();
     return reply;
   };
 
+  Decision decision = step(*node, msg, from_domain, at,
+                           fabric_->processing_delay(), hop);
+  if (!decision.forward.has_value()) {
+    return finish_hop(std::move(decision.reply), decision.stage);
+  }
+  const Forward& forward = *decision.forward;
+  Node& next_node = *find_node(forward.next);
+  outcome.final_wire_bytes = forward.wire.size();
+
+  // The trace context rides the unsigned envelope next to the sealed
+  // record, one hop deeper than it arrived here.
+  obs::TraceContext next_ctx = trace.wire;
+  next_ctx.hop_count++;
+  ExchangeResult done = exchange(
+      *fabric_, retry_policy_,
+      Exchange{"hopbyhop", domain, forward.next, forward.wire, &next_ctx,
+               &node->sessions.at(forward.next),
+               &next_node.sessions.at(domain), ReplyLeg::kSealed},
+      [&](const Arrival& arrival) {
+        auto decoded = RarMessage::decode(arrival.payload);
+        if (!decoded.ok()) return RarReply::deny(decoded.error());
+        TraceCtx next_trace;
+        next_trace.trace_id = trace.trace_id;
+        next_trace.root = trace.root;
+        next_trace.arrival = hop.cursor + arrival.latency;
+        if (arrival.trace_context.has_value()) {
+          next_trace.wire = *arrival.trace_context;
+        }
+        return process(forward.next, *decoded, domain, at, outcome,
+                       next_trace);
+      });
+  outcome.latency += done.latency;
+  outcome.messages += done.messages;
+  if (done.attempts > 1) {
+    hop.span.annotate("retry.attempts", std::to_string(done.attempts));
+  }
+
+  bb::BandwidthBroker& broker = *node->broker;
+  if (!done.completed) {
+    // The downstream domain stayed dark past the retry budget. If it did
+    // grant, model that grant expiring unconfirmed down the chain; then
+    // release the local tentative commitment.
+    if (done.reply.has_value() && done.reply->granted) {
+      for (const auto& [d, handle] : done.reply->handles) {
+        if (Node* owner = find_node(d)) {
+          (void)owner->broker->release(handle);
+          registry.counter(obs::kSigReleasedOnFailureTotal, {{"domain", d}})
+              .increment();
+        }
+      }
+    }
+    (void)broker.release(forward.handle);
+    registry
+        .counter(obs::kSigReleasedOnFailureTotal, {{"domain", domain}})
+        .increment();
+    return finish_hop(
+        RarReply::deny(no_answer(forward.next, done.attempts, domain)),
+        "forward");
+  }
+  RarReply downstream = std::move(*done.reply);
+  if (!downstream.granted) {
+    // Denial propagates upstream; roll back our tentative commitment. The
+    // failure is attributed to the hop that produced it, so this hop's span
+    // closes clean (stage = nullptr).
+    (void)broker.release(forward.handle);
+    return finish_hop(std::move(downstream), nullptr);
+  }
+  downstream.handles.insert(downstream.handles.begin(),
+                            {domain, forward.handle});
+  const bb::ResSpec& spec = msg.user_layer().res_spec;
+  if (spec.is_tunnel && from_domain.empty()) {
+    establish_tunnel(*node, spec, downstream, outcome, hop, at);
+  }
+  return finish_hop(std::move(downstream), nullptr);
+}
+
+HopByHopEngine::Decision HopByHopEngine::step(Node& node,
+                                              const RarMessage& msg,
+                                              const std::string& from_domain,
+                                              SimTime at, SimDuration budget,
+                                              HopSpan& hop) {
+  bb::BandwidthBroker& broker = *node.broker;
+  const std::string& domain = broker.domain();
+  auto& registry = obs::MetricsRegistry::global();
+  auto deny = [](Error e, const char* stage) {
+    return Decision{RarReply::deny(std::move(e)), stage, std::nullopt};
+  };
+
+  // Per-stage virtual-time model: the hop's processing budget
+  // (Transport::processing_delay) is apportioned across the pipeline
+  // stages so trace spans carry non-zero deterministic durations that sum
+  // to exactly the budget the latency model already charges.
+  const SimDuration verify_cost = budget * 2 / 5;
+  const SimDuration policy_cost = budget / 4;
+  const SimDuration admission_cost = budget / 5;
+  const SimDuration forward_cost =
+      budget - verify_cost - policy_cost - admission_cost;
+  const bool at_source = from_domain.empty();
+
   // 1. Verify the request: transitive-trust verification for inter-BB
   //    messages, direct user authentication at the source.
-  obs::SpanScope verify_scope(tracer_, local, trace.trace_id, "verify",
-                              hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope verify_scope = hop.stage("verify");
   const std::uint64_t verify_cache_hits_before =
       registry
           .counter(obs::kCryptoVerifyCacheLookupsTotal, {{"result", "hit"}})
           .value();
   Result<VerifiedRar> verified = [&]() -> Result<VerifiedRar> {
-    if (from_domain.empty()) {
+    if (at_source) {
       const auto user_it =
-          node->local_users.find(msg.user_layer().res_spec.user);
-      if (user_it == node->local_users.end()) {
+          node.local_users.find(msg.user_layer().res_spec.user);
+      if (user_it == node.local_users.end()) {
         return make_error(
             ErrorCode::kAuthenticationFailed,
             "user " + msg.user_layer().res_spec.user +
@@ -389,15 +429,15 @@ RarReply HopByHopEngine::process(const std::string& domain,
       }
       return verify_user_request(msg, user_it->second, broker.dn(), at);
     }
-    const auto session_it = node->sessions.find(from_domain);
-    if (session_it == node->sessions.end()) {
+    const auto session_it = node.sessions.find(from_domain);
+    if (session_it == node.sessions.end()) {
       return make_error(ErrorCode::kUnavailable,
                         "no authenticated channel with " + from_domain,
                         domain);
     }
     return verify_rar(msg, session_it->second.peer_certificate(),
                       broker.dn(), broker.trust_store(),
-                      node->options.trust_policy, at);
+                      node.options.trust_policy, at);
   }();
   // Signature-verify verdict, with whether the verification cache served
   // it (counter delta — the engine is single-threaded per request).
@@ -406,7 +446,7 @@ RarReply HopByHopEngine::process(const std::string& domain,
           .counter(obs::kCryptoVerifyCacheLookupsTotal, {{"result", "hit"}})
           .value() > verify_cache_hits_before;
   {
-    obs::CurrentSpan audit_scope(stage_ref(verify_scope));
+    obs::CurrentSpan audit_scope(hop.ref(verify_scope));
     obs::AuditLog::global().append(
         domain, obs::audit_kind::kVerify,
         {{"result", verified.ok() ? "ok" : "fail"},
@@ -414,7 +454,7 @@ RarReply HopByHopEngine::process(const std::string& domain,
           at_source ? msg.user_layer().res_spec.user : from_domain},
          {"cache", verify_cache_hit ? "hit" : "miss"}});
   }
-  cursor += verify_cost;
+  hop.cursor += verify_cost;
   if (!verified.ok()) {
     verify_scope.fail(verified.error().to_text());
   }
@@ -422,7 +462,7 @@ RarReply HopByHopEngine::process(const std::string& domain,
   if (!verified.ok()) {
     Error e = verified.error();
     if (e.origin.empty()) e.origin = domain;
-    return finish_hop(RarReply::deny(std::move(e)), "verify");
+    return deny(std::move(e), "verify");
   }
   const VerifiedRar& vr = *verified;
   if (observer_) observer_(domain, vr);
@@ -430,30 +470,29 @@ RarReply HopByHopEngine::process(const std::string& domain,
   // 2. Policy decision via this domain's policy server (the span also
   //    covers capability-chain validation and, at the destination, cost
   //    negotiation — everything feeding the decision).
-  obs::SpanScope policy_scope(tracer_, local, trace.trace_id, "policy",
-                              hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope policy_scope = hop.stage("policy");
   ContextInputs inputs;
   inputs.broker = &broker;
   inputs.spec = &vr.res_spec;
   inputs.user_dn = vr.user_dn;
   inputs.at = at;
   inputs.augmentations = &vr.augmentations;
-  inputs.group_server = node->options.group_server;
-  inputs.relevant_groups = &node->options.relevant_groups;
-  inputs.capabilities = validate_capabilities(*node, vr, at);
-  inputs.cpu_reservation_checker = node->options.cpu_reservation_checker;
+  inputs.group_server = node.options.group_server;
+  inputs.relevant_groups = &node.options.relevant_groups;
+  inputs.capabilities = validate_capabilities(node, vr, at);
+  inputs.cpu_reservation_checker = node.options.cpu_reservation_checker;
   const policy::EvalContext ctx = build_policy_context(inputs);
   const policy::PolicyReply policy_reply = [&] {
-    obs::CurrentSpan audit_scope(stage_ref(policy_scope));
+    obs::CurrentSpan audit_scope(hop.ref(policy_scope));
     return broker.policy_server().decide(ctx);
   }();
-  cursor += policy_cost;
+  hop.cursor += policy_cost;
   if (policy_reply.decision != policy::Decision::kGrant) {
-    RarReply denial = RarReply::deny(make_error(ErrorCode::kPolicyDenied,
-                                                policy_reply.reason, domain));
     policy_scope.fail(policy_reply.reason);
     policy_scope.finish();
-    return finish_hop(std::move(denial), "policy");
+    return deny(
+        make_error(ErrorCode::kPolicyDenied, policy_reply.reason, domain),
+        "policy");
   }
 
   const bool is_destination =
@@ -478,31 +517,29 @@ RarReply HopByHopEngine::process(const std::string& domain,
     add_offers(vr.augmentations);
     add_offers(policy_reply.augmentations);
     if (total_cost > vr.res_spec.max_cost) {
-      RarReply denial = RarReply::deny(make_error(
-          ErrorCode::kPolicyDenied,
-          "accumulated cost " + std::to_string(total_cost) +
-              " exceeds the user's limit " +
-              std::to_string(vr.res_spec.max_cost),
-          domain));
-      policy_scope.fail(denial.denial.message);
+      Error e = make_error(ErrorCode::kPolicyDenied,
+                           "accumulated cost " + std::to_string(total_cost) +
+                               " exceeds the user's limit " +
+                               std::to_string(vr.res_spec.max_cost),
+                           domain);
+      policy_scope.fail(e.message);
       policy_scope.finish();
-      return finish_hop(std::move(denial), "cost");
+      return deny(std::move(e), "cost");
     }
   }
   policy_scope.finish();
 
   // 3. Admission control (SLA conformance for transit traffic).
-  obs::SpanScope admission_scope(tracer_, local, trace.trace_id, "admission",
-                                 hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope admission_scope = hop.stage("admission");
   auto handle = [&] {
-    obs::CurrentSpan audit_scope(stage_ref(admission_scope));
+    obs::CurrentSpan audit_scope(hop.ref(admission_scope));
     return broker.commit(vr.res_spec, from_domain);
   }();
-  cursor += admission_cost;
+  hop.cursor += admission_cost;
   if (!handle.ok()) {
     admission_scope.fail(handle.error().to_text());
     admission_scope.finish();
-    return finish_hop(RarReply::deny(handle.error()), "admission");
+    return deny(handle.error(), "admission");
   }
   admission_scope.finish();
   if (is_destination) {
@@ -512,42 +549,37 @@ RarReply HopByHopEngine::process(const std::string& domain,
       auto tunnel_handle = broker.register_tunnel(vr.res_spec);
       if (!tunnel_handle.ok()) {
         (void)broker.release(*handle);
-        return finish_hop(RarReply::deny(tunnel_handle.error()),
-                          "admission");
+        return deny(tunnel_handle.error(), "admission");
       }
       bb::Tunnel* tunnel = broker.find_tunnel(*tunnel_handle);
       if (tunnel == nullptr) {
         (void)broker.release(*handle);
-        return finish_hop(
-            RarReply::deny(make_error(ErrorCode::kInternal,
-                                      "registered tunnel not found", domain)),
-            "admission");
+        return deny(make_error(ErrorCode::kInternal,
+                               "registered tunnel not found", domain),
+                    "admission");
       }
       auto authorized = tunnel->authorize(vr.res_spec.user);
       if (!authorized.ok()) {
         // The authorization could not be made durable: deny rather than
         // ack a tunnel whose recovered twin would reject its only user.
         (void)broker.release(*handle);
-        return finish_hop(RarReply::deny(authorized.error()), "admission");
+        return deny(authorized.error(), "admission");
       }
       reply.tunnel_id = *tunnel_handle;
     }
-    return finish_hop(std::move(reply), nullptr);
+    return Decision{std::move(reply), nullptr, std::nullopt};
   }
 
-  // 4. Forward downstream: delegate, append a signed layer, seal, send.
-  obs::SpanScope forward_scope(tracer_, local, trace.trace_id,
-                               "sign_and_forward", hop.id(),
-                               hop.secondary_id(), &cursor);
+  // 4. Forward downstream: delegate, append a signed layer, encode.
+  obs::SpanScope forward_scope = hop.stage("sign_and_forward");
   // Local forwarding failure: roll back the tentative commitment, close the
   // forward span and deny at this hop.
   auto deny_forward = [&](Error e) {
     (void)broker.release(*handle);
-    cursor += forward_cost;
-    RarReply denial = RarReply::deny(std::move(e));
-    forward_scope.fail(denial.denial.to_text());
+    hop.cursor += forward_cost;
+    forward_scope.fail(e.to_text());
     forward_scope.finish();
-    return finish_hop(std::move(denial), "forward");
+    return deny(std::move(e), "forward");
   };
 
   const auto next = broker.next_hop(vr.res_spec.destination_domain);
@@ -557,7 +589,7 @@ RarReply HopByHopEngine::process(const std::string& domain,
         "no next hop toward " + vr.res_spec.destination_domain, domain));
   }
   Node* next_node = find_node(*next);
-  if (next_node == nullptr || !node->sessions.contains(*next)) {
+  if (next_node == nullptr || !node.sessions.contains(*next)) {
     return deny_forward(make_error(ErrorCode::kUnavailable,
                                    "peer " + *next + " unreachable",
                                    domain));
@@ -566,9 +598,8 @@ RarReply HopByHopEngine::process(const std::string& domain,
   RarMessage forwarded = msg;
   BrokerLayer layer;
   layer.upstream_certificate =
-      from_domain.empty()
-          ? vr.user_certificate.encode()
-          : node->sessions.at(from_domain).peer_certificate().encode();
+      at_source ? vr.user_certificate.encode()
+                : node.sessions.at(from_domain).peer_certificate().encode();
   layer.downstream_dn = next_node->broker->dn().to_string();
   layer.augmentations = policy_reply.augmentations;
   layer.signer_dn = broker.dn().to_string();
@@ -583,7 +614,7 @@ RarReply HopByHopEngine::process(const std::string& domain,
               next_node->broker->public_key(), /*rar_restriction=*/"",
               chain->back().validity(), broker.next_certificate_serial()));
       layer.capability_certs.push_back(delegated.encode());
-      obs::CurrentSpan audit_scope(stage_ref(forward_scope));
+      obs::CurrentSpan audit_scope(hop.ref(forward_scope));
       obs::AuditLog::global().append(
           domain, obs::audit_kind::kDelegation,
           {{"issuer", broker.dn().to_string()},
@@ -595,219 +626,70 @@ RarReply HopByHopEngine::process(const std::string& domain,
                                 [&broker](BytesView tbs) {
                                   return broker.sign(tbs);
                                 });
-
-  // Ship over the authenticated channel: seal here, open at the peer. The
-  // exchange runs under the retry policy: arm a timeout, retransmit on
-  // silence (lost request, lost reply, or a corrupted record the receiver
-  // discarded), and give up once the budget is spent. The request is
-  // identified downstream by the SHA-256 of its wire bytes, so a
-  // retransmission that *did* get through the first time is answered from
-  // the peer's reply cache instead of being admitted twice.
-  const Bytes wire = forwarded.encode();
-  outcome.final_wire_bytes = wire.size();
-  cursor += forward_cost;
+  Forward forward{*next, forwarded.encode(), *handle};
+  hop.cursor += forward_cost;
   forward_scope.finish();
+  return Decision{RarReply(), nullptr, std::move(forward)};
+}
 
-  const crypto::Digest request_digest = crypto::sha256(wire);
-  std::uint64_t jitter_seed = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    jitter_seed = (jitter_seed << 8) | request_digest[i];
+void HopByHopEngine::establish_tunnel(Node& node, const bb::ResSpec& spec,
+                                      RarReply& reply, Outcome& outcome,
+                                      HopSpan& hop, SimTime at) {
+  // Once the end-to-end aggregate is approved, the source and destination
+  // set up the direct signalling channel. The destination pins the source
+  // BB's certificate, which it learned through the introduction chain
+  // (path tracing).
+  bb::BandwidthBroker& broker = *node.broker;
+  const std::string& domain = broker.domain();
+  Node* dest = find_node(spec.destination_domain);
+  auto source_tunnel = broker.register_tunnel(spec);
+  // An authorization that cannot be made durable skips the direct channel
+  // setup, like a failed registration: the end-to-end grant stands, but
+  // this source end offers no tunnel the recovered broker would not
+  // honour.
+  bb::Tunnel* source_end =
+      source_tunnel.ok() ? broker.find_tunnel(*source_tunnel) : nullptr;
+  if (source_end == nullptr || dest == nullptr ||
+      !source_end->authorize(spec.user).ok()) {
+    return;
   }
-
-  RarReply downstream;
-  bool exchange_complete = false;
-  std::size_t attempts_used = 0;
-  for (std::size_t attempt = 1; attempt <= retry_policy_.max_attempts;
-       ++attempt) {
-    attempts_used = attempt;
-    if (attempt > 1) {
-      registry.counter(obs::kSigRetransmitsTotal, engine_label("hopbyhop"))
-          .increment();
-    }
-    // Sender waits at most this long for the answer; every failure path
-    // below charges it to the modeled latency.
-    const SimDuration timeout =
-        retry_timeout(retry_policy_, attempt, jitter_seed);
-    auto attempt_timed_out = [&] {
-      registry.counter(obs::kSigTimeoutsTotal, engine_label("hopbyhop"))
-          .increment();
-      outcome.latency += timeout;
-    };
-
-    const Record record = node->sessions.at(*next).seal(wire);
-    // The trace context rides the unsigned envelope next to the sealed
-    // record, one hop deeper than it arrived here.
-    obs::TraceContext next_ctx = trace.wire;
-    next_ctx.hop_count++;
-    Delivery sent = fabric_->transmit(domain, *next, wire, &next_ctx);
-    outcome.messages++;
-    if (!sent.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    Record received = record;
-    received.payload = sent.payload;
-    auto opened = next_node->sessions.at(domain).open(received);
-    if (sent.duplicated) {
-      // The duplicate copy trails the original; the record layer's
-      // strictly-increasing sequence check rejects it.
-      (void)next_node->sessions.at(domain).open(received);
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "channel"}})
-          .increment();
-    }
-    if (!opened.ok()) {
-      attempt_timed_out();  // corrupted in transit; receiver stays silent
-      continue;
-    }
-    auto decoded = RarMessage::decode(*opened);
-    if (!decoded.ok()) {
-      attempt_timed_out();
-      continue;
-    }
-
-    const auto cached = next_node->completed_requests.find(request_digest);
-    if (cached != next_node->completed_requests.end()) {
-      // Already processed: a previous attempt got through but its reply
-      // was lost. Answer from the cache — admit exactly once.
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
-          .increment();
-      downstream = cached->second;
-    } else {
-      TraceCtx next_trace;
-      next_trace.trace_id = trace.trace_id;
-      next_trace.root = trace.root;
-      next_trace.arrival = cursor + sent.latency;
-      if (sent.trace_context.has_value()) {
-        next_trace.wire = *sent.trace_context;
-      }
-      downstream = process(*next, *decoded, domain, at, outcome, next_trace);
-      next_node->completed_requests.emplace(request_digest, downstream);
-    }
-
-    // The reply travels back over the same authenticated channel, sealed
-    // by the peer and opened here (exercising both channel directions).
-    const Bytes reply_wire = downstream.encode();
-    const Record reply_record = next_node->sessions.at(domain).seal(reply_wire);
-    Delivery back = fabric_->transmit(*next, domain, reply_wire);
-    outcome.messages++;
-    if (!back.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    Record reply_received = reply_record;
-    reply_received.payload = back.payload;
-    auto reply_opened = node->sessions.at(*next).open(reply_received);
-    if (back.duplicated) {
-      (void)node->sessions.at(*next).open(reply_received);
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "channel"}})
-          .increment();
-    }
-    if (!reply_opened.ok()) {
-      attempt_timed_out();
-      continue;
-    }
-    auto reply_decoded = RarReply::decode(*reply_opened);
-    if (!reply_decoded.ok()) {
-      attempt_timed_out();
-      continue;
-    }
-    downstream = std::move(*reply_decoded);
-    outcome.latency += sent.latency + back.latency;
-    exchange_complete = true;
-    break;
+  // Both ends pin the peer certificate they learned through the signalling
+  // exchange (source cert introduced downstream by the layer chain;
+  // destination cert introduced upstream with the signed approval).
+  const crypto::Certificate source_cert = broker.certificate();
+  const crypto::Certificate dest_cert = dest->broker->certificate();
+  const std::string& dest_domain = dest->broker->domain();
+  obs::SpanScope handshake_scope = hop.stage("channel_handshake");
+  handshake_scope.annotate("peer", dest_domain);
+  auto direct = [&] {
+    obs::CurrentSpan audit_scope(hop.ref(handshake_scope));
+    return handshake(endpoint_for(node, &dest_cert),
+                     endpoint_for(*dest, &source_cert), at, *rng_);
+  }();
+  outcome.latency += fabric_->rtt(domain, dest_domain);
+  outcome.messages += 2;  // handshake round trip
+  fabric_->record_message(domain, dest_domain, 512);
+  fabric_->record_message(dest_domain, domain, 512);
+  if (!direct.ok()) {
+    handshake_scope.fail(direct.error().to_text());
   }
-  if (attempts_used > 1) {
-    registry.histogram(obs::kSigRetryAttempts, engine_label("hopbyhop"))
-        .observe(static_cast<double>(attempts_used));
-    hop.annotate("retry.attempts", std::to_string(attempts_used));
+  handshake_scope.finish_at(hop.cursor + fabric_->rtt(domain, dest_domain));
+  if (!direct.ok()) {
+    log::warn("sig[" + domain + "]")
+        << "direct tunnel channel failed: " << direct.error().to_text();
+    return;
   }
-  if (!exchange_complete) {
-    // The downstream domain stayed dark past the retry budget. Release the
-    // local tentative commitment, and — if an earlier attempt did commit
-    // the downstream chain — model its grant timing out unconfirmed.
-    release_orphaned(*next, request_digest);
-    (void)broker.release(*handle);
-    registry
-        .counter(obs::kSigReleasedOnFailureTotal, {{"domain", domain}})
-        .increment();
-    return finish_hop(
-        RarReply::deny(make_error(
-            ErrorCode::kTimeout,
-            "no answer from " + *next + " after " +
-                std::to_string(attempts_used) + " attempts",
-            domain)),
-        "forward");
-  }
-  if (!downstream.granted) {
-    // Denial propagates upstream; roll back our tentative commitment. The
-    // failure is attributed to the hop that produced it, so this hop's span
-    // closes clean (stage = nullptr).
-    (void)broker.release(*handle);
-    return finish_hop(std::move(downstream), nullptr);
-  }
-  downstream.handles.insert(downstream.handles.begin(), {domain, *handle});
-
-  // Tunnel establishment: once the end-to-end aggregate is approved, the
-  // source and destination set up the direct signalling channel. The
-  // destination pins the source BB's certificate, which it learned through
-  // the introduction chain (path tracing).
-  if (vr.res_spec.is_tunnel && from_domain.empty()) {
-    Node* dest = find_node(vr.res_spec.destination_domain);
-    auto source_tunnel = broker.register_tunnel(vr.res_spec);
-    // An authorization that cannot be made durable skips the direct
-    // channel setup, like a failed registration: the end-to-end grant
-    // stands, but this source end offers no tunnel the recovered broker
-    // would not honour.
-    bb::Tunnel* source_end =
-        source_tunnel.ok() ? broker.find_tunnel(*source_tunnel) : nullptr;
-    if (source_end != nullptr && dest != nullptr &&
-        source_end->authorize(vr.res_spec.user).ok()) {
-      // Both ends pin the peer certificate they learned through the
-      // signalling exchange (source cert introduced downstream by the
-      // layer chain; destination cert introduced upstream with the signed
-      // approval).
-      const crypto::Certificate source_cert = broker.certificate();
-      const crypto::Certificate dest_cert = dest->broker->certificate();
-      obs::SpanScope handshake_scope(tracer_, local, trace.trace_id,
-                                     "channel_handshake", hop.id(),
-                                     hop.secondary_id(), &cursor);
-      handshake_scope.annotate("peer", dest->broker->domain());
-      auto direct = [&] {
-        obs::CurrentSpan audit_scope(stage_ref(handshake_scope));
-        return handshake(endpoint_for(*node, &dest_cert),
-                         endpoint_for(*dest, &source_cert), at, *rng_);
-      }();
-      outcome.latency += fabric_->rtt(domain, dest->broker->domain());
-      outcome.messages += 2;  // handshake round trip
-      fabric_->record_message(domain, dest->broker->domain(), 512);
-      fabric_->record_message(dest->broker->domain(), domain, 512);
-      if (!direct.ok()) {
-        handshake_scope.fail(direct.error().to_text());
-      }
-      handshake_scope.finish_at(
-          cursor + fabric_->rtt(domain, dest->broker->domain()));
-      if (direct.ok()) {
-        TunnelRecord rec;
-        rec.id = "tunnel-" + std::to_string(next_tunnel_++);
-        rec.source_domain = domain;
-        rec.destination_domain = vr.res_spec.destination_domain;
-        rec.user_dn = vr.res_spec.user;
-        rec.source_handle = *source_tunnel;
-        rec.destination_handle = downstream.tunnel_id;
-        rec.source_session = std::move(direct->initiator);
-        rec.destination_session = std::move(direct->responder);
-        downstream.tunnel_id = rec.id;
-        tunnels_.emplace(rec.id, std::move(rec));
-      } else {
-        log::warn("sig[" + domain + "]")
-            << "direct tunnel channel failed: " << direct.error().to_text();
-      }
-    }
-  }
-  return finish_hop(std::move(downstream), nullptr);
+  TunnelRecord rec;
+  rec.id = "tunnel-" + std::to_string(next_tunnel_++);
+  rec.source_domain = domain;
+  rec.destination_domain = spec.destination_domain;
+  rec.user_dn = spec.user;
+  rec.source_handle = *source_tunnel;
+  rec.destination_handle = reply.tunnel_id;
+  rec.source_session = std::move(direct->initiator);
+  rec.destination_session = std::move(direct->responder);
+  reply.tunnel_id = rec.id;
+  tunnels_.emplace(rec.id, std::move(rec));
 }
 
 Status HopByHopEngine::release_end_to_end(const RarReply& reply) {
@@ -887,202 +769,95 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve_in_tunnel(
     return o;
   };
 
+  // Each end domain admits the flow against its half of the tunnel; a
+  // refusal fails the admission stage and the hop.
+  auto admit = [&](HopSpan& hop, bb::Tunnel& half,
+                   const std::string& domain) -> Status {
+    obs::SpanScope admission = hop.stage("admission");
+    Status admitted = [&] {
+      obs::CurrentSpan audit_scope(hop.ref(admission));
+      Status result = half.allocate(sub_id, user_dn, interval, rate);
+      audit_flow_admission(domain, sub_id, rate, result.ok());
+      return result;
+    }();
+    hop.cursor += fabric_->processing_delay();
+    if (admitted.ok()) return admitted;
+    Error e = admitted.error();
+    e.origin = domain;
+    admission.fail(e.to_text());
+    hop.span.annotate("stage", "admission");
+    hop.span.fail(e.to_text());
+    return e;
+  };
+
   // User contacts the source-domain BB.
   outcome.latency += 2 * src->options.user_link_latency;
   outcome.latency += fabric_->processing_delay();
   fabric_->record_message("user", rec.source_domain, 128);
   outcome.messages++;
   outcome.domains_contacted++;
-  SimTime cursor = at + src->options.user_link_latency;
-  obs::SpanScope src_hop(tracer_, src->recorder, outcome.trace_id, "hop",
-                         root.id(), root.secondary_id(), &cursor);
-  src_hop.annotate("domain", rec.source_domain);
-  obs::SpanScope src_adm(tracer_, src->recorder, outcome.trace_id,
-                         "admission", src_hop.id(), src_hop.secondary_id(),
-                         &cursor);
-  auto src_alloc = [&] {
-    const obs::SpanId span = src_adm.secondary_id() != 0
-                                 ? src_adm.secondary_id()
-                                 : src_adm.id();
-    obs::CurrentSpan audit_scope(obs::SpanRef{
-        span != 0 ? outcome.trace_id : std::string(), span, cursor});
-    auto result = src_tunnel->allocate(sub_id, user_dn, interval, rate);
-    obs::AuditLog::global().append(
-        rec.source_domain, obs::audit_kind::kAdmission,
-        {{"result", result.ok() ? "admitted" : "rejected"},
-         {"flow", sub_id},
-         {"rate_bits_per_s", std::to_string(rate)}});
-    return result;
-  }();
-  cursor += fabric_->processing_delay();
-  if (!src_alloc.ok()) {
-    Error e = src_alloc.error();
-    e.origin = rec.source_domain;
-    src_adm.fail(e.to_text());
-    src_adm.finish();
-    src_hop.annotate("stage", "admission");
-    src_hop.fail(e.to_text());
-    src_hop.finish();
-    outcome.reply = RarReply::deny(std::move(e));
+  HopSpan src_hop(tracer_, src->recorder, outcome.trace_id, root.id(),
+                  root.secondary_id(), wire_ctx, rec.source_domain,
+                  at + src->options.user_link_latency);
+  if (Status admitted = admit(src_hop, *src_tunnel, rec.source_domain);
+      !admitted.ok()) {
+    src_hop.span.finish();
+    outcome.reply = RarReply::deny(admitted.error());
     return finish(std::move(outcome));
   }
-  src_adm.finish();
 
   // Source BB contacts the destination BB directly over the pinned
-  // channel — intermediate domains are not involved. The exchange runs
-  // under the same retry policy as inter-BB forwarding; the destination
-  // keeps a per-flow grant cache so a retransmitted tunnel-alloc (whose
-  // first reply was lost) doesn't debit the tunnel pool twice.
-  const Bytes wire = to_bytes("tunnel-alloc:" + sub_id);
-  const crypto::Digest request_digest = crypto::sha256(wire);
-  std::uint64_t jitter_seed = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    jitter_seed = (jitter_seed << 8) | request_digest[i];
-  }
+  // channel — intermediate domains are not involved. The destination
+  // evaluates the flow once per exchange, so a retransmitted tunnel-alloc
+  // (whose first reply was lost) never debits its half twice.
   outcome.latency += fabric_->processing_delay();
   outcome.domains_contacted++;
-
-  std::optional<Error> dst_error;
-  bool exchange_complete = false;
-  std::size_t attempts_used = 0;
-  SimTime send_at = cursor;
-  for (std::size_t attempt = 1; attempt <= retry_policy_.max_attempts;
-       ++attempt) {
-    attempts_used = attempt;
-    if (attempt > 1) {
-      registry.counter(obs::kSigRetransmitsTotal, engine_label("tunnel"))
-          .increment();
-    }
-    const SimDuration timeout =
-        retry_timeout(retry_policy_, attempt, jitter_seed);
-    auto attempt_timed_out = [&] {
-      registry.counter(obs::kSigTimeoutsTotal, engine_label("tunnel"))
-          .increment();
-      outcome.latency += timeout;
-      send_at += timeout;
-    };
-
-    const Record record = rec.source_session.seal(wire);
-    Delivery sent = fabric_->transmit(rec.source_domain,
-                                      rec.destination_domain, wire, &wire_ctx);
-    outcome.messages++;
-    if (!sent.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    Record received = record;
-    received.payload = sent.payload;
-    auto opened = rec.destination_session.open(received);
-    if (sent.duplicated) {
-      (void)rec.destination_session.open(received);
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "channel"}})
-          .increment();
-    }
-    if (!opened.ok()) {
-      attempt_timed_out();
-      continue;
-    }
-
-    dst_error.reset();
-    if (rec.completed_subs.contains(sub_id)) {
-      // Granted by an earlier attempt whose reply was lost.
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
-          .increment();
-    } else {
-      SimTime dst_cursor = send_at + sent.latency;
-      obs::TraceRecorder* dst_local =
-          (dst->recorder != nullptr && sent.trace_context.has_value() &&
-           sent.trace_context->valid() && sent.trace_context->sampled)
-              ? dst->recorder
-              : nullptr;
-      obs::SpanScope dst_hop(tracer_, dst_local, outcome.trace_id, "hop",
-                             root.id(), 0, &dst_cursor);
-      dst_hop.annotate("domain", rec.destination_domain);
-      if (dst_local != nullptr) {
-        dst_hop.annotate_secondary("remote.parent",
-                                   sent.trace_context->remote_parent_ref());
-        dst_hop.annotate_secondary(
-            "hop.index", std::to_string(sent.trace_context->hop_count));
-      }
-      obs::SpanScope dst_adm(tracer_, dst_local, outcome.trace_id,
-                             "admission", dst_hop.id(), dst_hop.secondary_id(),
-                             &dst_cursor);
-      auto dst_alloc = [&] {
-        const obs::SpanId span = dst_adm.secondary_id() != 0
-                                     ? dst_adm.secondary_id()
-                                     : dst_adm.id();
-        obs::CurrentSpan audit_scope(obs::SpanRef{
-            span != 0 ? outcome.trace_id : std::string(), span, dst_cursor});
-        auto result = dst_tunnel->allocate(sub_id, user_dn, interval, rate);
-        obs::AuditLog::global().append(
-            rec.destination_domain, obs::audit_kind::kAdmission,
-            {{"result", result.ok() ? "admitted" : "rejected"},
-             {"flow", sub_id},
-             {"rate_bits_per_s", std::to_string(rate)}});
-        return result;
-      }();
-      dst_cursor += fabric_->processing_delay();
-      if (dst_alloc.ok()) {
-        rec.completed_subs.insert(sub_id);
-      } else {
-        dst_error = dst_alloc.error();
-        dst_error->origin = rec.destination_domain;
-        dst_adm.fail(dst_error->to_text());
-        dst_hop.annotate("stage", "admission");
-        dst_hop.fail(dst_error->to_text());
-      }
-      dst_adm.finish();
-      dst_hop.finish();
-    }
-
-    const Bytes reply_wire(64, 0);
-    Delivery back = fabric_->transmit(rec.destination_domain,
-                                      rec.source_domain, reply_wire);
-    outcome.messages++;
-    if (!back.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    outcome.latency += sent.latency + back.latency;
-    exchange_complete = true;
-    break;
+  const Bytes wire = to_bytes("tunnel-alloc:" + sub_id);
+  ExchangeResult done = exchange(
+      *fabric_, retry_policy_,
+      Exchange{"tunnel", rec.source_domain, rec.destination_domain, wire,
+               &wire_ctx, &rec.source_session, &rec.destination_session,
+               ReplyLeg::kAck},
+      [&](const Arrival& arrival) {
+        HopSpan dst_hop(tracer_, dst->recorder, outcome.trace_id, root.id(),
+                        0, arrival.trace_context.value_or(obs::TraceContext{}),
+                        rec.destination_domain,
+                        src_hop.cursor + arrival.waited + arrival.latency);
+        Status admitted = admit(dst_hop, *dst_tunnel, rec.destination_domain);
+        return admitted.ok() ? RarReply::approve()
+                             : RarReply::deny(admitted.error());
+      });
+  outcome.latency += done.latency;
+  outcome.messages += done.messages;
+  if (done.attempts > 1) {
+    src_hop.span.annotate("retry.attempts", std::to_string(done.attempts));
   }
-  if (attempts_used > 1) {
-    registry.histogram(obs::kSigRetryAttempts, engine_label("tunnel"))
-        .observe(static_cast<double>(attempts_used));
-    src_hop.annotate("retry.attempts", std::to_string(attempts_used));
-  }
-  if (!exchange_complete) {
+  if (!done.completed) {
     // Destination stayed dark: roll back the source half and model the
-    // destination expiring any unconfirmed grant an earlier attempt made.
+    // destination expiring a grant it made but never got confirmed.
     (void)src_tunnel->release(sub_id);
     registry
         .counter(obs::kSigReleasedOnFailureTotal,
                  {{"domain", rec.source_domain}})
         .increment();
-    if (rec.completed_subs.erase(sub_id) > 0) {
+    if (done.reply.has_value() && done.reply->granted) {
       (void)dst_tunnel->release(sub_id);
       registry
           .counter(obs::kSigReleasedOnFailureTotal,
                    {{"domain", rec.destination_domain}})
           .increment();
     }
-    outcome.reply = RarReply::deny(make_error(
-        ErrorCode::kTimeout,
-        "no answer from " + rec.destination_domain + " after " +
-            std::to_string(attempts_used) + " attempts",
-        rec.source_domain));
-    src_hop.annotate("stage", "forward");
-    src_hop.fail(outcome.reply.denial.to_text());
-    src_hop.finish();
+    outcome.reply = RarReply::deny(
+        no_answer(rec.destination_domain, done.attempts, rec.source_domain));
+    src_hop.span.annotate("stage", "forward");
+    src_hop.span.fail(outcome.reply.denial.to_text());
+    src_hop.span.finish();
     return finish(std::move(outcome));
   }
-  src_hop.finish();
-  if (dst_error.has_value()) {
+  src_hop.span.finish();
+  if (!done.reply->granted) {
     (void)src_tunnel->release(sub_id);
-    outcome.reply = RarReply::deny(std::move(*dst_error));
+    outcome.reply = std::move(*done.reply);
     return finish(std::move(outcome));
   }
 
@@ -1147,76 +922,22 @@ HopByHopEngine::reserve_in_tunnel_batch(
   outcome.messages++;
 
   // One source<->destination round trip carries the batch. Unlike the
-  // per-flow path, nothing is committed until the exchange succeeds, so a
-  // retransmitted batch needs no idempotency cache and a dark destination
-  // leaves zero residual state.
+  // per-flow path, nothing is committed until the exchange succeeds, so the
+  // destination only acknowledges and a dark destination leaves zero
+  // residual state.
   const Bytes wire = to_bytes("tunnel-alloc-batch:" + tunnel_id + ":" +
                               std::to_string(batch.size()));
-  const crypto::Digest request_digest = crypto::sha256(wire);
-  std::uint64_t jitter_seed = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    jitter_seed = (jitter_seed << 8) | request_digest[i];
-  }
-  bool exchange_complete = false;
-  std::size_t attempts_used = 0;
-  for (std::size_t attempt = 1; attempt <= retry_policy_.max_attempts;
-       ++attempt) {
-    attempts_used = attempt;
-    if (attempt > 1) {
-      registry.counter(obs::kSigRetransmitsTotal, engine_label("tunnel"))
-          .increment();
-    }
-    const SimDuration timeout =
-        retry_timeout(retry_policy_, attempt, jitter_seed);
-    auto attempt_timed_out = [&] {
-      registry.counter(obs::kSigTimeoutsTotal, engine_label("tunnel"))
-          .increment();
-      outcome.latency += timeout;
-    };
-
-    const Record record = rec.source_session.seal(wire);
-    Delivery sent =
-        fabric_->transmit(rec.source_domain, rec.destination_domain, wire);
-    outcome.messages++;
-    if (!sent.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    Record received = record;
-    received.payload = sent.payload;
-    auto opened = rec.destination_session.open(received);
-    if (sent.duplicated) {
-      (void)rec.destination_session.open(received);
-      registry
-          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "channel"}})
-          .increment();
-    }
-    if (!opened.ok()) {
-      attempt_timed_out();
-      continue;
-    }
-    const Bytes reply_wire(64, 0);
-    Delivery back = fabric_->transmit(rec.destination_domain,
-                                      rec.source_domain, reply_wire);
-    outcome.messages++;
-    if (!back.delivered()) {
-      attempt_timed_out();
-      continue;
-    }
-    outcome.latency += sent.latency + back.latency;
-    exchange_complete = true;
-    break;
-  }
-  if (attempts_used > 1) {
-    registry.histogram(obs::kSigRetryAttempts, engine_label("tunnel"))
-        .observe(static_cast<double>(attempts_used));
-  }
-  if (!exchange_complete) {
-    const Error timeout_error = make_error(
-        ErrorCode::kTimeout,
-        "no answer from " + rec.destination_domain + " after " +
-            std::to_string(attempts_used) + " attempts",
-        rec.source_domain);
+  const ExchangeResult done = exchange(
+      *fabric_, retry_policy_,
+      Exchange{"tunnel", rec.source_domain, rec.destination_domain, wire,
+               nullptr, &rec.source_session, &rec.destination_session,
+               ReplyLeg::kAck},
+      {});
+  outcome.latency += done.latency;
+  outcome.messages += done.messages;
+  if (!done.completed) {
+    const Error timeout_error =
+        no_answer(rec.destination_domain, done.attempts, rec.source_domain);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       outcome.replies.push_back(RarReply::deny(timeout_error));
     }
@@ -1227,14 +948,6 @@ HopByHopEngine::reserve_in_tunnel_batch(
   outcome.latency += 2 * fabric_->processing_delay();
   const std::vector<Status> src_statuses = src_tunnel->allocate_batch(batch);
   const std::vector<Status> dst_statuses = dst_tunnel->allocate_batch(batch);
-  auto audit_end = [&](const std::string& domain, const std::string& sub_id,
-                       double rate, bool admitted) {
-    obs::AuditLog::global().append(
-        domain, obs::audit_kind::kAdmission,
-        {{"result", admitted ? "admitted" : "rejected"},
-         {"flow", sub_id},
-         {"rate_bits_per_s", std::to_string(rate)}});
-  };
 
   // A flow is granted iff both ends admitted it; one-sided admissions are
   // rolled back so the tunnel halves never diverge. Denials report the
@@ -1243,10 +956,11 @@ HopByHopEngine::reserve_in_tunnel_batch(
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const bool src_ok = src_statuses[i].ok();
     const bool dst_ok = dst_statuses[i].ok();
-    audit_end(rec.source_domain, batch[i].sub_id, batch[i].rate, src_ok);
-    audit_end(rec.destination_domain, batch[i].sub_id, batch[i].rate, dst_ok);
+    audit_flow_admission(rec.source_domain, batch[i].sub_id, batch[i].rate,
+                         src_ok);
+    audit_flow_admission(rec.destination_domain, batch[i].sub_id,
+                         batch[i].rate, dst_ok);
     if (src_ok && dst_ok) {
-      rec.completed_subs.insert(batch[i].sub_id);
       RarReply reply = RarReply::approve();
       reply.handles.emplace_back(rec.source_domain, batch[i].sub_id);
       reply.handles.emplace_back(rec.destination_domain, batch[i].sub_id);

@@ -14,17 +14,21 @@
 // propagate back upstream with their origin; approvals commit hop state and
 // (for tunnel requests) establish the direct source<->end signalling
 // channel.
+//
+// The code keeps those two concerns apart. step() is the per-hop decision
+// and never touches the transport: it returns either this hop's reply or a
+// signed forward for the next hop. process() is the recursion around it:
+// it sends a forward through exchange() (sig/exchange.hpp), whose far end
+// is process() at the next hop, and applies the verdict.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
-#include "crypto/sha256.hpp"
 #include "obs/trace.hpp"
 #include "policy/group_server.hpp"
 #include "sig/channel.hpp"
@@ -34,6 +38,8 @@
 #include "sig/trust.hpp"
 
 namespace e2e::sig {
+
+struct HopSpan;
 
 struct DomainOptions {
   policy::GroupServer* group_server = nullptr;
@@ -94,16 +100,10 @@ class HopByHopEngine {
   /// tighten max_introduction_depth per hop).
   void set_trust_policy(const std::string& domain, const TrustPolicy& policy);
 
-  /// Retry budget and backoff for every inter-BB exchange (shared by the
-  /// hop-by-hop path and the tunnel per-flow path).
+  /// Retry budget and backoff for every inter-BB exchange (the hop-by-hop
+  /// forward and the tunnel per-flow and batch requests).
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
-
-  /// Drop every per-node request-id reply cache (and the tunnels'
-  /// per-flow equivalents). Models cache expiry between scenario runs so
-  /// long-lived soak worlds don't serve stale replies for recycled
-  /// request ids.
-  void forget_completed_requests();
 
   /// Build the user's signed request (RAR_U): res_spec + DN of the source
   /// BB + the CAS capability certificate + the user's delegation of it to
@@ -215,10 +215,6 @@ class HopByHopEngine {
     std::map<std::string, std::function<bool(std::uint64_t)>>
         cas_revocation;  // community -> revocation oracle
     std::map<std::string, crypto::Certificate> local_users;  // DN -> cert
-    /// Idempotency cache: replies already produced here, keyed by the
-    /// SHA-256 of the request's wire bytes. A retransmitted RAR is answered
-    /// from the cache instead of re-admitted.
-    std::map<crypto::Digest, RarReply> completed_requests;
     /// This domain's own trace recorder (nullptr = no local recording).
     obs::TraceRecorder* recorder = nullptr;
   };
@@ -233,14 +229,10 @@ class HopByHopEngine {
     Session source_session;       // direct channel, source side
     Session destination_session;  // direct channel, destination side
     std::uint64_t next_sub = 1;
-    /// Per-flow idempotency: sub-allocations the destination already
-    /// granted, so a retransmitted tunnel-alloc doesn't double-debit.
-    std::set<std::string> completed_subs;
   };
 
   Node* find_node(const std::string& domain);
   const Node* find_node(const std::string& domain) const;
-  Node* node_by_dn(const std::string& dn_text);
 
   /// Tracing state threaded through the recursive hop processing.
   struct TraceCtx {
@@ -259,17 +251,43 @@ class HopByHopEngine {
     obs::SpanId local_parent = 0;
   };
 
-  /// Recursive per-hop processing; returns the reply travelling upstream.
+  /// A request this hop admitted and signed for the next hop.
+  struct Forward {
+    std::string next;
+    Bytes wire;
+    /// This hop's tentative commitment, released if the rest of the path
+    /// denies or stays dark.
+    bb::ReservationId handle;
+  };
+
+  /// One hop's decision: its final reply (a denial names the denying
+  /// `stage`), or a forward to the next hop.
+  struct Decision {
+    RarReply reply;
+    const char* stage = nullptr;
+    std::optional<Forward> forward;
+  };
+
+  /// The transport-free per-hop step (§6.1/§6.2): verify the request,
+  /// decide policy (and, at the destination, cost), admit, then answer at
+  /// the destination or delegate, augment and sign for the next hop. Walks
+  /// `hop.cursor` through the stages' shares of the processing `budget`.
+  Decision step(Node& node, const RarMessage& msg,
+                const std::string& from_domain, SimTime at,
+                SimDuration budget, HopSpan& hop);
+
+  /// Recursive per-hop processing: step(), then send a forward through
+  /// exchange() and apply the verdict. Returns the reply travelling
+  /// upstream.
   RarReply process(const std::string& domain, const RarMessage& msg,
                    const std::string& from_domain, SimTime at,
                    Outcome& outcome, const TraceCtx& trace);
 
-  /// Graceful degradation: the upstream hop gave up on `domain`. If that
-  /// node already granted the request (reply cached under `digest`),
-  /// release every handle the cached grant carries — modeling the
-  /// downstream chain expiring a grant whose confirmation never came.
-  void release_orphaned(const std::string& domain,
-                        const crypto::Digest& digest);
+  /// Source side of a granted tunnel request: register the local tunnel
+  /// end and open the direct channel to the destination. Leaves the
+  /// end-to-end grant standing if either fails.
+  void establish_tunnel(Node& node, const bb::ResSpec& spec, RarReply& reply,
+                        Outcome& outcome, HopSpan& hop, SimTime at);
 
   /// Validate the capability chain carried by a verified RAR at `node`;
   /// returns the validated capabilities usable by the policy engine (empty

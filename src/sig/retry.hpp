@@ -1,10 +1,10 @@
 // Retry/backoff policy for signalling exchanges over a lossy fabric.
 //
 // The paper assumes every inter-BB message arrives; a real control plane
-// does not. Each engine wraps its request/reply exchanges in a bounded
-// retransmission loop: wait `retry_timeout(policy, attempt, seed)` for the
-// answer, retransmit on silence, give up (and release tentative
-// commitments) once the budget is spent.
+// does not. Every request/reply exchange runs through exchange() in
+// sig/exchange.hpp: it waits the timeout below for the answer, retransmits
+// on silence and gives up once the budget is spent; the engine then
+// releases its tentative commitments.
 //
 // The timeout is a *pure function* of (policy, attempt, jitter_seed):
 // capped geometric backoff plus deterministic jitter derived with a

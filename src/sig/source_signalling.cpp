@@ -1,12 +1,12 @@
 #include "sig/source_signalling.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "crypto/sha256.hpp"
 #include "obs/audit.hpp"
 #include "obs/instruments.hpp"
 #include "sig/context_builder.hpp"
+#include "sig/exchange.hpp"
+#include "sig/hop_span.hpp"
 #include "sig/trust.hpp"
 
 namespace e2e::sig {
@@ -43,115 +43,62 @@ SourceDomainEngine::PerDomainResult SourceDomainEngine::reserve_at(
     std::size_t hop_index) {
   const auto it = nodes_.find(domain);
   if (it == nodes_.end()) {
-    return {domain,
-            Result<bb::ReservationId>(make_error(
-                ErrorCode::kNoRoute, "no broker for domain " + domain)),
+    return {RarReply::deny(make_error(ErrorCode::kNoRoute,
+                                      "no broker for domain " + domain)),
             fabric_->rtt(agent_domain, domain) + fabric_->processing_delay()};
   }
   Node& node = it->second;
-  bb::BandwidthBroker& broker = *node.broker;
 
   // The agent signs a request addressed directly to this broker and
   // retransmits on silence. One delivered request stands for the whole
   // exchange (the broker's answer rides the same abstraction), so faults
   // are applied to the request leg: a drop/partition/crash or a corrupted
   // request the broker discards all leave the agent waiting for the armed
-  // timeout, then retrying. A duplicated delivery is suppressed at the
-  // broker by request id rather than admitted twice.
+  // timeout, then retrying.
   const RarMessage msg = RarMessage::create_user_request(
-      spec, broker.dn().to_string(), {}, user_key);
+      spec, node.broker->dn().to_string(), {}, user_key);
   const Bytes wire = msg.encode();
-  const crypto::Digest request_digest = crypto::sha256(wire);
-  std::uint64_t jitter_seed = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    jitter_seed = (jitter_seed << 8) | request_digest[i];
-  }
-
-  auto& registry = obs::MetricsRegistry::global();
   // Each per-domain request carries the reservation's trace context in the
   // unsigned transport envelope; hop_count is this domain's path index.
   obs::TraceContext ctx_to_send = trace.wire;
   ctx_to_send.hop_count = static_cast<std::uint32_t>(hop_index);
-  SimDuration latency = 0;
-  SimTime arrival = at;
-  std::optional<obs::TraceContext> rx_ctx;
-  bool delivered = false;
-  std::size_t attempts_used = 0;
-  for (std::size_t attempt = 1; attempt <= retry_policy_.max_attempts;
-       ++attempt) {
-    attempts_used = attempt;
-    if (attempt > 1) {
-      registry.counter(obs::kSigRetransmitsTotal, {{"engine", "source"}})
-          .increment();
-    }
-    Delivery sent = fabric_->transmit(agent_domain, domain, wire, &ctx_to_send);
-    if (sent.delivered() && !sent.corrupted) {
-      if (sent.duplicated) {
-        // The broker sees the copy, recognizes the request id and drops it.
-        registry
-            .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
-            .increment();
-      }
-      arrival = at + latency + sent.latency;  // timeouts waited + this leg
-      latency += sent.latency + fabric_->one_way(agent_domain, domain) +
-                 fabric_->processing_delay();
-      rx_ctx = sent.trace_context;
-      delivered = true;
-      break;
-    }
-    // Lost, blocked or corrupted-and-discarded: wait out the timeout.
-    registry.counter(obs::kSigTimeoutsTotal, {{"engine", "source"}})
-        .increment();
-    latency += retry_timeout(retry_policy_, attempt, jitter_seed);
+  ExchangeResult done = exchange(
+      *fabric_, retry_policy_,
+      Exchange{"source", agent_domain, domain, wire, &ctx_to_send, nullptr,
+               nullptr, ReplyLeg::kNone},
+      [&](const Arrival& arrival) {
+        HopSpan hop(tracer_, node.recorder, trace.trace_id, trace.root, 0,
+                    arrival.trace_context.value_or(obs::TraceContext{}),
+                    domain, at + arrival.waited + arrival.latency);
+        return step(node, msg, spec, user_cert, at, hop);
+      });
+  if (!done.completed) {
+    return {RarReply::deny(no_answer(domain, done.attempts, domain)),
+            done.latency};
   }
-  if (attempts_used > 1) {
-    registry.histogram(obs::kSigRetryAttempts, {{"engine", "source"}})
-        .observe(static_cast<double>(attempts_used));
-  }
-  if (!delivered) {
-    return {domain,
-            Result<bb::ReservationId>(make_error(
-                ErrorCode::kTimeout,
-                "no answer from " + domain + " after " +
-                    std::to_string(attempts_used) + " attempts",
-                domain)),
-            latency};
-  }
-  const SimDuration rtt = latency;
+  return {std::move(*done.reply),
+          done.latency + fabric_->one_way(agent_domain, domain) +
+              fabric_->processing_delay()};
+}
 
-  // Broker-side processing walks a cursor over the delivered request's
-  // processing-delay budget: verify 2/5, policy 1/4, admission the rest.
-  // Per-domain recording requires the wire context to have arrived sampled.
+RarReply SourceDomainEngine::step(Node& node, const RarMessage& msg,
+                                  const bb::ResSpec& spec,
+                                  const crypto::Certificate& user_cert,
+                                  SimTime at, HopSpan& hop) {
+  bb::BandwidthBroker& broker = *node.broker;
+  const std::string& domain = broker.domain();
+  // Broker-side processing walks the hop cursor over the processing-delay
+  // budget: verify 2/5, policy 1/4, admission the rest.
   const SimDuration processing = fabric_->processing_delay();
   const SimDuration verify_cost = processing * 2 / 5;
   const SimDuration policy_cost = processing / 4;
-  SimTime cursor = arrival;
-  obs::TraceRecorder* local =
-      (node.recorder != nullptr && rx_ctx.has_value() && rx_ctx->valid() &&
-       rx_ctx->sampled)
-          ? node.recorder
-          : nullptr;
-  obs::SpanScope hop(tracer_, local, trace.trace_id, "hop", trace.root, 0,
-                     &cursor);
-  hop.annotate("domain", domain);
-  if (local != nullptr) {
-    hop.annotate_secondary("remote.parent", rx_ctx->remote_parent_ref());
-    hop.annotate_secondary("hop.index", std::to_string(rx_ctx->hop_count));
-  }
-  // Audit records written inside a stage join that stage's span (the
-  // per-domain one when recording locally, else the engine-wide one).
-  auto stage_ref = [&](const obs::SpanScope& scope) {
-    const obs::SpanId id =
-        scope.secondary_id() != 0 ? scope.secondary_id() : scope.id();
-    return obs::SpanRef{id != 0 ? trace.trace_id : std::string(), id, cursor};
-  };
+  const SimDuration admission_cost = processing - verify_cost - policy_cost;
 
-  obs::SpanScope verify_scope(tracer_, local, trace.trace_id, "verify",
-                              hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope verify_scope = hop.stage("verify");
   // Direct trust has no verification cache: every request re-checks the
   // user's signature, so (unlike the hop-by-hop path) no cache field.
   auto audit_verify = [&](const char* result, const std::string& subject) {
-    obs::CurrentSpan audit_scope(stage_ref(verify_scope));
+    obs::CurrentSpan audit_scope(hop.ref(verify_scope));
     obs::AuditLog::global().append(
         domain, obs::audit_kind::kVerify,
         {{"result", result}, {"subject", subject}});
@@ -159,14 +106,12 @@ SourceDomainEngine::PerDomainResult SourceDomainEngine::reserve_at(
   auto deny_verify = [&](Error e) {
     const std::string text = e.to_text();
     audit_verify("fail", spec.user);
-    cursor += verify_cost;
+    hop.cursor += verify_cost;
     verify_scope.fail(text);
     verify_scope.finish();
-    hop.annotate("stage", "verify");
-    hop.fail(text);
-    hop.finish();
-    return PerDomainResult{domain, Result<bb::ReservationId>(std::move(e)),
-                           rtt};
+    hop.span.annotate("stage", "verify");
+    hop.span.fail(text);
+    return RarReply::deny(std::move(e));
   };
 
   // Direct trust: this broker must know the user.
@@ -189,7 +134,7 @@ SourceDomainEngine::PerDomainResult SourceDomainEngine::reserve_at(
     return deny_verify(verified.error());
   }
   audit_verify("ok", verified->user_dn.to_string());
-  cursor += verify_cost;
+  hop.cursor += verify_cost;
   verify_scope.finish();
 
   ContextInputs inputs;
@@ -201,46 +146,40 @@ SourceDomainEngine::PerDomainResult SourceDomainEngine::reserve_at(
   inputs.relevant_groups = &node.options.relevant_groups;
   inputs.cpu_reservation_checker = node.options.cpu_reservation_checker;
   const policy::EvalContext ctx = build_policy_context(inputs);
-  obs::SpanScope policy_scope(tracer_, local, trace.trace_id, "policy",
-                              hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope policy_scope = hop.stage("policy");
   const policy::PolicyReply reply = [&] {
-    obs::CurrentSpan audit_scope(stage_ref(policy_scope));
+    obs::CurrentSpan audit_scope(hop.ref(policy_scope));
     return broker.policy_server().decide(ctx);
   }();
-  cursor += policy_cost;
+  hop.cursor += policy_cost;
   if (reply.decision != policy::Decision::kGrant) {
     policy_scope.fail(reply.reason);
     policy_scope.finish();
-    hop.annotate("stage", "policy");
-    hop.fail(reply.reason);
-    hop.finish();
-    return {domain,
-            Result<bb::ReservationId>(make_error(ErrorCode::kPolicyDenied,
-                                                 reply.reason, domain)),
-            rtt};
+    hop.span.annotate("stage", "policy");
+    hop.span.fail(reply.reason);
+    return RarReply::deny(
+        make_error(ErrorCode::kPolicyDenied, reply.reason, domain));
   }
   policy_scope.finish();
 
   // Approach 1 has no upstream-SLA context: each reservation is a direct
   // request against the domain's own capacity.
-  obs::SpanScope admission_scope(tracer_, local, trace.trace_id, "admission",
-                                 hop.id(), hop.secondary_id(), &cursor);
+  obs::SpanScope admission_scope = hop.stage("admission");
   auto committed = [&] {
-    obs::CurrentSpan audit_scope(stage_ref(admission_scope));
+    obs::CurrentSpan audit_scope(hop.ref(admission_scope));
     return broker.commit(spec, /*from_domain=*/"");
   }();
-  cursor = arrival + processing;
+  hop.cursor += admission_cost;
   if (!committed.ok()) {
     const std::string text = committed.error().to_text();
     admission_scope.fail(text);
-    admission_scope.finish();
-    hop.annotate("stage", "admission");
-    hop.fail(text);
-  } else {
-    admission_scope.finish();
+    hop.span.annotate("stage", "admission");
+    hop.span.fail(text);
+    return RarReply::deny(committed.error());
   }
-  hop.finish();
-  return {domain, std::move(committed), rtt};
+  RarReply granted = RarReply::approve();
+  granted.handles.emplace_back(domain, *committed);
+  return granted;
 }
 
 Result<SourceDomainEngine::Outcome> SourceDomainEngine::reserve(
@@ -320,34 +259,28 @@ Result<SourceDomainEngine::Outcome> SourceDomainEngine::reserve_subset(
       outcome.latency = std::max(outcome.latency, last.rtt);
     } else {
       outcome.latency += last.rtt;
-      if (!last.outcome.ok()) break;
+      if (!last.reply.granted) break;
     }
   }
 
-  const bool all_granted =
-      results.size() == contacted.size() &&
-      std::all_of(results.begin(), results.end(),
-                  [](const PerDomainResult& r) { return r.outcome.ok(); });
-  if (all_granted) {
-    outcome.reply = RarReply::approve();
-    for (const auto& r : results) {
-      outcome.reply.handles.emplace_back(r.domain, r.outcome.value());
+  RarReply granted = RarReply::approve();
+  for (const auto& r : results) {
+    if (r.reply.granted) {
+      granted.handles.push_back(r.reply.handles.front());
     }
+  }
+  if (granted.handles.size() == contacted.size()) {
+    outcome.reply = std::move(granted);
     return finish(std::move(outcome));
   }
 
   // Roll back any granted parts, then report the first denial.
-  for (const auto& r : results) {
-    if (r.outcome.ok()) {
-      const auto it = nodes_.find(r.domain);
-      if (it != nodes_.end()) {
-        (void)it->second.broker->release(r.outcome.value());
-      }
-    }
+  for (const auto& [domain, handle] : granted.handles) {
+    (void)nodes_.at(domain).broker->release(handle);
   }
   for (const auto& r : results) {
-    if (!r.outcome.ok()) {
-      outcome.reply = RarReply::deny(r.outcome.error());
+    if (!r.reply.granted) {
+      outcome.reply = r.reply;
       return finish(std::move(outcome));
     }
   }

@@ -35,6 +35,8 @@
 
 namespace e2e::sig {
 
+struct HopSpan;
+
 class SourceDomainEngine {
  public:
   explicit SourceDomainEngine(Transport& fabric) : fabric_(&fabric) {}
@@ -112,12 +114,9 @@ class SourceDomainEngine {
   };
 
   struct PerDomainResult {
-    std::string domain;
-    Result<bb::ReservationId> outcome;
+    /// The domain's answer; a grant carries its one reservation handle.
+    RarReply reply;
     SimDuration rtt = 0;
-
-    PerDomainResult(std::string d, Result<bb::ReservationId> o, SimDuration r)
-        : domain(std::move(d)), outcome(std::move(o)), rtt(r) {}
   };
 
   /// Tracing state shared by every per-domain request of one reservation.
@@ -130,14 +129,20 @@ class SourceDomainEngine {
     obs::TraceContext wire;
   };
 
-  /// One per-domain reservation: authenticate the user, evaluate policy,
-  /// admit.
+  /// One per-domain reservation: send the signed request through
+  /// exchange(), whose far end is step() at that domain's broker.
   PerDomainResult reserve_at(const std::string& domain,
                              const std::string& agent_domain,
                              const bb::ResSpec& spec,
                              const crypto::Certificate& user_cert,
                              const crypto::PrivateKey& user_key, SimTime at,
                              const TraceCtx& trace, std::size_t hop_index);
+
+  /// The direct-trust step at one broker: authenticate the user, evaluate
+  /// policy, admit. Walks `hop.cursor` through the processing budget.
+  RarReply step(Node& node, const RarMessage& msg, const bb::ResSpec& spec,
+                const crypto::Certificate& user_cert, SimTime at,
+                HopSpan& hop);
 
   Transport* fabric_;
   RetryPolicy retry_policy_;

@@ -201,8 +201,6 @@ TEST(BbRecoverySoak, CrashedBrokersReplayToTheLiveOracle) {
       crash_and_recover(world, alice, control.next_below(kDomains), trial);
       ++recoveries;
     }
-
-    world.engine().forget_completed_requests();
   }
 
   // Final sweep: every domain must recover exactly, then a full release

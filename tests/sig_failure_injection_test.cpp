@@ -263,10 +263,9 @@ TEST(FailureMatrix, ForwardTimesOutAtEveryLink) {
     EXPECT_EQ(outcome->reply.denial.code, ErrorCode::kTimeout);
     EXPECT_EQ(outcome->reply.denial.origin, world.names()[hop]);
     expect_all_released(world);
-    // And the path works again once the link heals — after cache expiry,
-    // or an identical re-submission would be served the cached denial.
+    // And the path works again once the link heals: an identical
+    // re-submission is a new exchange, evaluated afresh.
     world.heal_link(hop, hop + 1);
-    world.engine().forget_completed_requests();
     const auto retry = world.engine().reserve(*msg, seconds(2));
     ASSERT_TRUE(retry.ok());
     EXPECT_TRUE(retry->reply.granted);

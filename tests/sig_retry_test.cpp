@@ -1,10 +1,16 @@
 // Retry/backoff and idempotency: timer math (cap, jitter bounds, budget
-// exhaustion) and at-most-once admission when the fabric redelivers or
-// loses messages, asserted against the failure-path obs counters.
+// exhaustion), exchange() against a scripted transport, and
+// at-most-once admission when the fabric redelivers or loses messages,
+// asserted against the failure-path obs counters.
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "crypto/ca.hpp"
+#include "obs/audit.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
+#include "sig/exchange.hpp"
 #include "sig/retry.hpp"
 #include "testing_world.hpp"
 
@@ -52,6 +58,275 @@ TEST(RetryTimeout, DeterministicPerSeedAndSpreadAcrossSeeds) {
   // hard guarantee of the mix, but these particular inputs must differ for
   // the jitter to be doing anything).
   EXPECT_NE(retry_timeout(p, 1, 1), retry_timeout(p, 1, 2));
+}
+
+/// A transport that plays back one scripted fate per transmission; once
+/// the script runs out, every message is delivered cleanly.
+class ScriptedTransport : public Transport {
+ public:
+  struct Fate {
+    Delivery::Outcome outcome = Delivery::Outcome::kDelivered;
+    SimDuration latency = milliseconds(10);
+    bool corrupt = false;
+    bool duplicate = false;
+  };
+  std::deque<Fate> script;
+
+  SimDuration one_way(const std::string&, const std::string&) const override {
+    return 0;
+  }
+  SimDuration processing_delay() const override { return 0; }
+  void record_message(const std::string&, const std::string&,
+                      std::size_t) override {}
+  Delivery transmit(const std::string&, const std::string&, BytesView payload,
+                    const obs::TraceContext* trace_context) override {
+    Fate fate;
+    if (!script.empty()) {
+      fate = script.front();
+      script.pop_front();
+    }
+    Delivery delivery;
+    delivery.outcome = fate.outcome;
+    delivery.latency = fate.latency;
+    if (!delivery.delivered()) return delivery;
+    delivery.payload.assign(payload.begin(), payload.end());
+    if (fate.corrupt) {
+      delivery.payload[0] ^= 0xff;
+      delivery.corrupted = true;
+    }
+    delivery.duplicated = fate.duplicate;
+    if (trace_context != nullptr) delivery.trace_context = *trace_context;
+    return delivery;
+  }
+  Status send(const std::string&, const std::string&, BytesView,
+              const obs::TraceContext*) override {
+    return make_error(ErrorCode::kUnavailable, "scripted transport");
+  }
+  Result<InboundMessage> receive(const std::string&,
+                                 std::chrono::milliseconds) override {
+    return make_error(ErrorCode::kTimeout, "scripted transport");
+  }
+  Stats total() const override { return {}; }
+  void reset_counters() override {}
+};
+
+const ScriptedTransport::Fate kDelivered{};
+const ScriptedTransport::Fate kDropped{Delivery::Outcome::kDropped};
+
+/// Two brokers' halves of one authenticated channel.
+struct ChannelPairFixture {
+  Rng rng{99};
+  TimeInterval validity{0, hours(1000)};
+  crypto::CertificateAuthority ca_a{
+      crypto::DistinguishedName::make("CA-A", "DomainA"), rng, validity, 256};
+  crypto::CertificateAuthority ca_b{
+      crypto::DistinguishedName::make("CA-B", "DomainB"), rng, validity, 256};
+  crypto::KeyPair keys_a = crypto::generate_keypair(rng, 256);
+  crypto::KeyPair keys_b = crypto::generate_keypair(rng, 256);
+  crypto::TrustStore store_a;
+  crypto::TrustStore store_b;
+  SessionPair sessions;
+
+  ChannelPairFixture() {
+    store_a.add_anchor(ca_b.root_certificate());
+    store_b.add_anchor(ca_a.root_certificate());
+    const ChannelEndpoint a{
+        ca_a.issue(crypto::DistinguishedName::make("BB-A", "DomainA"),
+                   keys_a.pub, validity),
+        keys_a.priv, &store_a, {}};
+    const ChannelEndpoint b{
+        ca_b.issue(crypto::DistinguishedName::make("BB-B", "DomainB"),
+                   keys_b.pub, validity),
+        keys_b.priv, &store_b, {}};
+    sessions = handshake(a, b, 0, rng).value();
+  }
+};
+
+/// A retry policy without jitter, so timeouts are exact.
+RetryPolicy exact_policy(std::size_t max_attempts = 4) {
+  RetryPolicy policy;
+  policy.max_attempts = max_attempts;
+  policy.jitter = 0;
+  return policy;
+}
+
+/// A far end that grants with one handle and records what reached it.
+struct CountingFarEnd {
+  struct Seen {
+    Bytes payload;
+    SimDuration waited = 0;
+    SimDuration latency = 0;
+  };
+  std::size_t calls = 0;
+  std::vector<Seen> arrivals;
+
+  FarEnd handler() {
+    return [this](const Arrival& arrival) {
+      ++calls;
+      arrivals.push_back(
+          Seen{Bytes(arrival.payload.begin(), arrival.payload.end()),
+               arrival.waited, arrival.latency});
+      RarReply reply = RarReply::approve();
+      reply.handles.emplace_back("DomainB", "res-1");
+      return reply;
+    };
+  }
+};
+
+TEST(Exchange, LostRequestIsRetransmitted) {
+  ChannelPairFixture channel;
+  ScriptedTransport transport;
+  transport.script = {kDropped, {.latency = milliseconds(10)},
+                      {.latency = milliseconds(7)}};
+  const RetryPolicy policy = exact_policy();
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+  const auto retransmits_before =
+      counter_value(obs::kSigRetransmitsTotal, {{"engine", "hopbyhop"}});
+
+  const ExchangeResult result = exchange(
+      transport, policy,
+      Exchange{"hopbyhop", "DomainA", "DomainB", request, nullptr,
+               &channel.sessions.initiator, &channel.sessions.responder,
+               ReplyLeg::kSealed},
+      far.handler());
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(result.messages, 3u);
+  // The first timeout, then both legs of the attempt that got through.
+  EXPECT_EQ(result.latency,
+            policy.base_timeout + milliseconds(10) + milliseconds(7));
+  ASSERT_EQ(far.calls, 1u);
+  EXPECT_EQ(far.arrivals[0].waited, policy.base_timeout);
+  EXPECT_EQ(far.arrivals[0].latency, milliseconds(10));
+  ASSERT_TRUE(result.reply.has_value());
+  EXPECT_TRUE(result.reply->granted);
+  EXPECT_EQ(counter_value(obs::kSigRetransmitsTotal,
+                          {{"engine", "hopbyhop"}}) -
+                retransmits_before,
+            1u);
+}
+
+TEST(Exchange, LostReplyIsAnsweredFromTheSavedReply) {
+  ChannelPairFixture channel;
+  ScriptedTransport transport;
+  transport.script = {kDelivered, kDropped, kDelivered, kDelivered};
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+  const auto cache_before =
+      counter_value(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}});
+
+  const ExchangeResult result = exchange(
+      transport, exact_policy(),
+      Exchange{"hopbyhop", "DomainA", "DomainB", request, nullptr,
+               &channel.sessions.initiator, &channel.sessions.responder,
+               ReplyLeg::kSealed},
+      far.handler());
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(far.calls, 1u);
+  EXPECT_EQ(counter_value(obs::kSigDuplicatesSuppressedTotal,
+                          {{"via", "cache"}}) -
+                cache_before,
+            1u);
+  ASSERT_TRUE(result.reply.has_value());
+  EXPECT_TRUE(result.reply->granted);
+}
+
+TEST(Exchange, DuplicatedDeliveryIsRefusedByTheChannel) {
+  ChannelPairFixture channel;
+  ScriptedTransport transport;
+  transport.script = {{.duplicate = true}, kDelivered};
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+  const auto channel_before =
+      counter_value(obs::kSigDuplicatesSuppressedTotal, {{"via", "channel"}});
+  const auto cache_before =
+      counter_value(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}});
+
+  const ExchangeResult result = exchange(
+      transport, exact_policy(),
+      Exchange{"hopbyhop", "DomainA", "DomainB", request, nullptr,
+               &channel.sessions.initiator, &channel.sessions.responder,
+               ReplyLeg::kSealed},
+      far.handler());
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_EQ(far.calls, 1u);
+  EXPECT_EQ(counter_value(obs::kSigDuplicatesSuppressedTotal,
+                          {{"via", "channel"}}) -
+                channel_before,
+            1u);
+  EXPECT_EQ(counter_value(obs::kSigDuplicatesSuppressedTotal,
+                          {{"via", "cache"}}) -
+                cache_before,
+            0u);
+}
+
+TEST(Exchange, CorruptedPlaintextLegCountsAsLost) {
+  ScriptedTransport transport;
+  transport.script = {{.corrupt = true}, kDelivered};
+  const RetryPolicy policy = exact_policy();
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+  const auto timeouts_before =
+      counter_value(obs::kSigTimeoutsTotal, {{"engine", "source"}});
+
+  const ExchangeResult result = exchange(
+      transport, policy,
+      Exchange{"source", "DomainA", "DomainB", request, nullptr, nullptr,
+               nullptr, ReplyLeg::kNone},
+      far.handler());
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(result.messages, 2u);  // no reply leg
+  EXPECT_EQ(result.latency, policy.base_timeout + milliseconds(10));
+  ASSERT_EQ(far.calls, 1u);
+  EXPECT_EQ(far.arrivals[0].payload, request);
+  EXPECT_EQ(counter_value(obs::kSigTimeoutsTotal, {{"engine", "source"}}) -
+                timeouts_before,
+            1u);
+}
+
+TEST(Exchange, BudgetExhaustedReturnsTheSavedGrant) {
+  ChannelPairFixture channel;
+  ScriptedTransport transport;
+  // Every request arrives; every reply is lost.
+  transport.script = {kDelivered, kDropped, kDelivered, kDropped,
+                      kDelivered, kDropped};
+  const RetryPolicy policy = exact_policy(3);
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+  const auto cache_before =
+      counter_value(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}});
+
+  const ExchangeResult result = exchange(
+      transport, policy,
+      Exchange{"tunnel", "DomainA", "DomainB", request, nullptr,
+               &channel.sessions.initiator, &channel.sessions.responder,
+               ReplyLeg::kAck},
+      far.handler());
+
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.attempts, 3u);
+  EXPECT_EQ(far.calls, 1u);
+  EXPECT_EQ(counter_value(obs::kSigDuplicatesSuppressedTotal,
+                          {{"via", "cache"}}) -
+                cache_before,
+            2u);
+  // Only the armed timeouts: no leg completed.
+  EXPECT_EQ(result.latency, retry_timeout(policy, 1, 0) +
+                                retry_timeout(policy, 2, 0) +
+                                retry_timeout(policy, 3, 0));
+  // The unconfirmed grant comes back for the caller to release.
+  ASSERT_TRUE(result.reply.has_value());
+  EXPECT_TRUE(result.reply->granted);
+  ASSERT_EQ(result.reply->handles.size(), 1u);
+  EXPECT_EQ(result.reply->handles[0].second, "res-1");
 }
 
 TEST(RetryBudget, ExhaustionDeniesWithTimeoutAndReleasesEverything) {
@@ -199,7 +474,6 @@ TEST(RetryRecovery, LossyLinkEventuallySucceedsWithRetransmits) {
       EXPECT_EQ(outcome->reply.handles.size(), 3u);
       ASSERT_TRUE(world.engine().release_end_to_end(outcome->reply).ok());
     }
-    world.engine().forget_completed_requests();
     EXPECT_EQ(world.total_reservations(), 0u);
   }
   EXPECT_TRUE(granted);
@@ -247,6 +521,75 @@ TEST(RetryTunnel, DarkDestinationReleasesBothTunnelHalves) {
   ASSERT_TRUE(info_after.has_value());
   // Only the first (confirmed) flow remains on the source side.
   EXPECT_EQ(info_after->active_flows, info_before->active_flows);
+}
+
+TEST(RetryTunnel, LostReplyDoesNotReevaluateDeniedFlow) {
+  ChainWorldConfig config;
+  config.domains = 3;
+  ChainWorld world(config);
+  WorldUser alice = world.make_user("Alice", 0);
+
+  auto spec = world.spec(alice, 10e6);
+  spec.is_tunnel = true;
+  const auto msg =
+      world.engine().build_user_request(alice.credentials(), spec, 0);
+  const auto established = world.engine().reserve(*msg, seconds(1));
+  ASSERT_TRUE(established.ok());
+  ASSERT_TRUE(established->reply.granted);
+  const std::string tunnel_id = established->reply.tunnel_id;
+
+  // An 8 Mb/s filler in the destination half of the 10 Mb/s tunnel: the
+  // source half admits a 5 Mb/s flow, the destination half refuses it.
+  const auto dst_tunnels = world.broker(2).all_tunnels();
+  ASSERT_EQ(dst_tunnels.size(), 1u);
+  bb::Tunnel* dst_half = world.broker(2).find_tunnel(dst_tunnels[0]->id());
+  ASSERT_NE(dst_half, nullptr);
+  ASSERT_TRUE(dst_half
+                  ->allocate("filler", alice.dn.to_string(), {0, seconds(60)},
+                             8e6)
+                  .ok());
+
+  // Every destination->source reply is lost, so the source retransmits
+  // until the budget is spent.
+  FaultProfile drop_all;
+  drop_all.drop = 1.0;
+  world.fabric().set_fault_profile("DomainC", "DomainA", drop_all);
+  world.fabric().seed_faults(5);
+  // Trace ids restart with every world; keep only this flow's records.
+  obs::AuditLog::global().clear();
+
+  const auto flow = world.engine().reserve_in_tunnel(
+      tunnel_id, alice.dn.to_string(), 5e6, {0, seconds(60)}, seconds(2));
+  ASSERT_TRUE(flow.ok());
+  ASSERT_FALSE(flow->reply.granted);
+  EXPECT_EQ(flow->reply.denial.code, ErrorCode::kTimeout);
+
+  // The destination evaluated the flow once; every retransmission got its
+  // saved denial.
+  std::size_t dst_admissions = 0;
+  for (const auto& record :
+       obs::AuditLog::global().records_for(flow->trace_id)) {
+    if (record.domain == "DomainC" &&
+        record.kind == obs::audit_kind::kAdmission) {
+      ++dst_admissions;
+    }
+  }
+  EXPECT_EQ(dst_admissions, 1u);
+  std::size_t dst_hops = 0;
+  for (const auto& span : world.tracer().trace(flow->trace_id)) {
+    const std::string* domain = span.attribute("domain");
+    if (span.name == "hop" && domain != nullptr && *domain == "DomainC") {
+      ++dst_hops;
+    }
+  }
+  EXPECT_EQ(dst_hops, 1u);
+
+  // Zero residual in both halves once the filler is gone.
+  const auto info = world.engine().tunnel_info(tunnel_id);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->active_flows, 0u);
+  ASSERT_TRUE(dst_half->release("filler").ok());
+  EXPECT_EQ(dst_half->active_allocations(), 0u);
 }
 
 }  // namespace

@@ -140,10 +140,6 @@ void run_mix(const Mix& mix, std::uint64_t base_seed, std::size_t mix_index,
     ASSERT_EQ(world.total_committed_at(
                   seconds(static_cast<std::int64_t>(trial) + 100)),
               0.0);
-
-    // Model reply-cache expiry between trials so the per-node caches don't
-    // grow without bound over hundreds of trials.
-    world.engine().forget_completed_requests();
   }
 }
 
