@@ -9,9 +9,9 @@
 #                                     appear in docs/OBSERVABILITY.md)
 #        ./scripts/tier1.sh --soak   (seeded fault-injection soak suite under
 #                                     ASan/UBSan, 3 fixed seeds, plus the
-#                                     retry/exchange/failure-injection cases
-#                                     of sig_test; build dir: ./build-asan
-#                                     via the "asan" preset)
+#                                     retry/exchange/failure-injection and
+#                                     channel cases of sig_test; build dir:
+#                                     ./build-asan via the "asan" preset)
 #        ./scripts/tier1.sh --bench  (crypto differential tests + a smoke run
 #                                     of scripts/bench_snapshot.sh)
 #        ./scripts/tier1.sh --obs    (observability contract tests, the
@@ -33,12 +33,12 @@
 #                                     soak, each in the default build and
 #                                     again under the ASan/UBSan preset)
 #        ./scripts/tier1.sh --daemon (socket transport gates: framing +
-#                                     transport-conformance + daemon +
-#                                     pipeline suites, the multi-process
-#                                     soak and the admin-plane conformance
-#                                     suite, default build then ASan/UBSan,
-#                                     then net_stream_test again under
-#                                     TSan (off-loop execution); the scrape-
+#                                     daemon + pipeline suites, the
+#                                     multi-process soak and the admin-plane
+#                                     conformance suite, default build then
+#                                     ASan/UBSan, then net_stream_test
+#                                     again under TSan (off-loop
+#                                     execution); the scrape-
 #                                     conformance gate — a live bbd with
 #                                     --admin scraped over /metrics, /statz
 #                                     and /healthz, families checked against
@@ -173,8 +173,8 @@ if [[ "${1:-}" == "--daemon" ]]; then
   workdir=$(mktemp -d)
   trap 'rm -rf "$workdir"' EXIT
 
-  # Framing robustness, transport conformance (Fabric AND sockets), and
-  # the in-process daemon integration suite — default build first.
+  # Framing robustness, the in-process daemon integration suite and the
+  # pipelining suite — default build first.
   ./build/tests/net_stream_test
   # Multi-process soak: the real bbd binary + N client processes mixing
   # reserve/release/abrupt-exit, then SIGKILL + restart with --recover.
@@ -183,7 +183,7 @@ if [[ "${1:-}" == "--daemon" ]]; then
   # /metrics families against the catalog and /statz connection totals,
   # round-trip /tracez through tracedump, verify the drain snapshot.
   ./build/tests/daemon_admin_test
-  echo "tier1 --daemon: stream/conformance/soak/admin suites OK (default build)"
+  echo "tier1 --daemon: stream/soak/admin suites OK (default build)"
 
   # The same suites under ASan/UBSan — the socket paths shuffle raw byte
   # buffers across threads and processes, so lifetime bugs would hide in
@@ -194,7 +194,7 @@ if [[ "${1:-}" == "--daemon" ]]; then
   ./build-asan/tests/net_stream_test
   ./build-asan/tests/daemon_soak_test
   ./build-asan/tests/daemon_admin_test
-  echo "tier1 --daemon: stream/conformance/soak/admin suites OK (asan)"
+  echo "tier1 --daemon: stream/soak/admin suites OK (asan)"
 
   # And under ThreadSanitizer (ISSUE 10): the pipeline suite drives
   # cross-thread StreamServer::post(), the RPC worker pool and the
@@ -203,7 +203,7 @@ if [[ "${1:-}" == "--daemon" ]]; then
   cmake --preset tsan >/dev/null
   cmake --build build-tsan -j --target net_stream_test >/dev/null
   ./build-tsan/tests/net_stream_test
-  echo "tier1 --daemon: stream/conformance suites OK under TSan"
+  echo "tier1 --daemon: stream suites OK under TSan"
 
   # Scrape conformance: a live bbd with --admin must serve /healthz,
   # /statz (valid JSON with connection totals) and a parseable /metrics
@@ -299,9 +299,10 @@ if [[ "${1:-}" == "--soak" ]]; then
     E2E_SOAK_SEED=$seed ./build-asan/tests/sig_soak_test
   done
   # Every path through sig/exchange.cpp: lost requests and replies,
-  # duplicates, corruption, budget exhaustion and the failure matrix.
+  # duplicates, corruption, budget exhaustion and the failure matrix; and
+  # the channel handshake driver with its halves' parsing of peer bytes.
   ./build-asan/tests/sig_test \
-    --gtest_filter='Retry*:Exchange*:FailureMatrix*:FailureInjection*'
+    --gtest_filter='Retry*:Exchange*:FailureMatrix*:FailureInjection*:Channel*'
   echo "tier1 --soak: OK"
   exit 0
 fi

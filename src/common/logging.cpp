@@ -1,13 +1,12 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace e2e::log {
 
 namespace {
-std::atomic<Level> g_level{Level::kWarn};
+constexpr Level kThreshold = Level::kWarn;
 std::mutex g_mutex;
 
 const char* level_name(Level l) {
@@ -22,13 +21,9 @@ const char* level_name(Level l) {
 }
 }  // namespace
 
-void set_level(Level level) { g_level.store(level, std::memory_order_relaxed); }
-
-Level level() { return g_level.load(std::memory_order_relaxed); }
-
 void write(Level lvl, const std::string& component,
            const std::string& message) {
-  if (lvl < g_level.load(std::memory_order_relaxed)) return;
+  if (lvl < kThreshold) return;
   std::lock_guard lock(g_mutex);
   std::fprintf(stderr, "[%s] %-12s %s\n", level_name(lvl), component.c_str(),
                message.c_str());

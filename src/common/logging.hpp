@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
 // Components log protocol events (request received, policy decision,
-// admission result) at kInfo; the default threshold is kWarn so tests and
-// benchmarks stay quiet. Examples raise the threshold to narrate scenarios.
+// admission result) at kInfo; the threshold is kWarn so tests and
+// benchmarks stay quiet.
 #pragma once
 
 #include <sstream>
@@ -12,11 +12,7 @@ namespace e2e::log {
 
 enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global threshold; messages below it are dropped.
-void set_level(Level level);
-Level level();
-
-/// Emit one line (thread-safe).
+/// Emit one line (thread-safe); lines below kWarn are dropped.
 void write(Level level, const std::string& component,
            const std::string& message);
 

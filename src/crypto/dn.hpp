@@ -39,9 +39,6 @@ class DistinguishedName {
   void add(std::string type, std::string value);
 
   bool empty() const { return rdns_.empty(); }
-  const std::vector<std::pair<std::string, std::string>>& rdns() const {
-    return rdns_;
-  }
 
   bool operator==(const DistinguishedName& o) const = default;
   /// Lexicographic on canonical form; lets DNs key std::map.

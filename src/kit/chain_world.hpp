@@ -335,9 +335,6 @@ class ChainWorld {
   sig::HopByHopEngine& engine() { return engine_; }
   sig::SourceDomainEngine& source_engine() { return source_engine_; }
   obs::TraceRecorder& tracer() { return tracer_; }
-  obs::TraceRecorder& domain_tracer(std::size_t i) {
-    return *domain_tracers_.at(i);
-  }
   /// Ingest every domain's export into `collector` (the destination side
   /// of distributed tracing; call after the reservations of interest).
   void collect(obs::SpanCollector& collector) const {

@@ -20,6 +20,7 @@ Result<BbdClient> BbdClient::connect(const Options& options) {
   auto server_hello = socket.value().recv_frame(options.call_timeout);
   if (!server_hello.ok()) return server_hello.error();
   auto finished = initiator.on_server_hello(server_hello.value());
+  sig::count_handshake(finished.ok());
   if (!finished.ok()) return finished.error();
   if (auto sent = socket.value().send_frame(finished.value()); !sent.ok()) {
     return sent.error();

@@ -149,16 +149,4 @@ std::vector<std::pair<std::string, std::string>> parse_label_list(
   return labels;
 }
 
-std::string render_label_list(
-    const std::vector<std::pair<std::string, std::string>>& labels) {
-  std::string out;
-  for (const auto& [k, v] : labels) {
-    if (!out.empty()) out += ',';
-    out += k;
-    out += '=';
-    out += v;
-  }
-  return out;
-}
-
 }  // namespace e2e::net

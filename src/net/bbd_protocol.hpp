@@ -169,10 +169,8 @@ struct BbdResponse {
   }
 };
 
-/// Parse / render the "k=v,k=v" label spelling of kMetricQuery.
+/// Parse the "k=v,k=v" label spelling of kMetricQuery.
 std::vector<std::pair<std::string, std::string>> parse_label_list(
     const std::string& text);
-std::string render_label_list(
-    const std::vector<std::pair<std::string, std::string>>& labels);
 
 }  // namespace e2e::net

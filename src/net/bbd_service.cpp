@@ -420,8 +420,10 @@ bool BbdService::on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
     (void)server_->send(id, server_hello.value());
     return true;
   }
-  // Second frame must be the Finished message.
+  // Second frame must be the Finished message; its verdict is the
+  // responder's handshake outcome.
   auto finished = conn.handshake->on_finished(frame);
+  sig::count_handshake(finished.ok());
   if (!finished.ok()) {
     server_->close_after_flush(id);
     return false;

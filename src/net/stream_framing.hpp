@@ -9,14 +9,11 @@
 //   | length (u32be) | payload (length bytes)|
 //   +----------------+----------------------+
 //
-// The length covers the payload only. The cap is sig::kMaxTransportPayload
-// (1 MiB) plus a small envelope headroom: the hub wraps application
-// payloads in a routing envelope (from/to/trace TLVs), so a message at
-// exactly the transport cap must still fit one frame. A length above the
-// cap is a framing error: the
-// decoder latches kBadMessage and the connection must be dropped, because
-// a desynchronized stream can never recover (the "length" being parsed is
-// protocol bytes misread as a header).
+// The length covers the payload only and is capped at kMaxFramePayload
+// (1 MiB), the largest message any peer accepts. A length above the cap
+// is a framing error: the decoder latches kBadMessage and the connection
+// must be dropped, because a desynchronized stream can never recover (the
+// "length" being parsed is protocol bytes misread as a header).
 //
 // FrameDecoder is incremental: feed() accepts whatever the socket
 // produced — a single byte, half a frame, three frames and a torn fourth —
@@ -31,21 +28,14 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
-#include "sig/transport.hpp"
 
 namespace e2e::net {
 
 /// Bytes of the length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
-/// Headroom for the hub routing envelope (party names, trace context,
-/// TLV framing) around a transport payload at the cap.
-inline constexpr std::size_t kFrameEnvelopeHeadroom = 4096;
-
-/// Largest payload a frame may carry: the transport cap (shared with the
-/// in-memory fabric) plus the envelope headroom.
-inline constexpr std::size_t kMaxFramePayload =
-    sig::kMaxTransportPayload + kFrameEnvelopeHeadroom;
+/// Largest payload a frame may carry.
+inline constexpr std::size_t kMaxFramePayload = 1u << 20;  // 1 MiB
 
 /// Wrap `payload` in a length-prefixed frame. Precondition: payload fits
 /// the cap (callers go through Status-returning send paths that check).

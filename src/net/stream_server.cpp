@@ -153,8 +153,6 @@ class EpollPoller final : public Poller {
 }  // namespace
 
 std::unique_ptr<Poller> Poller::create(bool force_poll) {
-  const char* env = std::getenv("E2E_FORCE_POLL");
-  if (env != nullptr && env[0] == '1') force_poll = true;
 #ifdef __linux__
   if (!force_poll) {
     auto epoll = std::make_unique<EpollPoller>();

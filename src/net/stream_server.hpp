@@ -4,8 +4,8 @@
 // (any mix of TCP and UNIX-domain), accepts connections, reassembles
 // length-prefixed frames out of arbitrarily torn reads, and writes replies
 // through bounded per-connection queues. The loop multiplexes with epoll
-// where available and falls back to poll() — set Options::force_poll (or
-// E2E_FORCE_POLL=1) to exercise the fallback on any platform.
+// where available and falls back to poll() — set Options::force_poll to
+// exercise the fallback on any platform.
 //
 // Contract with the application (bbd_service.hpp):
 //  - callbacks run on the loop thread, one at a time, never concurrently;
@@ -167,8 +167,6 @@ class StreamServer {
 
   /// Close once pending writes drain (loop thread only).
   void close_after_flush(ConnId id);
-
-  std::size_t connection_count() const { return connections_.size(); }
 
   /// Snapshot of every live connection, sorted by id. Thread-safe (this
   /// is the one introspection entry point foreign threads may call while

@@ -128,10 +128,6 @@ void StreamSocket::close() {
   }
 }
 
-void StreamSocket::shutdown_write() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 Result<StreamSocket> StreamSocket::connect(const Endpoint& endpoint) {
   const int domain = endpoint.kind == Endpoint::Kind::kTcp ? AF_INET : AF_UNIX;
   const int fd = ::socket(domain, SOCK_STREAM, 0);

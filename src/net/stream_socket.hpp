@@ -73,10 +73,6 @@ class StreamSocket {
   /// Send raw bytes as-is (tests feeding deliberately broken streams).
   Status send_raw(BytesView bytes);
 
-  /// Half-close the write side so the peer reads EOF while our read side
-  /// stays open (graceful-shutdown tests).
-  void shutdown_write();
-
   void close();
 
  private:

@@ -134,7 +134,7 @@ Labels MetricsRegistry::capped_labels_locked(const std::string& name,
                                              const Map& series,
                                              Labels labels) {
   labels = sorted(std::move(labels));
-  if (series.size() < series_limit_ || series.count(labels) != 0 ||
+  if (series.size() < kSeriesLimit || series.count(labels) != 0 ||
       name == kObsDroppedLabelsTotal) {
     return labels;
   }
@@ -181,16 +181,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                : std::make_unique<Histogram>(family.metadata.buckets);
   }
   return *slot;
-}
-
-void MetricsRegistry::set_series_limit(std::size_t limit) {
-  std::lock_guard lock(mutex_);
-  series_limit_ = limit == 0 ? 1 : limit;
-}
-
-std::size_t MetricsRegistry::series_limit() const {
-  std::lock_guard lock(mutex_);
-  return series_limit_;
 }
 
 std::vector<std::string> MetricsRegistry::exported_names() const {

@@ -148,15 +148,6 @@ class MetricsRegistry {
   /// Number of live series across all families.
   std::size_t series_count() const;
 
-  /// Cardinality cap: at most `limit` series per family and instrument
-  /// kind. Once a family is full, lookups for *new* label sets are routed
-  /// to a single overflow series labelled {overflow="other"} and counted
-  /// in e2e_obs_dropped_labels_total{metric=<family>}; existing series are
-  /// unaffected. Guards against unbounded label growth (e.g. a per-user
-  /// label leaking into a hot path).
-  void set_series_limit(std::size_t limit);
-  std::size_t series_limit() const;
-
   /// Zero every instrument in place. References handed out earlier stay
   /// valid; declared metadata is kept.
   void reset_values();
@@ -188,9 +179,16 @@ class MetricsRegistry {
   Labels capped_labels_locked(const std::string& name, const Map& series,
                               Labels labels);
 
+  /// Cardinality cap: at most this many series per family and instrument
+  /// kind. Once a family is full, lookups for *new* label sets are routed
+  /// to a single overflow series labelled {overflow="other"} and counted
+  /// in e2e_obs_dropped_labels_total{metric=<family>}; existing series are
+  /// unaffected. Guards against unbounded label growth (e.g. a per-user
+  /// label leaking into a hot path).
+  static constexpr std::size_t kSeriesLimit = 256;
+
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
-  std::size_t series_limit_ = 256;
 };
 
 }  // namespace e2e::obs

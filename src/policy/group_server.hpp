@@ -44,7 +44,6 @@ class GroupServer {
   std::size_t lookups() const {
     return lookups_.load(std::memory_order_relaxed);
   }
-  std::size_t group_count() const { return groups_.size(); }
 
  private:
   std::string name_;

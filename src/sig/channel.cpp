@@ -49,6 +49,25 @@ Result<Bytes> Session::open(const Record& record) {
 
 namespace {
 
+constexpr std::size_t kNonceBytes = 32;
+
+Bytes draw_nonce(Rng& rng) {
+  Bytes nonce(kNonceBytes);
+  for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.next_u64());
+  return nonce;
+}
+
+/// The transcript both proofs sign: both certificates and both nonces.
+Bytes make_transcript(BytesView cert_i, BytesView cert_r, BytesView nonce_i,
+                      BytesView nonce_r) {
+  Bytes transcript;
+  append(transcript, cert_i);
+  append(transcript, cert_r);
+  append(transcript, nonce_i);
+  append(transcript, nonce_r);
+  return transcript;
+}
+
 /// One side validates the other: certificate chains to a local anchor, is
 /// time-valid, and the peer proved possession of the matching private key
 /// by signing the handshake transcript.
@@ -76,96 +95,11 @@ Status validate_peer(const ChannelEndpoint& self,
   return Status::ok_status();
 }
 
-}  // namespace
-
-Result<SessionPair> handshake(const ChannelEndpoint& initiator,
-                              const ChannelEndpoint& responder, SimTime at,
-                              Rng& rng) {
-  auto& registry = obs::MetricsRegistry::global();
-  auto count_handshake = [&registry](const char* result) {
-    registry
-        .counter(obs::kSigChannelHandshakesTotal, {{"result", result}})
-        .increment();
-  };
-  // Audit the mutual authentication — but only when a span is active:
-  // world-setup handshakes (SLA peering before any RAR exists) would
-  // otherwise flood the log with records that join to no trace.
-  auto audit_peer_auth = [&](const char* result, const std::string& reason) {
-    if (!obs::current_span_ref().valid()) return;
-    std::vector<std::pair<std::string, std::string>> fields;
-    fields.emplace_back("result", result);
-    fields.emplace_back("initiator",
-                        initiator.certificate.subject().to_string());
-    fields.emplace_back("responder",
-                        responder.certificate.subject().to_string());
-    if (!reason.empty()) fields.emplace_back("reason", reason);
-    obs::AuditLog::global().append(
-        initiator.certificate.subject().to_string(),
-        obs::audit_kind::kPeerAuth, std::move(fields));
-  };
-  // Hello nonces.
-  Bytes nonce_i(32), nonce_r(32);
-  for (auto& b : nonce_i) b = static_cast<std::uint8_t>(rng.next_u64());
-  for (auto& b : nonce_r) b = static_cast<std::uint8_t>(rng.next_u64());
-
-  // Transcript covers both certificates and both nonces.
-  Bytes transcript;
-  append(transcript, initiator.certificate.encode());
-  append(transcript, responder.certificate.encode());
-  append(transcript, nonce_i);
-  append(transcript, nonce_r);
-
-  const Bytes proof_i = crypto::sign(initiator.private_key, transcript);
-  const Bytes proof_r = crypto::sign(responder.private_key, transcript);
-
-  auto check_r =
-      validate_peer(initiator, responder.certificate, transcript, proof_r, at);
-  if (!check_r.ok()) {
-    count_handshake("fail");
-    audit_peer_auth("fail", check_r.error().message);
-    return check_r.error();
-  }
-  auto check_i =
-      validate_peer(responder, initiator.certificate, transcript, proof_i, at);
-  if (!check_i.ok()) {
-    count_handshake("fail");
-    audit_peer_auth("fail", check_i.error().message);
-    return check_i.error();
-  }
-
-  // Both proofs are public in this exchange; the session secret mixes them
-  // with the nonces. (A real deployment would run a key exchange here; the
-  // simulation only needs both ends to agree on keys — see DESIGN.md.)
-  Bytes secret_input;
-  append(secret_input, proof_i);
-  append(secret_input, proof_r);
-  append(secret_input, transcript);
-  const Bytes secret = crypto::digest_bytes(crypto::sha256(secret_input));
-
-  Bytes i_to_r = crypto::derive_key(secret, "initiator->responder", 32);
-  Bytes r_to_i = crypto::derive_key(secret, "responder->initiator", 32);
-
-  SessionPair pair;
-  pair.initiator = Session(responder.certificate, i_to_r, r_to_i);
-  pair.responder = Session(initiator.certificate, r_to_i, i_to_r);
-  count_handshake("ok");
-  audit_peer_auth("ok", "");
-  return pair;
-}
-
-namespace {
-
-constexpr std::size_t kNonceBytes = 32;
-
-Bytes draw_nonce(Rng& rng) {
-  Bytes nonce(kNonceBytes);
-  for (auto& b : nonce) b = static_cast<std::uint8_t>(rng.next_u64());
-  return nonce;
-}
-
-/// The staged handshake derives the same secret and directional keys as
-/// handshake(): sha256(proof_i || proof_r || transcript), split with the
-/// fixed direction labels.
+/// Both proofs are public in this exchange; the session secret mixes them
+/// with the transcript, sha256(proof_i || proof_r || transcript), split
+/// with the fixed direction labels. (A real deployment would run a key
+/// exchange here; the simulation only needs both ends to agree on keys —
+/// see DESIGN.md.) Returns {initiator->responder, responder->initiator}.
 std::pair<Bytes, Bytes> derive_session_keys(BytesView proof_i,
                                             BytesView proof_r,
                                             BytesView transcript) {
@@ -178,13 +112,51 @@ std::pair<Bytes, Bytes> derive_session_keys(BytesView proof_i,
           crypto::derive_key(secret, "responder->initiator", 32)};
 }
 
-void count_staged_handshake(const char* result) {
-  obs::MetricsRegistry::global()
-      .counter(obs::kSigChannelHandshakesTotal, {{"result", result}})
-      .increment();
+/// Audit the mutual authentication — but only when a span is active:
+/// world-setup handshakes (SLA peering before any RAR exists) would
+/// otherwise flood the log with records that join to no trace.
+void audit_peer_auth(const ChannelEndpoint& initiator,
+                     const ChannelEndpoint& responder, const Status& outcome) {
+  if (!obs::current_span_ref().valid()) return;
+  const std::string initiator_dn = initiator.certificate.subject().to_string();
+  std::vector<std::pair<std::string, std::string>> fields;
+  fields.emplace_back("result", outcome.ok() ? "ok" : "fail");
+  fields.emplace_back("initiator", initiator_dn);
+  fields.emplace_back("responder",
+                      responder.certificate.subject().to_string());
+  if (!outcome.ok()) fields.emplace_back("reason", outcome.error().message);
+  obs::AuditLog::global().append(initiator_dn, obs::audit_kind::kPeerAuth,
+                                 std::move(fields));
 }
 
 }  // namespace
+
+void count_handshake(bool ok) {
+  obs::MetricsRegistry::global()
+      .counter(obs::kSigChannelHandshakesTotal,
+               {{"result", ok ? "ok" : "fail"}})
+      .increment();
+}
+
+Result<SessionPair> handshake(const ChannelEndpoint& initiator,
+                              const ChannelEndpoint& responder, SimTime at,
+                              Rng& rng) {
+  // The initiator is constructed first so the nonces are drawn in
+  // initiator, responder order.
+  HandshakeInitiator client(initiator, at, rng);
+  HandshakeResponder server(responder, at, rng);
+  const Status outcome = [&]() -> Status {
+    auto server_hello = server.on_client_hello(client.client_hello());
+    if (!server_hello.ok()) return server_hello.error();
+    auto finished = client.on_server_hello(server_hello.value());
+    if (!finished.ok()) return finished.error();
+    return server.on_finished(finished.value());
+  }();
+  count_handshake(outcome.ok());
+  audit_peer_auth(initiator, responder, outcome);
+  if (!outcome.ok()) return outcome.error();
+  return SessionPair{std::move(client.session()), std::move(server.session())};
+}
 
 Bytes encode_record(const Record& record) {
   tlv::Writer writer;
@@ -238,48 +210,26 @@ Result<Bytes> HandshakeInitiator::on_server_hello(BytesView bytes) {
   }
   tlv::Reader outer(bytes);
   auto nested = outer.read_nested(channel_tag::kServerHello);
-  if (!nested.ok()) {
-    count_staged_handshake("fail");
-    return nested.error();
-  }
+  if (!nested.ok()) return nested.error();
   tlv::Reader& reader = nested.value();
   auto cert_bytes = reader.read_bytes(channel_tag::kCertificate);
-  if (!cert_bytes.ok()) {
-    count_staged_handshake("fail");
-    return cert_bytes.error();
-  }
+  if (!cert_bytes.ok()) return cert_bytes.error();
   auto nonce_r = reader.read_bytes(channel_tag::kNonce);
-  if (!nonce_r.ok()) {
-    count_staged_handshake("fail");
-    return nonce_r.error();
-  }
+  if (!nonce_r.ok()) return nonce_r.error();
   auto proof_r = reader.read_bytes(channel_tag::kProof);
-  if (!proof_r.ok()) {
-    count_staged_handshake("fail");
-    return proof_r.error();
-  }
+  if (!proof_r.ok()) return proof_r.error();
   if (nonce_r.value().size() != kNonceBytes) {
-    count_staged_handshake("fail");
     return make_error(ErrorCode::kBadMessage, "ServerHello nonce size");
   }
   auto peer_cert = crypto::Certificate::decode(cert_bytes.value());
-  if (!peer_cert.ok()) {
-    count_staged_handshake("fail");
-    return peer_cert.error();
-  }
+  if (!peer_cert.ok()) return peer_cert.error();
 
-  Bytes transcript;
-  append(transcript, endpoint_.certificate.encode());
-  append(transcript, cert_bytes.value());
-  append(transcript, nonce_);
-  append(transcript, nonce_r.value());
-
+  const Bytes transcript =
+      make_transcript(endpoint_.certificate.encode(), cert_bytes.value(),
+                      nonce_, nonce_r.value());
   auto check = validate_peer(endpoint_, peer_cert.value(), transcript,
                              proof_r.value(), at_);
-  if (!check.ok()) {
-    count_staged_handshake("fail");
-    return check.error();
-  }
+  if (!check.ok()) return check.error();
 
   const Bytes proof_i = crypto::sign(endpoint_.private_key, transcript);
   auto [i_to_r, r_to_i] =
@@ -287,7 +237,6 @@ Result<Bytes> HandshakeInitiator::on_server_hello(BytesView bytes) {
   session_ = Session(std::move(peer_cert.value()), std::move(i_to_r),
                      std::move(r_to_i));
   done_ = true;
-  count_staged_handshake("ok");
 
   tlv::Writer writer;
   writer.open(channel_tag::kFinished);
@@ -321,16 +270,14 @@ Result<Bytes> HandshakeResponder::on_client_hello(BytesView bytes) {
   peer_cert_ = std::move(peer_cert.value());
   hello_seen_ = true;
 
-  transcript_.clear();
-  append(transcript_, cert_bytes.value());
-  append(transcript_, endpoint_.certificate.encode());
-  append(transcript_, nonce_i.value());
-  append(transcript_, nonce_);
+  const Bytes own_cert = endpoint_.certificate.encode();
+  transcript_ =
+      make_transcript(cert_bytes.value(), own_cert, nonce_i.value(), nonce_);
   proof_r_ = crypto::sign(endpoint_.private_key, transcript_);
 
   tlv::Writer writer;
   writer.open(channel_tag::kServerHello);
-  writer.put_bytes(channel_tag::kCertificate, endpoint_.certificate.encode());
+  writer.put_bytes(channel_tag::kCertificate, own_cert);
   writer.put_bytes(channel_tag::kNonce, nonce_);
   writer.put_bytes(channel_tag::kProof, proof_r_);
   writer.close();
@@ -344,26 +291,16 @@ Status HandshakeResponder::on_finished(BytesView bytes) {
   }
   tlv::Reader outer(bytes);
   auto nested = outer.read_nested(channel_tag::kFinished);
-  if (!nested.ok()) {
-    count_staged_handshake("fail");
-    return nested.error();
-  }
+  if (!nested.ok()) return nested.error();
   auto proof_i = nested.value().read_bytes(channel_tag::kProof);
-  if (!proof_i.ok()) {
-    count_staged_handshake("fail");
-    return proof_i.error();
-  }
+  if (!proof_i.ok()) return proof_i.error();
   auto check =
       validate_peer(endpoint_, peer_cert_, transcript_, proof_i.value(), at_);
-  if (!check.ok()) {
-    count_staged_handshake("fail");
-    return check.error();
-  }
+  if (!check.ok()) return check.error();
   auto [i_to_r, r_to_i] =
       derive_session_keys(proof_i.value(), proof_r_, transcript_);
   session_ = Session(peer_cert_, std::move(r_to_i), std::move(i_to_r));
   done_ = true;
-  count_staged_handshake("ok");
   return Status::ok_status();
 }
 

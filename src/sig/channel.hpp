@@ -27,10 +27,10 @@
 
 namespace e2e::sig {
 
-// TLV tags of the handshake and record wire messages exchanged when the
-// channel runs over a real byte stream (docs/DAEMON.md, "Channel
-// handshake"). The in-process handshake() below produces the same
-// transcript and keys without serializing these messages.
+// TLV tags of the handshake and record wire messages (docs/DAEMON.md,
+// "Channel handshake"). The staged halves below produce and consume the
+// three handshake messages; handshake() hands them from one half to the
+// other in process, and bbd/BbdClient carry them over a byte stream.
 namespace channel_tag {
 inline constexpr tlv::Tag kClientHello = 0xE280;  // container
 inline constexpr tlv::Tag kServerHello = 0xE281;  // container
@@ -95,12 +95,22 @@ struct SessionPair {
   Session responder;
 };
 
-/// Run the mutual-authentication handshake at virtual time `at`. Fails with
-/// kAuthenticationFailed if either side cannot validate the other's
-/// certificate or proof of key possession.
+/// Run the mutual-authentication handshake at virtual time `at`, in
+/// process: a HandshakeInitiator and a HandshakeResponder (constructed in
+/// that order, so the nonces are drawn initiator first) exchange the three
+/// staged messages. Fails with kAuthenticationFailed if either side cannot
+/// validate the other's certificate or proof of key possession. Counts the
+/// outcome (count_handshake) and, inside an active span, writes one
+/// peer_auth audit record.
 Result<SessionPair> handshake(const ChannelEndpoint& initiator,
                               const ChannelEndpoint& responder, SimTime at,
                               Rng& rng);
+
+/// Count one handshake outcome in e2e_sig_channel_handshakes_total. The
+/// staged halves count nothing themselves: handshake() counts each call,
+/// and a process driving one half over a socket counts that half's
+/// outcome.
+void count_handshake(bool ok);
 
 /// Canonical wire form of a sealed record (channel_tag::kRecord container).
 Bytes encode_record(const Record& record);
@@ -108,18 +118,16 @@ Bytes encode_record(const Record& record);
 /// that disconnects mid-record must surface as a Status, never a crash.
 Result<Record> decode_record(BytesView bytes);
 
-/// Initiator half of the staged handshake — the same mutual authentication
-/// as handshake(), decomposed into the three messages that actually cross
-/// a byte stream:
+/// Initiator half of the staged handshake — the mutual authentication
+/// decomposed into the three messages that cross a byte stream:
 ///
 ///   ClientHello { cert_i, nonce_i }            initiator -> responder
 ///   ServerHello { cert_r, nonce_r, proof_r }   responder -> initiator
 ///   Finished    { proof_i }                    initiator -> responder
 ///
-/// The transcript (enc(cert_i) || enc(cert_r) || nonce_i || nonce_r), the
-/// proofs and the key derivation are byte-identical to handshake()'s, so a
-/// session established in stages interoperates with one established
-/// in-process. Every consume step returns Status/Result: truncated or
+/// Both proofs sign the transcript enc(cert_i) || enc(cert_r) || nonce_i
+/// || nonce_r, and the session keys derive from both proofs and the
+/// transcript. Every consume step returns Status/Result: truncated or
 /// malformed peer messages (mid-handshake disconnects) are errors, not
 /// assertion failures.
 class HandshakeInitiator {

@@ -247,43 +247,4 @@ Delivery Fabric::transmit(const std::string& from, const std::string& to,
   return d;
 }
 
-Status Fabric::send(const std::string& from, const std::string& to,
-                    BytesView payload,
-                    const obs::TraceContext* trace_context) {
-  if (payload.size() > kMaxTransportPayload) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "payload exceeds transport frame cap",
-                      std::to_string(payload.size()));
-  }
-  Delivery d = transmit(from, to, payload, trace_context);
-  if (!d.delivered()) {
-    const char* kind = d.outcome == Delivery::Outcome::kPeerDown ? "peer down"
-                       : d.outcome == Delivery::Outcome::kPartitioned
-                           ? "link partitioned"
-                           : "message dropped";
-    return make_error(ErrorCode::kUnavailable, kind, from + "->" + to);
-  }
-  std::lock_guard lock(mutex_);
-  auto& inbox = inboxes_[to];
-  inbox.push_back(InboundMessage{from, d.payload, d.trace_context});
-  if (d.duplicated) {
-    inbox.push_back(InboundMessage{from, d.payload, d.trace_context});
-  }
-  return Status::ok_status();
-}
-
-Result<InboundMessage> Fabric::receive(const std::string& self,
-                                       std::chrono::milliseconds /*wait*/) {
-  // Delivery is instantaneous in virtual time: a message is either already
-  // in the inbox or will never arrive, so there is nothing to wait for.
-  std::lock_guard lock(mutex_);
-  auto it = inboxes_.find(self);
-  if (it == inboxes_.end() || it->second.empty()) {
-    return make_error(ErrorCode::kTimeout, "inbox empty", self);
-  }
-  InboundMessage message = std::move(it->second.front());
-  it->second.pop_front();
-  return message;
-}
-
 }  // namespace e2e::sig

@@ -20,9 +20,7 @@
 // threads while tests and benches mutate latencies.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -37,11 +35,6 @@
 #include "obs/trace.hpp"
 
 namespace e2e::sig {
-
-/// Largest payload any transport accepts in one message. Mirrors the
-/// stream transports' frame cap (net/stream_framing.hpp) so a message that
-/// fits the in-memory fabric also fits a real socket, and vice versa.
-inline constexpr std::size_t kMaxTransportPayload = 1u << 20;  // 1 MiB
 
 // TLV tags of the *unsigned* trace-context envelope that may accompany a
 // transmission (docs/OBSERVABILITY.md, "TraceContext wire format"). The
@@ -100,40 +93,17 @@ struct Delivery {
   bool delivered() const { return outcome == Outcome::kDelivered; }
 };
 
-/// One message sitting in a party's inbox (queue-delivery surface).
-struct InboundMessage {
-  std::string from;
-  Bytes payload;
-  /// Trace context from the unsigned envelope, when the sender attached
-  /// one.
-  std::optional<obs::TraceContext> trace_context;
-};
-
 /// The transport seam between the signalling engines and whatever carries
-/// their bytes. Two implementations exist:
-///
-///  - sig::Fabric — the in-memory model of the wide-area control plane
-///    (modeled latencies, deterministic fault injection, virtual time);
-///  - net::SocketTransport — real length-framed byte streams over TCP or
-///    UNIX-domain sockets between OS processes (src/net/).
-///
-/// The engines consume the *modeled* surface (transmit / one_way /
-/// processing_delay / record_message). The *queue-delivery* surface
-/// (send / receive) is the part the two implementations share
-/// observably — tests/net_transport_conformance_test.cpp runs one
-/// assertion set against both so they can never drift.
+/// their bytes: exactly what exchange() and the engines call. sig::Fabric
+/// (below) is the one production implementation, the in-memory model of
+/// the wide-area control plane (modeled latencies, deterministic fault
+/// injection, virtual time); tests substitute scripted fakes.
 class Transport {
  public:
-  struct Stats {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-  };
-
   virtual ~Transport() = default;
 
-  /// One-way delivery latency between two parties as modeled (or measured)
-  /// by this transport. Socket transports report 0: their latency is real
-  /// wall-clock time, not part of the virtual-time model.
+  /// One-way delivery latency between two parties as modeled by this
+  /// transport.
   virtual SimDuration one_way(const std::string& a,
                               const std::string& b) const = 0;
   SimDuration rtt(const std::string& a, const std::string& b) const {
@@ -155,30 +125,14 @@ class Transport {
   virtual Delivery transmit(const std::string& from, const std::string& to,
                             BytesView payload,
                             const obs::TraceContext* trace_context = nullptr) = 0;
-
-  /// Queue-delivery: send `payload` toward `to`'s inbox. Fails with
-  /// kInvalidArgument when the payload exceeds kMaxTransportPayload, and
-  /// with kUnavailable / kTimeout when the transport knows delivery is
-  /// impossible (peer down, link partitioned, connection refused).
-  virtual Status send(const std::string& from, const std::string& to,
-                      BytesView payload,
-                      const obs::TraceContext* trace_context = nullptr) = 0;
-
-  /// Pop the next message from `self`'s inbox in arrival order, waiting up
-  /// to `wait` wall-clock time for one to arrive. The in-memory fabric
-  /// delivers instantaneously in virtual time, so it never blocks: an
-  /// empty inbox returns kTimeout immediately whatever `wait` says.
-  virtual Result<InboundMessage> receive(const std::string& self,
-                                         std::chrono::milliseconds wait) = 0;
-
-  /// Message/byte accounting since the last reset.
-  virtual Stats total() const = 0;
-  virtual void reset_counters() = 0;
 };
 
 class Fabric : public Transport {
  public:
-  using Stats = Transport::Stats;
+  struct Stats {
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
+  };
 
   /// Symmetric one-way latency between two parties.
   void set_latency(const std::string& a, const std::string& b,
@@ -197,9 +151,10 @@ class Fabric : public Transport {
   /// Thread-safe.
   void record_message(const std::string& from, const std::string& to,
                       std::size_t bytes) override;
-  Stats total() const override;
+  /// Message/byte accounting since the last reset.
+  Stats total() const;
   Stats between(const std::string& a, const std::string& b) const;
-  void reset_counters() override;
+  void reset_counters();
 
   // --- Fault model -----------------------------------------------------------
 
@@ -245,19 +200,6 @@ class Fabric : public Transport {
                     BytesView payload,
                     const obs::TraceContext* trace_context = nullptr) override;
 
-  /// Queue-delivery on the in-memory fabric: a transmit() whose payload —
-  /// when it survives the fault model — lands in `to`'s inbox instead of
-  /// being handed back to the caller. Lost messages (drop, partition,
-  /// peer down) report kUnavailable.
-  Status send(const std::string& from, const std::string& to,
-              BytesView payload,
-              const obs::TraceContext* trace_context = nullptr) override;
-
-  /// Instantaneous in virtual time: `wait` is ignored, an empty inbox is
-  /// kTimeout immediately.
-  Result<InboundMessage> receive(const std::string& self,
-                                 std::chrono::milliseconds wait) override;
-
  private:
   static std::pair<std::string, std::string> key(const std::string& a,
                                                  const std::string& b) {
@@ -283,7 +225,6 @@ class Fabric : public Transport {
   std::set<std::pair<std::string, std::string>> partitions_;
   std::set<std::string> down_;
   Rng fault_rng_{0x6661756c74ull};  // "fault"
-  std::map<std::string, std::deque<InboundMessage>> inboxes_;
 };
 
 }  // namespace e2e::sig

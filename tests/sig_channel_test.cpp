@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "crypto/ca.hpp"
+#include "obs/audit.hpp"
+#include "obs/instruments.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace e2e::sig {
 namespace {
@@ -144,6 +148,74 @@ TEST(Channel, WrongPinRejected) {
   ChannelEndpoint a{f.cert_a, f.keys_a.priv, &empty, f.cert_a};  // pins itself
   ChannelEndpoint b{f.cert_b, f.keys_b.priv, &f.store_b, {}};
   EXPECT_FALSE(handshake(a, b, 0, f.rng).ok());
+}
+
+std::uint64_t handshakes_counted(const char* result) {
+  return obs::MetricsRegistry::global()
+      .counter(obs::kSigChannelHandshakesTotal, {{"result", result}})
+      .value();
+}
+
+std::size_t peer_auth_records() {
+  std::size_t n = 0;
+  for (const auto& record : obs::AuditLog::global().records()) {
+    if (record.kind == obs::audit_kind::kPeerAuth) ++n;
+  }
+  return n;
+}
+
+TEST(Channel, HandshakeKeysArePinnedForAFixedSeed) {
+  // The fixture's seed fixes both certificates and both nonces, so the
+  // session keys — and with them the MAC of a fixed record — are fixed.
+  // A change in nonce draw order, transcript or key derivation moves them.
+  ChannelFixture f;
+  auto pair = handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).value();
+  const Bytes payload = to_bytes("pinned channel payload");
+  EXPECT_EQ(hex_encode(pair.initiator.seal(payload).mac),
+            "e10521153ed5b37d598c663433451f84022b749aa082c7550ed9978a61e11116");
+  EXPECT_EQ(hex_encode(pair.responder.seal(payload).mac),
+            "a26821a33f4f84833d282fa875a43eeb59690abfd3bdb0452034676feae7be56");
+}
+
+TEST(Channel, HandshakeCountsOneOutcomePerCall) {
+  ChannelFixture f;
+  const std::uint64_t ok_before = handshakes_counted("ok");
+  const std::uint64_t fail_before = handshakes_counted("fail");
+  ASSERT_TRUE(handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).ok());
+  ASSERT_TRUE(handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).ok());
+  EXPECT_EQ(handshakes_counted("ok"), ok_before + 2);
+  EXPECT_EQ(handshakes_counted("fail"), fail_before);
+
+  // Rejected by the initiator (responder untrusted) and by the responder
+  // (initiator fails proof of possession): one "fail" each.
+  crypto::TrustStore empty;
+  ChannelEndpoint untrusting_a{f.cert_a, f.keys_a.priv, &empty, {}};
+  EXPECT_FALSE(handshake(untrusting_a, f.endpoint_b(), 0, f.rng).ok());
+  const crypto::KeyPair mallory = crypto::generate_keypair(f.rng, 256);
+  ChannelEndpoint fake_a{f.cert_a, mallory.priv, &f.store_a, {}};
+  EXPECT_FALSE(handshake(fake_a, f.endpoint_b(), 0, f.rng).ok());
+  EXPECT_EQ(handshakes_counted("ok"), ok_before + 2);
+  EXPECT_EQ(handshakes_counted("fail"), fail_before + 2);
+}
+
+TEST(Channel, HandshakeAuditsPeerAuthOnlyInsideASpan) {
+  ChannelFixture f;
+  const std::size_t before = peer_auth_records();
+  ASSERT_TRUE(handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).ok());
+  EXPECT_EQ(peer_auth_records(), before);
+
+  {
+    obs::CurrentSpan span(obs::SpanRef{"trace-channel", 7, 0});
+    ASSERT_TRUE(handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).ok());
+  }
+  ASSERT_EQ(peer_auth_records(), before + 1);
+  const auto joined = obs::AuditLog::global().records_for("trace-channel");
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].kind, obs::audit_kind::kPeerAuth);
+  EXPECT_EQ(joined[0].span_id, 7u);
+  ASSERT_FALSE(joined[0].fields.empty());
+  EXPECT_EQ(joined[0].fields[0],
+            (std::pair<std::string, std::string>{"result", "ok"}));
 }
 
 }  // namespace

@@ -98,16 +98,6 @@ class ScriptedTransport : public Transport {
     if (trace_context != nullptr) delivery.trace_context = *trace_context;
     return delivery;
   }
-  Status send(const std::string&, const std::string&, BytesView,
-              const obs::TraceContext*) override {
-    return make_error(ErrorCode::kUnavailable, "scripted transport");
-  }
-  Result<InboundMessage> receive(const std::string&,
-                                 std::chrono::milliseconds) override {
-    return make_error(ErrorCode::kTimeout, "scripted transport");
-  }
-  Stats total() const override { return {}; }
-  void reset_counters() override {}
 };
 
 const ScriptedTransport::Fate kDelivered{};
