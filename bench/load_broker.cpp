@@ -15,14 +15,10 @@
 //            self-locked pool (the production path). The RESULT line
 //            `tunnel_scaling_4t=` (4-thread / 1-thread) is gated by
 //            tier1.sh --load on hosts with >= 4 cores.
-//   Phase D  batch admission: commit_batch in chunks vs one-by-one
-//            commits against identically prepared brokers.
-//   Phase E  WAL overhead (ISSUE 6): the same commit churn with durability
-//            off, write-no-sync, fsync-before-ack, and fsync + batch-64
-//            (one group-committed record per batch). The fsync modes price
-//            the durability contract; the batch row shows the group commit
-//            amortizing it.
-//   Phase F  1M-live footprint (ISSUE 8): resident bytes per live
+//   Phase D  WAL overhead (ISSUE 6): the same commit churn with durability
+//            off, write-no-sync and fsync-before-ack. The fsync row prices
+//            the durability contract.
+//   Phase E  1M-live footprint (ISSUE 8): resident bytes per live
 //            reservation with the arena-backed commitment map and the flat
 //            timeline (RSS delta from /proc/self/status plus the arena's
 //            own slab accounting). Skipped under --smoke.
@@ -300,7 +296,7 @@ ParallelSample bench_parallel_tunnels(unsigned threads, std::size_t live,
   return s;
 }
 
-// --- Footprint (Phase F) ----------------------------------------------------
+// --- Footprint (Phase E) ----------------------------------------------------
 
 /// Resident set size from /proc/self/status, in bytes (0 if unreadable).
 std::size_t resident_bytes() {
@@ -322,7 +318,7 @@ struct FootprintSample {
   double arena_bytes_per_resv = 0;
 };
 
-/// Phase F: hold `live` commitments in one pool and price each of them in
+/// Phase E: hold `live` commitments in one pool and price each of them in
 /// resident memory. The arena accounting covers the commitment map's
 /// nodes; the RSS delta additionally sees the flat timeline, key strings
 /// and allocator slack — the honest number a 1M-reservation broker pays.
@@ -354,57 +350,14 @@ FootprintSample bench_footprint(std::size_t live) {
   return s;
 }
 
-struct BatchSample {
-  std::size_t batch_size = 0;
-  double individual_rars_per_s = 0;
-  double batch_rars_per_s = 0;
-};
-
-/// Phase D: one-by-one commits vs commit_batch over identically prepared
-/// brokers (same live set, same offered specs).
-BatchSample bench_batch(std::size_t live, std::size_t total,
-                        std::size_t batch_size) {
-  BatchSample s;
-  s.batch_size = batch_size;
-  const auto offered = make_churn(29, total, live);
-  for (const bool batched : {false, true}) {
-    BrokerHarness h;
-    for (const ChurnOp& op : make_churn(13, live, live)) {
-      (void)h.broker.commit(BrokerHarness::spec(op), "");
-    }
-    const auto t0 = Clock::now();
-    if (batched) {
-      std::vector<ResSpec> chunk;
-      chunk.reserve(batch_size);
-      for (std::size_t i = 0; i < offered.size(); ++i) {
-        chunk.push_back(BrokerHarness::spec(offered[i]));
-        if (chunk.size() == batch_size || i + 1 == offered.size()) {
-          (void)h.broker.commit_batch(chunk, "");
-          chunk.clear();
-        }
-      }
-    } else {
-      for (const ChurnOp& op : offered) {
-        (void)h.broker.commit(BrokerHarness::spec(op), "");
-      }
-    }
-    const double elapsed = secs_since(t0);
-    (batched ? s.batch_rars_per_s : s.individual_rars_per_s) =
-        static_cast<double>(total) / elapsed;
-  }
-  return s;
-}
-
 struct WalSample {
-  std::string mode;  // off | nosync | fsync | fsync_batch64
+  std::string mode;  // off | nosync | fsync
   double rars_per_s = 0;
   double p50_us = 0;
   double p99_us = 0;
 };
 
-/// Phase E: the Phase-B commit workload under each durability mode. The
-/// batch row commits the same specs through commit_batch in chunks of 64 —
-/// one WAL record and (at most) one fsync per chunk.
+/// Phase D: the Phase-B commit workload under each durability mode.
 WalSample bench_wal(const std::string& mode, std::size_t live,
                     std::size_t ops) {
   WalSample s;
@@ -432,32 +385,12 @@ WalSample bench_wal(const std::string& mode, std::size_t live,
   std::vector<double> latencies;
   latencies.reserve(ops);
   const auto t0 = Clock::now();
-  if (mode == "fsync_batch64") {
-    std::vector<ResSpec> chunk;
-    chunk.reserve(64);
-    for (std::size_t i = 0; i < offered.size(); ++i) {
-      chunk.push_back(BrokerHarness::spec(offered[i]));
-      if (chunk.size() == 64 || i + 1 == offered.size()) {
-        const auto op_t0 = Clock::now();
-        (void)h.broker.commit_batch(chunk, "");
-        const double us =
-            std::chrono::duration<double, std::micro>(Clock::now() - op_t0)
-                .count();
-        // Per-RAR amortized latency, comparable with the other rows.
-        for (std::size_t j = 0; j < chunk.size(); ++j) {
-          latencies.push_back(us / static_cast<double>(chunk.size()));
-        }
-        chunk.clear();
-      }
-    }
-  } else {
-    for (const ChurnOp& op : offered) {
-      const auto op_t0 = Clock::now();
-      (void)h.broker.commit(BrokerHarness::spec(op), "");
-      latencies.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - op_t0)
-              .count());
-    }
+  for (const ChurnOp& op : offered) {
+    const auto op_t0 = Clock::now();
+    (void)h.broker.commit(BrokerHarness::spec(op), "");
+    latencies.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - op_t0)
+            .count());
   }
   const double elapsed = secs_since(t0);
   s.rars_per_s = static_cast<double>(ops) / elapsed;
@@ -488,19 +421,17 @@ int main(int argc, char** argv) {
   }
 
   bu::heading("load_broker", "admission throughput: timeline pool, sharded "
-                             "broker, parallel tunnels, batches");
+                             "broker, parallel tunnels, WAL");
 
   std::vector<std::size_t> live_levels = {1000, 10000, 100000};
   std::size_t pool_ops = 200000;
   std::size_t broker_ops = 20000;
   std::size_t parallel_ops = 20000;
-  std::size_t batch_total = 4096;
   if (smoke) {
     live_levels = {1000, 10000};
     pool_ops = 20000;
     broker_ops = 2000;
     parallel_ops = 4000;
-    batch_total = 1024;
   }
 
   bool ok = true;
@@ -568,21 +499,11 @@ int main(int argc, char** argv) {
   }
 
   bu::rule();
-  bu::note("Phase D: batch admission vs one-by-one commits");
-  const BatchSample batch = bench_batch(smoke ? 1000 : 10000, batch_total, 64);
-  bu::row("individual %10.0f RARs/s   batch(%zu) %10.0f RARs/s   %0.2fx",
-          batch.individual_rars_per_s, batch.batch_size,
-          batch.batch_rars_per_s,
-          batch.batch_rars_per_s / batch.individual_rars_per_s);
-  ok &= bu::check(batch.batch_rars_per_s > 0, "batch admission completes");
-
-  bu::rule();
-  bu::note("Phase E: WAL overhead (durability off / no-sync / fsync / "
-           "fsync+batch64)");
+  bu::note("Phase D: WAL overhead (durability off / no-sync / fsync)");
   const std::size_t wal_live = smoke ? 1000 : 10000;
   const std::size_t wal_ops = smoke ? 600 : 3000;
   std::vector<WalSample> wal_samples;
-  for (const char* mode : {"off", "nosync", "fsync", "fsync_batch64"}) {
+  for (const char* mode : {"off", "nosync", "fsync"}) {
     const WalSample s = bench_wal(mode, wal_live, wal_ops);
     wal_samples.push_back(s);
     bu::row("wal=%-13s %10.0f RARs/s   p50 %8.2f us   p99 %8.2f us",
@@ -590,17 +511,14 @@ int main(int argc, char** argv) {
   }
   const double fsync_cost =
       wal_samples[0].rars_per_s / wal_samples[2].rars_per_s;
-  const double batch_recovery =
-      wal_samples[3].rars_per_s / wal_samples[2].rars_per_s;
-  std::printf("RESULT wal_fsync_slowdown=%.2f wal_batch_speedup=%.2f\n",
-              fsync_cost, batch_recovery);
+  std::printf("RESULT wal_fsync_slowdown=%.2f\n", fsync_cost);
   ok &= bu::check(wal_samples[2].rars_per_s > 0,
                   "fsync-before-ack sustains load");
 
   FootprintSample footprint;
   if (!smoke) {
     bu::rule();
-    bu::note("Phase F: 1M-live footprint (arena map + flat timeline)");
+    bu::note("Phase E: 1M-live footprint (arena map + flat timeline)");
     footprint = bench_footprint(1000000);
     bu::row("live=%-8zu populate %9.0f RARs/s   RSS %6.1f MiB "
             "(%5.1f B/resv)   arena %5.1f B/resv",
@@ -641,10 +559,7 @@ int main(int argc, char** argv) {
       out << (i ? ",\n  " : "\n  ") << "{\"threads\": " << s.threads
           << ", \"rars_per_s\": " << s.rars_per_s << "}";
     }
-    out << "\n ],\n \"tunnel_scaling_4t\": " << scaling
-        << ",\n \"batch\": {\"batch_size\": " << batch.batch_size
-        << ", \"individual_rars_per_s\": " << batch.individual_rars_per_s
-        << ", \"batch_rars_per_s\": " << batch.batch_rars_per_s << "},\n"
+    out << "\n ],\n \"tunnel_scaling_4t\": " << scaling << ",\n"
         << " \"wal\": [";
     for (std::size_t i = 0; i < wal_samples.size(); ++i) {
       const WalSample& s = wal_samples[i];

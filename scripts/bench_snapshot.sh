@@ -10,8 +10,8 @@
 #                       without a concurrent admin-plane scraper)
 #   BENCH_admission.json (bench/load_broker: RARs/sec + p50/p99 for the
 #                       timeline pool vs the reference scan, the sharded
-#                       broker, parallel tunnels, batch admission, and the
-#                       WAL overhead sweep (off/nosync/fsync/fsync+batch);
+#                       broker, parallel tunnels, and the WAL overhead
+#                       sweep (off/nosync/fsync);
 #                       format documented in docs/PERFORMANCE.md)
 #   BENCH_daemon.json  (bench/daemon_latency: wall-clock p50/p99 of a full
 #                       RAR setup through the in-memory world vs the same

@@ -20,10 +20,11 @@
 #                                     micro_obs <5% hot-path overhead gate)
 #        ./scripts/tier1.sh --load   (admission load gates: pool equivalence
 #                                     suite under default + ASan, the
-#                                     concurrent batch-admit suite (locked-
+#                                     concurrent admission suite (locked-
 #                                     path stress + crash recovery) under
-#                                     the TSan preset, a load_broker smoke
-#                                     run gating timeline >= 5x reference at
+#                                     the TSan and ASan presets, a
+#                                     load_broker smoke run gating
+#                                     timeline >= 5x reference at
 #                                     10k live and 4-thread tunnel scaling
 #                                     >= 2.5x on 4+ cores, and byte-identity
 #                                     of the fig3 / tunnel_scaling protocol
@@ -65,7 +66,7 @@ fi
 if [[ "${1:-}" == "--load" ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j --target bb_pool_equivalence_test \
-    bb_batch_admission_test load_broker fig3_signalling_latency \
+    bb_concurrent_admission_test load_broker fig3_signalling_latency \
     tunnel_scaling >/dev/null
   workdir=$(mktemp -d)
   trap 'rm -rf "$workdir"' EXIT
@@ -78,13 +79,16 @@ if [[ "${1:-}" == "--load" ]]; then
   ./build-asan/tests/bb_pool_equivalence_test
   echo "tier1 --load: pool equivalence OK (default + asan)"
 
-  # Concurrent batch-admit, self-locked pools + record shards, mixed-
-  # traffic stress and crash recovery (WAL apply/finish split) under
-  # ThreadSanitizer.
+  # Concurrent admission: self-locked pools + record shards, mixed-
+  # traffic stress and crash recovery of a group-committed WAL, under
+  # ThreadSanitizer and then ASan/UBSan.
   cmake --preset tsan >/dev/null
-  cmake --build build-tsan -j --target bb_batch_admission_test >/dev/null
-  ./build-tsan/tests/bb_batch_admission_test
-  echo "tier1 --load: batch/concurrent admission OK under TSan"
+  cmake --build build-tsan -j --target bb_concurrent_admission_test >/dev/null
+  ./build-tsan/tests/bb_concurrent_admission_test
+  echo "tier1 --load: concurrent admission OK under TSan"
+  cmake --build build-asan -j --target bb_concurrent_admission_test >/dev/null
+  ./build-asan/tests/bb_concurrent_admission_test
+  echo "tier1 --load: concurrent admission OK under ASan"
 
   # Throughput gate: timeline pool >= 5x the reference scan at 10k live
   # reservations (small --smoke iteration counts; the bench prints

@@ -1,7 +1,6 @@
 #include "bb/admission.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "obs/instruments.hpp"
@@ -244,27 +243,6 @@ Status CapacityPool::commit_reference(const std::string& key,
                                       double rate) {
   std::lock_guard lock(*mutex_);
   return commit_locked(key, interval, rate, /*use_reference=*/true);
-}
-
-std::vector<Status> CapacityPool::commit_batch(
-    const std::vector<BatchRequest>& requests) {
-  // Evaluate in start order (stable on ties) so a batch packs the timeline
-  // front to back deterministically, under a single lock acquisition.
-  std::vector<std::size_t> order(requests.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return requests[a].interval.start <
-                            requests[b].interval.start;
-                   });
-  std::vector<Status> statuses(requests.size(), Status::ok_status());
-  std::lock_guard lock(*mutex_);
-  for (std::size_t idx : order) {
-    const BatchRequest& r = requests[idx];
-    statuses[idx] =
-        commit_locked(r.key, r.interval, r.rate, /*use_reference=*/false);
-  }
-  return statuses;
 }
 
 Status CapacityPool::release(const std::string& key) {

@@ -89,20 +89,6 @@ class CapacityPool {
   Status commit(const std::string& key, const TimeInterval& interval,
                 double rate);
 
-  /// One admission request inside a batch.
-  struct BatchRequest {
-    std::string key;
-    TimeInterval interval;
-    double rate = 0;
-  };
-
-  /// Admit a vector of requests under ONE lock acquisition: requests are
-  /// evaluated in ascending interval.start order (ties by input position),
-  /// each decision seeing the commitments admitted earlier in the same
-  /// batch. Statuses come back in input order. Decisions are identical to
-  /// committing the same requests sequentially in that sorted order.
-  std::vector<Status> commit_batch(const std::vector<BatchRequest>& requests);
-
   /// Release a commitment; idempotent error if unknown.
   Status release(const std::string& key);
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "bb/wal.hpp"
-#include "common/logging.hpp"
 #include "obs/audit.hpp"
 #include "obs/instruments.hpp"
 
@@ -81,20 +80,6 @@ std::optional<std::string> BandwidthBroker::next_hop(
   const auto it = next_hops_.find(destination_domain);
   if (it == next_hops_.end()) return std::nullopt;
   return it->second;
-}
-
-Status BandwidthBroker::check_admission(const ResSpec& spec,
-                                        const std::string& from_domain) const {
-  auto pre = precheck_admission(spec, from_domain);
-  if (!pre.ok()) return pre;
-  if (!local_pool_.can_admit(spec.interval, spec.rate_bits_per_s)) {
-    return make_error(ErrorCode::kAdmissionRejected,
-                      "domain capacity exhausted (headroom " +
-                          std::to_string(local_pool_.headroom(spec.interval)) +
-                          " bits/s)",
-                      config_.domain);
-  }
-  return Status::ok_status();
 }
 
 Status BandwidthBroker::precheck_admission(
@@ -238,155 +223,7 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
   record_grant(spec);
   admission_hist_->observe(wall_us_since(t0));
   if (edge_configurator_) edge_configurator_(resv, /*install=*/true);
-  log::info("bb[" + config_.domain + "]")
-      << "committed " << id << ": " << spec.to_text();
   return id;
-}
-
-std::vector<Result<ReservationId>> BandwidthBroker::commit_batch(
-    const std::vector<ResSpec>& specs, const std::string& from_domain) {
-  const auto t0 = std::chrono::steady_clock::now();
-  stats_.requests.fetch_add(specs.size(), std::memory_order_relaxed);
-  std::vector<Result<ReservationId>> results(
-      specs.size(),
-      Result<ReservationId>(make_error(ErrorCode::kInternal, "unset")));
-
-  // Pre-pool validation, then one id per surviving spec (input order keeps
-  // handle numbering deterministic regardless of admission order).
-  struct Pending {
-    std::size_t index;
-    ReservationId id;
-  };
-  std::vector<Pending> pending;
-  std::vector<CapacityPool::BatchRequest> local_batch;
-  pending.reserve(specs.size());
-  local_batch.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    auto pre = precheck_admission(specs[i], from_domain);
-    if (!pre.ok()) {
-      record_rejection(specs[i], pre.error().message);
-      results[i] = pre.error();
-      continue;
-    }
-    ReservationId id =
-        config_.domain + "-resv-" +
-        std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
-    local_batch.push_back(CapacityPool::BatchRequest{
-        id, specs[i].interval, specs[i].rate_bits_per_s});
-    pending.push_back(Pending{i, std::move(id)});
-  }
-
-  // Apply half: both pool batches, the record-shard inserts and ONE WAL
-  // *append*. One lock acquisition on the local pool for the whole batch;
-  // the pool evaluates in ascending start order.
-  const std::vector<Status> local_statuses =
-      local_pool_.commit_batch(local_batch);
-  std::vector<Pending> admitted;
-  admitted.reserve(pending.size());
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    if (!local_statuses[j].ok()) {
-      record_rejection(specs[pending[j].index],
-                       local_statuses[j].error().message);
-      results[pending[j].index] = local_statuses[j].error();
-      continue;
-    }
-    admitted.push_back(std::move(pending[j]));
-  }
-
-  // Transit traffic additionally debits the per-peer SLA pool, again in
-  // one lock acquisition, rolling back local commits that don't fit.
-  if (!from_domain.empty() && !admitted.empty()) {
-    CapacityPool& peer = peer_pools_.at(from_domain);
-    std::vector<CapacityPool::BatchRequest> peer_batch;
-    peer_batch.reserve(admitted.size());
-    for (const Pending& p : admitted) {
-      peer_batch.push_back(CapacityPool::BatchRequest{
-          p.id, specs[p.index].interval, specs[p.index].rate_bits_per_s});
-    }
-    const std::vector<Status> peer_statuses = peer.commit_batch(peer_batch);
-    std::vector<Pending> kept;
-    kept.reserve(admitted.size());
-    for (std::size_t j = 0; j < admitted.size(); ++j) {
-      if (!peer_statuses[j].ok()) {
-        (void)local_pool_.release(admitted[j].id);  // rollback
-        record_rejection(specs[admitted[j].index],
-                         peer_statuses[j].error().message);
-        results[admitted[j].index] = peer_statuses[j].error();
-        continue;
-      }
-      kept.push_back(std::move(admitted[j]));
-    }
-    admitted = std::move(kept);
-  }
-
-  std::vector<Reservation> installed;
-  installed.reserve(admitted.size());
-  for (const Pending& p : admitted) {
-    Reservation resv{p.id, specs[p.index], ReservationState::kGranted,
-                     from_domain};
-    {
-      RecordShard& shard = shard_for(p.id);
-      std::lock_guard lock(shard.mutex);
-      shard.records.emplace(p.id, resv);
-    }
-    installed.push_back(std::move(resv));
-  }
-  // ONE WAL record for the whole batch (granted entries only), so batch
-  // admission pays one line and one group-committed fsync, not one per
-  // flow.
-  std::uint64_t lsn = 0;
-  if (wal_ != nullptr && !installed.empty()) {
-    std::vector<WalFields> items;
-    items.reserve(installed.size());
-    for (const Reservation& resv : installed) {
-      items.push_back(reservation_to_fields(resv));
-    }
-    lsn = wal_->append(config_.domain, wal_kind::kAdmitBatch,
-                       {{"upstream", from_domain},
-                        {"count", std::to_string(installed.size())}},
-                       std::move(items));
-  }
-
-  // Finish half: ONE group commit makes every grant in the batch durable.
-  // A sync failure unwinds all of them.
-  if (lsn != 0) {
-    auto durable = wal_->commit(lsn);
-    if (!durable.ok()) {
-      for (const Reservation& resv : installed) {
-        {
-          RecordShard& shard = shard_for(resv.id);
-          std::lock_guard lock(shard.mutex);
-          shard.records.erase(resv.id);
-        }
-        (void)local_pool_.release(resv.id);
-        if (!from_domain.empty()) {
-          (void)peer_pools_.at(from_domain).release(resv.id);
-        }
-        record_rejection(resv.spec, durable.error().message);
-      }
-      for (const Pending& p : admitted) {
-        results[p.index] = durable.error();
-      }
-      admission_hist_->observe(wall_us_since(t0));
-      return results;
-    }
-  }
-  for (const Pending& p : admitted) {
-    record_grant(specs[p.index]);
-    results[p.index] = p.id;
-  }
-  // One observation covering the whole batch (documented in
-  // docs/OBSERVABILITY.md; per-RAR amortized cost is batch/size).
-  admission_hist_->observe(wall_us_since(t0));
-  if (edge_configurator_) {
-    for (const Reservation& resv : installed) {
-      edge_configurator_(resv, /*install=*/true);
-    }
-  }
-  log::info("bb[" + config_.domain + "]")
-      << "batch committed " << installed.size() << "/" << specs.size()
-      << " reservations";
-  return results;
 }
 
 Status BandwidthBroker::release(const ReservationId& id) {
@@ -451,6 +288,7 @@ std::size_t BandwidthBroker::purge_expired(SimTime now) {
     }
   }
   if (!purged.empty()) {
+    stats_.released.fetch_add(purged.size(), std::memory_order_relaxed);
     released_counter_->increment(purged.size());
     active_gauge_->add(-static_cast<double>(purged.size()));
     // One record for the whole purge; replay releases each listed handle
@@ -512,9 +350,6 @@ Result<TunnelId> BandwidthBroker::register_tunnel(
   obs::MetricsRegistry::global()
       .counter(obs::kBbTunnelsRegisteredTotal, {{"domain", config_.domain}})
       .increment();
-  log::info("bb[" + config_.domain + "]")
-      << "registered " << id << " aggregate "
-      << aggregate_spec.rate_bits_per_s / 1e6 << " Mb/s";
   return id;
 }
 

@@ -107,26 +107,11 @@ class BandwidthBroker {
   // the statistics counters / id source are atomics. SLA and routing
   // tables are written only at setup and read lock-free afterwards.
 
-  /// Check-only: would `spec`, arriving from `from_domain` ("" = local
-  /// user), be admissible right now? Advisory under concurrency — the
-  /// authoritative check is the pool's atomic check+insert inside commit().
-  Status check_admission(const ResSpec& spec,
-                         const std::string& from_domain) const;
-
   /// Admit and record the reservation; returns the new handle. Commits
   /// both the local capacity pool and (for transit traffic) the per-peer
   /// SLA pool, with rollback on partial failure.
   Result<ReservationId> commit(const ResSpec& spec,
                                const std::string& from_domain);
-
-  /// Batch admission: admit a vector of RARs in one pool-lock acquisition
-  /// per touched pool (specs are evaluated in ascending interval.start
-  /// order; see CapacityPool::commit_batch). Results come back in input
-  /// order; each entry is the handle or the per-spec rejection. A batch's
-  /// decisions are identical to committing the same specs sequentially in
-  /// that sorted order.
-  std::vector<Result<ReservationId>> commit_batch(
-      const std::vector<ResSpec>& specs, const std::string& from_domain);
 
   Status release(const ReservationId& id);
   const Reservation* find(const ReservationId& id) const;
@@ -163,11 +148,12 @@ class BandwidthBroker {
 
   // --- Durability (src/bb/wal.hpp, snapshot.hpp, recovery.hpp) --------------
   /// Attach a write-ahead log: every state-changing decision from here on
-  /// is appended and fsync'd before the call returns (group-committed;
-  /// batch paths log one record per batch). Propagates to already
-  /// registered tunnels; newly registered tunnels inherit it. Pass nullptr
-  /// to detach (recovery replays with the WAL detached). Not synchronized
-  /// against in-flight requests — attach at setup or after recovery.
+  /// is appended and fsync'd before the call returns (group-committed; a
+  /// purge logs one record for every handle it drops). Propagates to
+  /// already registered tunnels; newly registered tunnels inherit it. Pass
+  /// nullptr to detach (recovery replays with the WAL detached). Not
+  /// synchronized against in-flight requests — attach at setup or after
+  /// recovery.
   void attach_wal(WriteAheadLog* wal);
   WriteAheadLog* wal() const { return wal_; }
   double capacity() const { return config_.capacity_bits_per_s; }
@@ -284,11 +270,11 @@ class BandwidthBroker {
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> next_cert_serial_{100000};
 
-  /// Pre-pool validation shared by check_admission() and commit(): spec
-  /// shape and SLA conformance (advisory; pools re-check atomically).
+  /// commit()'s pre-pool validation: spec shape and SLA conformance
+  /// (advisory; pools re-check atomically).
   Status precheck_admission(const ResSpec& spec,
                             const std::string& from_domain) const;
-  /// Per-decision bookkeeping shared by commit()/commit_batch().
+  /// Per-decision bookkeeping for commit().
   void record_rejection(const ResSpec& spec, const std::string& reason);
   void record_grant(const ResSpec& spec);
 

@@ -65,14 +65,6 @@ struct Replayer {
   void replay(const WalRecord& record) {
     if (record.kind == wal_kind::kAdmit) {
       applied(restore_from_fields(record.fields));
-    } else if (record.kind == wal_kind::kAdmitBatch) {
-      // One record, N grants: apply every item (idempotent per item).
-      Status worst = Status::ok_status();
-      for (const WalFields& item : record.items) {
-        auto status = restore_from_fields(item);
-        if (!status.ok()) worst = std::move(status);
-      }
-      applied(worst);
     } else if (record.kind == wal_kind::kRelease) {
       auto id = wal_field(record.fields, "id");
       if (!id.ok()) {
@@ -115,7 +107,6 @@ struct Replayer {
       (void)tunnel->authorize(*user);
       ++report.replayed;
     } else if (record.kind == wal_kind::kTunnelAlloc ||
-               record.kind == wal_kind::kTunnelAllocBatch ||
                record.kind == wal_kind::kTunnelRelease) {
       auto tunnel_id = wal_field(record.fields, "tunnel");
       Tunnel* tunnel =
@@ -133,15 +124,7 @@ struct Replayer {
         applied(tunnel->release(*sub_id));
         return;
       }
-      const std::vector<WalFields> single{record.fields};
-      const auto& items =
-          record.kind == wal_kind::kTunnelAlloc ? single : record.items;
-      Status worst = Status::ok_status();
-      for (const WalFields& item : items) {
-        auto status = apply_tunnel_alloc(*tunnel, item);
-        if (!status.ok()) worst = std::move(status);
-      }
-      applied(worst);
+      applied(apply_tunnel_alloc(*tunnel, record.fields));
     } else if (record.kind == wal_kind::kDelegationSerial) {
       auto raw = wal_field(record.fields, "serial");
       if (!raw.ok()) {

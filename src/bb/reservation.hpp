@@ -55,7 +55,7 @@ struct ResSpec {
 
   /// Structurally fit for admission control: a valid advance-reservation
   /// window and a positive rate. Brokers reject anything else before
-  /// touching a capacity pool (single and batch paths share this gate).
+  /// touching a capacity pool.
   bool admissible() const {
     return interval.valid() && rate_bits_per_s > 0;
   }

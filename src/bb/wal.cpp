@@ -456,10 +456,9 @@ void WriteAheadLog::ensure_instruments() {
   fsyncs_counter_ = &registry.counter(obs::kBbWalFsyncsTotal);
   group_size_hist_ = &registry.histogram(obs::kBbWalGroupCommitRecords);
   constexpr const char* kKinds[] = {
-      wal_kind::kAdmit,          wal_kind::kAdmitBatch,
-      wal_kind::kRelease,        wal_kind::kReleaseBatch,
-      wal_kind::kTunnelRegister, wal_kind::kTunnelAuthorize,
-      wal_kind::kTunnelAlloc,    wal_kind::kTunnelAllocBatch,
+      wal_kind::kAdmit,          wal_kind::kRelease,
+      wal_kind::kReleaseBatch,   wal_kind::kTunnelRegister,
+      wal_kind::kTunnelAuthorize, wal_kind::kTunnelAlloc,
       wal_kind::kTunnelRelease,  wal_kind::kDelegationSerial,
   };
   static_assert(std::size(kKinds) ==

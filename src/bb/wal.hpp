@@ -2,19 +2,18 @@
 //
 // The paper's brokers make advance-reservation *commitments* on behalf of
 // users; an SLA-grade broker cannot forget them on a crash. Every
-// state-changing admission event — single and batch commits, releases and
-// purges, tunnel registration/authorization/per-flow allocation, and
-// delegation-serial issuance — is appended to this log as one hash-chained
-// JSON line (the same tamper-evident chain discipline as the audit log,
-// obs/audit.hpp) and fsync'd **before the caller's request is acked**.
+// state-changing admission event — commits, releases and purges, tunnel
+// registration/authorization/per-flow allocation, and delegation-serial
+// issuance — is appended to this log as one hash-chained JSON line (the
+// same tamper-evident chain discipline as the audit log, obs/audit.hpp)
+// and fsync'd **before the caller's request is acked**.
 //
 // Group commit: concurrent committers coalesce onto one fsync. append()
 // buffers the record under the log mutex and returns its sequence number
 // (the LSN); commit(lsn) blocks until every record up to lsn is durable —
 // the first waiter becomes the sync leader, writes and fsyncs everything
-// buffered so far, and wakes the group. The PR-5 batch admission path
-// appends ONE record per batch, so a batch of N flows costs one line and
-// (at most) one fsync, not N.
+// buffered so far, and wakes the group, so N concurrent admissions cost
+// N lines but (at most) one fsync.
 //
 // The recovery contract (docs/DURABILITY.md): replaying a snapshot plus
 // the log tail into a fresh broker reproduces the exact pre-crash pool
@@ -48,13 +47,11 @@ namespace e2e::bb {
 /// docs/DURABILITY.md; recovery.cpp rejects anything else).
 namespace wal_kind {
 inline constexpr char kAdmit[] = "admit";
-inline constexpr char kAdmitBatch[] = "admit_batch";
 inline constexpr char kRelease[] = "release";
 inline constexpr char kReleaseBatch[] = "release_batch";
 inline constexpr char kTunnelRegister[] = "tunnel_register";
 inline constexpr char kTunnelAuthorize[] = "tunnel_authorize";
 inline constexpr char kTunnelAlloc[] = "tunnel_alloc";
-inline constexpr char kTunnelAllocBatch[] = "tunnel_alloc_batch";
 inline constexpr char kTunnelRelease[] = "tunnel_release";
 inline constexpr char kDelegationSerial[] = "delegation_serial";
 }  // namespace wal_kind
@@ -95,8 +92,8 @@ struct WalRecord {
   std::string domain;     ///< Broker domain that owns the log.
   std::string kind;       ///< wal_kind::*
   WalFields fields;       ///< Kind-specific payload.
-  /// Batch records carry one entry per granted element; the whole batch is
-  /// one record, so it is applied atomically on replay.
+  /// Batch records (release_batch) carry one entry per element; the whole
+  /// batch is one record, so it is applied atomically on replay.
   std::vector<WalFields> items;
   std::string prev_hash;  ///< Hex SHA-256 of the previous record.
   std::string hash;       ///< Hex SHA-256 over prev_hash + this record.
@@ -228,7 +225,7 @@ class WriteAheadLog {
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* fsyncs_counter_ = nullptr;
   obs::Histogram* group_size_hist_ = nullptr;
-  std::array<std::pair<const char*, obs::Counter*>, 10> records_counters_{};
+  std::array<std::pair<const char*, obs::Counter*>, 8> records_counters_{};
 };
 
 }  // namespace e2e::bb

@@ -34,7 +34,6 @@ struct Value {
   std::vector<std::pair<std::string, Value>> object;
 
   bool is_null() const { return kind == Kind::kNull; }
-  bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_string() const { return kind == Kind::kString; }
   bool is_number() const { return kind == Kind::kNumber; }

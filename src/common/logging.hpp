@@ -1,8 +1,9 @@
-// Minimal leveled logger.
+// Minimal logger for warnings and errors.
 //
-// Components log protocol events (request received, policy decision,
-// admission result) at kInfo; the threshold is kWarn so tests and
-// benchmarks stay quiet.
+// Components report anomalies (a rejected capability chain, a failed
+// policy evaluation or tunnel channel, a worker task that threw) on
+// stderr, one line each. The normal protocol path logs nothing, so tests
+// and benchmarks stay quiet.
 #pragma once
 
 #include <sstream>
@@ -10,9 +11,9 @@
 
 namespace e2e::log {
 
-enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class Level { kWarn, kError };
 
-/// Emit one line (thread-safe); lines below kWarn are dropped.
+/// Emit one line on stderr (thread-safe).
 void write(Level level, const std::string& component,
            const std::string& message);
 
@@ -38,12 +39,6 @@ class LineBuilder {
 };
 }  // namespace detail
 
-inline detail::LineBuilder debug(std::string component) {
-  return {Level::kDebug, std::move(component)};
-}
-inline detail::LineBuilder info(std::string component) {
-  return {Level::kInfo, std::move(component)};
-}
 inline detail::LineBuilder warn(std::string component) {
   return {Level::kWarn, std::move(component)};
 }

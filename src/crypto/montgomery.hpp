@@ -37,7 +37,6 @@ class MontgomeryContext {
   explicit MontgomeryContext(const BigUInt& m);
 
   const BigUInt& modulus() const { return m_; }
-  std::size_t limb_count() const { return n_; }
 
   /// base^exp mod m. Handles base >= m (reduces first), exp == 0 and
   /// exp == 1 without entering the window machinery.

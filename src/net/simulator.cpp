@@ -54,10 +54,6 @@ void Simulator::set_aggregate_policer(LinkId link, const TokenBucket& bucket,
   links_.at(link).aggregate_policer = PolicerEntry{bucket, treatment};
 }
 
-void Simulator::clear_aggregate_policer(LinkId link) {
-  links_.at(link).aggregate_policer.reset();
-}
-
 SimDuration Simulator::emission_gap(const TrafficPattern& p) {
   const double gap_us =
       static_cast<double>(p.packet_bits) / p.rate_bits_per_s * 1e6;

@@ -119,16 +119,11 @@ class Simulator {
   /// aggregate shares one bucket, blind to flows.
   void set_aggregate_policer(LinkId link, const TokenBucket& bucket,
                              sla::ExcessTreatment treatment);
-  void clear_aggregate_policer(LinkId link);
 
   /// Advance virtual time, executing all traffic events.
   void run_until(SimTime t);
 
   const FlowStats& stats(FlowId flow) const { return flows_.at(flow).stats; }
-  const std::string& flow_name(FlowId flow) const {
-    return flows_.at(flow).desc.name;
-  }
-  std::size_t flow_count() const { return flows_.size(); }
 
   /// Per-link transmission accounting.
   struct LinkStats {
@@ -174,7 +169,6 @@ class Simulator {
     bool on = true;  // for on-off sources
   };
 
-  void schedule_next_emission(FlowId id);
   void emit_packet(FlowId id);
   /// Packet arrives at the entry of path[hop]; polices, enqueues, kicks the
   /// link if idle.

@@ -14,8 +14,7 @@ std::vector<MetricInfo> build_catalog() {
        {"domain", "result"},
        "Admission decisions at reservation commit time"},
       {kBbAdmissionUs, MetricType::kHistogram, kUs, {"domain"},
-       "Wall-clock time a broker spent deciding one admission (or one "
-       "batch)"},
+       "Wall-clock time a broker spent deciding one admission"},
       {kBbPoolBoundaries, MetricType::kGauge, kOne, {"domain"},
        "Live boundary points across a domain's timeline-indexed capacity "
        "pools"},
@@ -47,7 +46,7 @@ std::vector<MetricInfo> build_catalog() {
       {kBbWalGroupCommitRecords, MetricType::kHistogram, kOne, {},
        "Records made durable per fsync (group-commit coalescing factor)"},
       {kBbWalRecordsTotal, MetricType::kCounter, kOne, {"kind"},
-       "WAL records appended (one per batch on batch paths)"},
+       "WAL records appended (a purge's release_batch is one record)"},
       {kBbWalSnapshotsTotal, MetricType::kCounter, kOne, {},
        "Broker state snapshots written"},
       {kBbWalTruncatedRecordsTotal, MetricType::kCounter, kOne, {},

@@ -157,16 +157,15 @@ inline constexpr char kBbReservationsActive[] = "e2e_bb_reservations_active";
 /// Aggregate tunnels registered. Labels: domain.
 inline constexpr char kBbTunnelsRegisteredTotal[] =
     "e2e_bb_tunnels_registered_total";
-/// Wall-clock time a broker spent deciding one admission (or one batch;
-/// the only wall-clock histogram — every other latency metric is virtual
-/// time, so this family's values vary run to run). Labels: domain.
+/// Wall-clock time a broker spent deciding one admission (the only
+/// wall-clock histogram — every other latency metric is virtual time, so
+/// this family's values vary run to run). Labels: domain.
 inline constexpr char kBbAdmissionUs[] = "e2e_bb_admission_us";
 
 // --- bb: durability (wal.cpp, snapshot.cpp, recovery.cpp) --------------------
-/// WAL records appended (one per batch on batch paths). Labels:
-/// kind=admit|admit_batch|release|release_batch|tunnel_register|
-/// tunnel_authorize|tunnel_alloc|tunnel_alloc_batch|tunnel_release|
-/// delegation_serial.
+/// WAL records appended (a purge's release_batch is one record). Labels:
+/// kind=admit|release|release_batch|tunnel_register|tunnel_authorize|
+/// tunnel_alloc|tunnel_release|delegation_serial.
 inline constexpr char kBbWalRecordsTotal[] = "e2e_bb_wal_records_total";
 /// Bytes written to WAL files (records only; truncation rewrites excluded).
 inline constexpr char kBbWalBytesTotal[] = "e2e_bb_wal_bytes_total";

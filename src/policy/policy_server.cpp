@@ -55,9 +55,6 @@ PolicyReply PolicyServer::decide(const EvalContext& ctx) const {
   count_decision(reply.decision == Decision::kGrant ? "grant" : "deny");
   audit_policy(reply.decision == Decision::kGrant ? "grant" : "deny",
                ev->decided_at_line, reply.reason);
-  log::info("policy[" + domain_ + "]")
-      << "decision=" << to_string(reply.decision)
-      << (reply.reason.empty() ? "" : " reason=" + reply.reason);
   return reply;
 }
 

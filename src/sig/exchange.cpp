@@ -86,22 +86,20 @@ ExchangeResult exchange(Transport& transport, const RetryPolicy& policy,
       payload = std::move(sent.payload);
     }
 
-    if (far_end) {
-      if (result.reply.has_value()) {
-        registry
-            .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
-            .increment();
-      } else {
-        result.reply = far_end(Arrival{payload, result.latency, sent.latency,
-                                       sent.trace_context});
-      }
-      // Without a channel, a trailing duplicate copy is recognized by the
-      // far end and answered from the saved reply.
-      if (!channel && sent.duplicated) {
-        registry
-            .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
-            .increment();
-      }
+    if (result.reply.has_value()) {
+      registry
+          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
+          .increment();
+    } else {
+      result.reply = far_end(Arrival{payload, result.latency, sent.latency,
+                                     sent.trace_context});
+    }
+    // Without a channel, a trailing duplicate copy is recognized by the far
+    // end and answered from the saved reply.
+    if (!channel && sent.duplicated) {
+      registry
+          .counter(obs::kSigDuplicatesSuppressedTotal, {{"via", "cache"}})
+          .increment();
     }
 
     SimDuration back_latency = 0;

@@ -1,8 +1,8 @@
 // One request/reply exchange between two brokers, under the retry policy.
 //
 // Every inter-BB exchange in the library runs through exchange(): the
-// hop-by-hop forward, the tunnel per-flow and batch requests over the
-// direct channel, and the source-domain agent's per-domain requests. It
+// hop-by-hop forward, the tunnel per-flow request over the direct
+// channel, and the source-domain agent's per-domain requests. It
 // owns everything about one exchange:
 //
 //  - the jitter seed, taken from the SHA-256 of the request bytes;
@@ -49,8 +49,7 @@ enum class ReplyLeg {
   /// tunnel's direct channel).
   kAck,
   /// The encoded RarReply, sealed by the far end and opened by the sender;
-  /// a corrupted or undecodable reply counts as lost (hop-by-hop). Needs
-  /// a far end.
+  /// a corrupted or undecodable reply counts as lost (hop-by-hop).
   kSealed,
 };
 
@@ -96,7 +95,7 @@ struct ExchangeResult {
 };
 
 /// The far end's evaluation of the request. Called at most once per
-/// exchange; may be empty when the far end only acknowledges.
+/// exchange.
 using FarEnd = std::function<RarReply(const Arrival&)>;
 
 ExchangeResult exchange(Transport& transport, const RetryPolicy& policy,

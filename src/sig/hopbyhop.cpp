@@ -167,11 +167,7 @@ HopByHopEngine::validate_capabilities(Node& node, const VerifiedRar& vr,
   const std::string community =
       chain->front().extension_value(crypto::kExtCommunity).value_or("");
   const auto cas_it = node.trusted_cas.find(community);
-  if (cas_it == node.trusted_cas.end()) {
-    log::info("sig[" + node.broker->domain() + "]")
-        << "no trusted CAS for community '" << community << "'";
-    return out;
-  }
+  if (cas_it == node.trusted_cas.end()) return out;  // no trusted CAS
   // CRL check on the CAS-issued root capability certificate.
   const auto revocation_it = node.cas_revocation.find(community);
   if (revocation_it != node.cas_revocation.end() &&
@@ -865,119 +861,6 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve_in_tunnel(
   outcome.reply.handles.emplace_back(rec.source_domain, sub_id);
   outcome.reply.handles.emplace_back(rec.destination_domain, sub_id);
   outcome.reply.tunnel_id = tunnel_id;
-  return finish(std::move(outcome));
-}
-
-Result<HopByHopEngine::TunnelBatchOutcome>
-HopByHopEngine::reserve_in_tunnel_batch(
-    const std::string& tunnel_id, const std::vector<TunnelFlowRequest>& flows,
-    SimTime at) {
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigRarRequestsTotal, engine_label("tunnel"))
-      .increment(flows.size());
-  const auto it = tunnels_.find(tunnel_id);
-  if (it == tunnels_.end()) {
-    return make_error(ErrorCode::kNotFound, "unknown tunnel " + tunnel_id);
-  }
-  TunnelRecord& rec = it->second;
-  Node* src = find_node(rec.source_domain);
-  Node* dst = find_node(rec.destination_domain);
-  if (src == nullptr || dst == nullptr) {
-    return make_error(ErrorCode::kInternal, "tunnel endpoints missing");
-  }
-  bb::Tunnel* src_tunnel = src->broker->find_tunnel(rec.source_handle);
-  bb::Tunnel* dst_tunnel = dst->broker->find_tunnel(rec.destination_handle);
-  if (src_tunnel == nullptr || dst_tunnel == nullptr) {
-    return make_error(ErrorCode::kInternal, "tunnel state missing");
-  }
-
-  TunnelBatchOutcome outcome;
-  outcome.replies.reserve(flows.size());
-  std::vector<bb::Tunnel::SubFlowRequest> batch;
-  batch.reserve(flows.size());
-  for (const TunnelFlowRequest& flow : flows) {
-    batch.push_back(bb::Tunnel::SubFlowRequest{
-        tunnel_id + "-flow-" + std::to_string(rec.next_sub++), flow.user_dn,
-        flow.interval, flow.rate});
-  }
-  (void)at;
-
-  auto finish = [&](TunnelBatchOutcome o) {
-    for (const RarReply& reply : o.replies) {
-      registry
-          .counter(obs::kSigRarOutcomesTotal,
-                   {{"engine", "tunnel"},
-                    {"outcome", reply.granted ? "granted" : "denied"}})
-          .increment();
-      registry.histogram(obs::kSigE2eLatencyUs, engine_label("tunnel"))
-          .observe(static_cast<double>(o.latency));
-    }
-    return o;
-  };
-
-  // The user hands the whole batch to the source BB in one message.
-  outcome.latency += 2 * src->options.user_link_latency;
-  outcome.latency += fabric_->processing_delay();
-  fabric_->record_message("user", rec.source_domain, 64 + 64 * flows.size());
-  outcome.messages++;
-
-  // One source<->destination round trip carries the batch. Unlike the
-  // per-flow path, nothing is committed until the exchange succeeds, so the
-  // destination only acknowledges and a dark destination leaves zero
-  // residual state.
-  const Bytes wire = to_bytes("tunnel-alloc-batch:" + tunnel_id + ":" +
-                              std::to_string(batch.size()));
-  const ExchangeResult done = exchange(
-      *fabric_, retry_policy_,
-      Exchange{"tunnel", rec.source_domain, rec.destination_domain, wire,
-               nullptr, &rec.source_session, &rec.destination_session,
-               ReplyLeg::kAck},
-      {});
-  outcome.latency += done.latency;
-  outcome.messages += done.messages;
-  if (!done.completed) {
-    const Error timeout_error =
-        no_answer(rec.destination_domain, done.attempts, rec.source_domain);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      outcome.replies.push_back(RarReply::deny(timeout_error));
-    }
-    return finish(std::move(outcome));
-  }
-
-  // Both endpoints evaluate the full batch against their tunnel pools.
-  outcome.latency += 2 * fabric_->processing_delay();
-  const std::vector<Status> src_statuses = src_tunnel->allocate_batch(batch);
-  const std::vector<Status> dst_statuses = dst_tunnel->allocate_batch(batch);
-
-  // A flow is granted iff both ends admitted it; one-sided admissions are
-  // rolled back so the tunnel halves never diverge. Denials report the
-  // source's error first (the per-flow path never consults the
-  // destination once the source rejects).
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const bool src_ok = src_statuses[i].ok();
-    const bool dst_ok = dst_statuses[i].ok();
-    audit_flow_admission(rec.source_domain, batch[i].sub_id, batch[i].rate,
-                         src_ok);
-    audit_flow_admission(rec.destination_domain, batch[i].sub_id,
-                         batch[i].rate, dst_ok);
-    if (src_ok && dst_ok) {
-      RarReply reply = RarReply::approve();
-      reply.handles.emplace_back(rec.source_domain, batch[i].sub_id);
-      reply.handles.emplace_back(rec.destination_domain, batch[i].sub_id);
-      reply.tunnel_id = tunnel_id;
-      outcome.replies.push_back(std::move(reply));
-      ++outcome.granted;
-      continue;
-    }
-    if (src_ok) (void)src_tunnel->release(batch[i].sub_id);
-    if (dst_ok) (void)dst_tunnel->release(batch[i].sub_id);
-    Error denial =
-        !src_ok ? src_statuses[i].error() : dst_statuses[i].error();
-    if (denial.origin.empty()) {
-      denial.origin = !src_ok ? rec.source_domain : rec.destination_domain;
-    }
-    outcome.replies.push_back(RarReply::deny(std::move(denial)));
-  }
   return finish(std::move(outcome));
 }
 

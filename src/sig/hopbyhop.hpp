@@ -101,7 +101,7 @@ class HopByHopEngine {
   void set_trust_policy(const std::string& domain, const TrustPolicy& policy);
 
   /// Retry budget and backoff for every inter-BB exchange (the hop-by-hop
-  /// forward and the tunnel per-flow and batch requests).
+  /// forward and the tunnel per-flow requests).
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
@@ -159,35 +159,6 @@ class HopByHopEngine {
                                     TimeInterval interval, SimTime at);
   Status release_in_tunnel(const std::string& tunnel_id,
                            const std::string& sub_id);
-
-  /// One per-flow request inside a batched tunnel allocation.
-  struct TunnelFlowRequest {
-    std::string user_dn;
-    double rate = 0;
-    TimeInterval interval;
-  };
-
-  /// Per-flow replies of a batched tunnel allocation, in input order.
-  struct TunnelBatchOutcome {
-    std::vector<RarReply> replies;
-    std::size_t granted = 0;
-    /// Modeled end-to-end latency of the whole batch (one wire exchange).
-    SimDuration latency = 0;
-    std::size_t messages = 0;
-  };
-
-  /// Batched tunnel sub-reservations: one wire exchange carries the whole
-  /// vector to the destination endpoint, then BOTH end domains evaluate
-  /// the full batch against their tunnel pools in one lock acquisition
-  /// each (ascending interval.start order; see Tunnel::allocate_batch).
-  /// A flow is granted iff both endpoints admit it — one-sided admissions
-  /// are rolled back, so the two tunnel halves never diverge. If the
-  /// exchange exhausts
-  /// the retry budget (or the reply leg is lost) nothing is committed and
-  /// every flow is denied with kTimeout.
-  Result<TunnelBatchOutcome> reserve_in_tunnel_batch(
-      const std::string& tunnel_id,
-      const std::vector<TunnelFlowRequest>& flows, SimTime at);
 
   /// Scenario observer: called at each BB with the request as that broker
   /// verified it (drives the Fig. 7 walkthrough).

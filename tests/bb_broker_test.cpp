@@ -207,6 +207,18 @@ TEST(Broker, CountersTrackOutcomes) {
   EXPECT_EQ(f.broker.counters().denied_admission, 1u);
 }
 
+TEST(Broker, PurgeExpiredCountsAsReleased) {
+  BrokerFixture f;
+  ASSERT_TRUE(f.broker.commit(f.spec(10e6, {0, seconds(10)}), "").ok());
+  ASSERT_TRUE(f.broker.commit(f.spec(20e6, {0, seconds(600)}), "").ok());
+  ASSERT_EQ(f.broker.purge_expired(seconds(30)), 1u);
+  // A purge is a release: granted - released counts the live records.
+  const auto c = f.broker.counters();
+  EXPECT_EQ(c.released, 1u);
+  EXPECT_EQ(c.granted - c.released, f.broker.reservation_count());
+  EXPECT_EQ(f.broker.reservation_count(), 1u);
+}
+
 TEST(ResSpec, EncodeDecodeRoundTrip) {
   ResSpec s;
   s.user = "CN=Alice,O=ANL,C=US";

@@ -140,45 +140,6 @@ TEST_P(PoolEquivalence, ProfileSweepIsIdentical) {
   }
 }
 
-// Batch admissions obey the documented semantics: identical to committing
-// the same requests sequentially in ascending interval.start order (ties
-// by input position) — checked against a reference-scan pool.
-TEST_P(PoolEquivalence, BatchMatchesSortedSequentialReference) {
-  Rng rng(GetParam() + 17);
-  const double capacity = 200e6;
-  CapacityPool batch_pool(capacity);
-  CapacityPool sequential_pool(capacity);
-  std::vector<CapacityPool::BatchRequest> batch;
-  for (int i = 0; i < 120; ++i) {
-    const SimTime start = static_cast<SimTime>(rng.next_below(50)) * 1000;
-    const SimDuration len =
-        (1 + static_cast<SimDuration>(rng.next_below(30))) * 1000;
-    batch.push_back({"b" + std::to_string(i),
-                     {start, start + len},
-                     1e6 * static_cast<double>(1 + rng.next_below(30))});
-  }
-  const std::vector<Status> results = batch_pool.commit_batch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-
-  std::vector<std::size_t> order(batch.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return batch[a].interval.start < batch[b].interval.start;
-                   });
-  for (std::size_t idx : order) {
-    const Status expect = sequential_pool.commit_reference(
-        batch[idx].key, batch[idx].interval, batch[idx].rate);
-    ASSERT_EQ(results[idx].ok(), expect.ok()) << batch[idx].key;
-  }
-  ASSERT_EQ(batch_pool.commitment_count(), sequential_pool.commitment_count());
-  for (SimTime t = 0; t <= 90 * 1000; t += 1000) {
-    ASSERT_EQ(batch_pool.committed_at(t),
-              sequential_pool.committed_at_reference(t))
-        << t;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolEquivalence,
                          ::testing::Values(2, 11, 303, 20010801, 987654321));
 

@@ -7,8 +7,8 @@
 // every interval boundary, the reservation and tunnel sets, and the
 // id/serial sources. Edge cases: torn final record (dropped, never acked),
 // corrupted or missing mid-log record (refused outright), snapshot with an
-// empty tail, an un-truncated snapshot/tail overlap, and a batch record
-// acked after the snapshot was taken.
+// empty tail, an un-truncated snapshot/tail overlap, grants acked after
+// the snapshot was taken, and a record of a kind recovery no longer knows.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -127,16 +127,13 @@ std::vector<ReservationId> run_workload(RecoveryFixture& f) {
   grant(f.live.commit(f.spec(10e6, {0, seconds(600)}), ""));
   grant(f.live.commit(f.spec(20e6, {seconds(100), seconds(700)}), "DomainA"));
   grant(f.live.commit(f.spec(3e6, {0, seconds(50)}), ""));
-  // One batch = ONE WAL record.
-  auto batch = f.live.commit_batch({f.spec(5e6, {seconds(10), seconds(400)}),
-                                    f.spec(6e6, {seconds(20), seconds(500)}),
-                                    f.spec(7e6, {seconds(30), seconds(800)})},
-                                   "");
-  for (auto& r : batch) grant(std::move(r));
+  grant(f.live.commit(f.spec(5e6, {seconds(10), seconds(400)}), ""));
+  grant(f.live.commit(f.spec(6e6, {seconds(20), seconds(500)}), ""));
+  grant(f.live.commit(f.spec(7e6, {seconds(30), seconds(800)}), ""));
   // Delegation serials.
   (void)f.live.next_certificate_serial();
   (void)f.live.next_certificate_serial();
-  // A tunnel with single + batch sub-flow allocations and one release.
+  // A tunnel with three sub-flow allocations and one release.
   ResSpec aggregate = f.spec(30e6, {0, seconds(3600)});
   aggregate.is_tunnel = true;
   auto tid = f.live.register_tunnel(aggregate);
@@ -145,10 +142,12 @@ std::vector<ReservationId> run_workload(RecoveryFixture& f) {
   EXPECT_TRUE(tunnel->authorize(kAlice).ok());
   EXPECT_TRUE(
       tunnel->allocate("flow-a", kAlice, {0, seconds(1200)}, 5e6).ok());
-  auto statuses = tunnel->allocate_batch(
-      {{"flow-b", kAlice, {seconds(60), seconds(900)}, 4e6},
-       {"flow-c", kAlice, {seconds(120), seconds(1500)}, 3e6}});
-  for (const auto& s : statuses) EXPECT_TRUE(s.ok()) << s.error().to_text();
+  EXPECT_TRUE(
+      tunnel->allocate("flow-b", kAlice, {seconds(60), seconds(900)}, 4e6)
+          .ok());
+  EXPECT_TRUE(
+      tunnel->allocate("flow-c", kAlice, {seconds(120), seconds(1500)}, 3e6)
+          .ok());
   EXPECT_TRUE(tunnel->release("flow-b").ok());
   // A release and an expiry purge (one batch record).
   EXPECT_TRUE(f.live.release(ids[0]).ok());
@@ -301,24 +300,49 @@ TEST(WalRecovery, UntruncatedOverlapIsSkippedBySequence) {
   expect_equivalent(f.live, f.fresh);
 }
 
-TEST(WalRecovery, BatchAckedAfterSnapshotReplays) {
-  RecoveryFixture f("late_batch");
+TEST(WalRecovery, GrantsAckedAfterSnapshotReplay) {
+  RecoveryFixture f("late_grants");
   run_workload(f);
   ASSERT_TRUE(snapshot_and_truncate(f.live, *f.wal, f.snap_path).ok());
-  const auto batch =
-      f.live.commit_batch({f.spec(2e6, {seconds(50), seconds(450)}),
-                           f.spec(1e6, {seconds(60), seconds(460)})},
-                          "DomainA");
-  for (const auto& r : batch) ASSERT_TRUE(r.ok());
+  const std::vector<Result<ReservationId>> grants = {
+      f.live.commit(f.spec(2e6, {seconds(50), seconds(450)}), "DomainA"),
+      f.live.commit(f.spec(1e6, {seconds(60), seconds(460)}), "DomainA")};
+  for (const auto& r : grants) ASSERT_TRUE(r.ok());
   f.crash();
   const auto report = f.recover();
   ASSERT_TRUE(report.ok()) << report.error().to_text();
   EXPECT_EQ(report->failed, 0u);
-  for (const auto& r : batch) {
+  for (const auto& r : grants) {
     EXPECT_NE(f.fresh.find(*r), nullptr)
-        << "acked post-snapshot batch grant " << *r << " lost";
+        << "acked post-snapshot grant " << *r << " lost";
   }
   expect_equivalent(f.live, f.fresh);
+}
+
+TEST(WalRecovery, RemovedBatchKindIsCountedAsFailed) {
+  // Logs written before batch admission was removed may hold an
+  // `admit_batch` record. It is well chained, so the log reads back, but
+  // recovery has no branch for the kind: it is counted as failed and its
+  // grants are not installed.
+  RecoveryFixture f("removed_kind");
+  ResSpec spec = f.spec(5e6, {seconds(10), seconds(400)});
+  const Reservation resv{"DomainB-resv-7", spec, ReservationState::kGranted,
+                         ""};
+  ASSERT_TRUE(f.wal
+                  ->log("DomainB", "admit_batch",
+                        {{"upstream", ""}, {"count", "1"}},
+                        {reservation_to_fields(resv)})
+                  .ok());
+  f.crash();
+  ASSERT_EQ(WriteAheadLog::verify_file(f.wal_path).value_or(0), 1u);
+  const auto report = f.recover();
+  ASSERT_TRUE(report.ok()) << report.error().to_text();
+  EXPECT_EQ(report->wal_records, 1u);
+  EXPECT_EQ(report->failed, 1u);
+  EXPECT_EQ(report->replayed, 0u);
+  EXPECT_EQ(f.fresh.reservation_count(), 0u);
+  EXPECT_EQ(f.fresh.find(resv.id), nullptr);
+  EXPECT_DOUBLE_EQ(f.fresh.committed_at(seconds(100)), 0.0);
 }
 
 TEST(WalRecovery, TornFinalRecordIsDroppedNotReplayed) {
