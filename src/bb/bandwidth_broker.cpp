@@ -82,7 +82,7 @@ std::optional<std::string> BandwidthBroker::next_hop(
   return it->second;
 }
 
-Status BandwidthBroker::precheck_admission(
+Status BandwidthBroker::screen_request(
     const ResSpec& spec, const std::string& from_domain) const {
   if (!spec.admissible()) {
     return make_error(ErrorCode::kInvalidArgument,
@@ -151,7 +151,7 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
   // Advisory pre-pool checks (spec shape, SLA conformance). The local-pool
   // check-and-insert below is the authoritative admission decision under
   // concurrency.
-  auto admissible = precheck_admission(spec, from_domain);
+  auto admissible = screen_request(spec, from_domain);
   if (admissible.ok() &&
       !local_pool_.can_admit(spec.interval, spec.rate_bits_per_s)) {
     admissible = make_error(

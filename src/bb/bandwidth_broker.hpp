@@ -272,8 +272,8 @@ class BandwidthBroker {
 
   /// commit()'s pre-pool validation: spec shape and SLA conformance
   /// (advisory; pools re-check atomically).
-  Status precheck_admission(const ResSpec& spec,
-                            const std::string& from_domain) const;
+  Status screen_request(const ResSpec& spec,
+                        const std::string& from_domain) const;
   /// Per-decision bookkeeping for commit().
   void record_rejection(const ResSpec& spec, const std::string& reason);
   void record_grant(const ResSpec& spec);
