@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-trajectory snapshot: run the crypto micro benches and the fig3
 # signalling-latency bench and write their results to the repo root as
-#   BENCH_crypto.json  (google-benchmark JSON for bench/micro_crypto)
+#   BENCH_crypto.json  (google-benchmark JSON for bench/micro_crypto, three
+#                       repetitions, plus a host block)
 #   BENCH_fig3.json    (fig3 stdout table + metrics snapshot, wrapped)
 #   BENCH_obs.json     (google-benchmark JSON for bench/micro_obs: hot-path
 #                       overhead traced vs detached + primitive costs — plus
@@ -38,9 +39,24 @@ if [[ "${SMOKE:-0}" == "1" ]]; then
   min_time="--benchmark_min_time=0.05"
 fi
 
-./build/bench/micro_crypto \
-  --benchmark_out=BENCH_crypto.json --benchmark_out_format=json \
+workdir=$(mktemp -d)
+trap 'rm -rf "$workdir"' EXIT
+
+# micro_crypto: three repetitions of every benchmark (google-benchmark adds
+# mean/median/stddev/cv aggregates), plus the host block, which also says
+# whether the CPU has the SHA extensions.
+./build/bench/micro_crypto --benchmark_repetitions=3 \
+  --benchmark_out="$workdir/micro_crypto.json" --benchmark_out_format=json \
   ${min_time:+"$min_time"} >/dev/null
+python3 - "$workdir/micro_crypto.json" > BENCH_crypto.json <<'EOF'
+import json, sys
+sys.path.insert(0, "scripts")
+from host_block import host_block
+doc = json.load(open(sys.argv[1]))
+doc["host"] = host_block()
+json.dump(doc, sys.stdout, indent=1)
+sys.stdout.write("\n")
+EOF
 
 ./build/bench/micro_obs \
   --benchmark_out=BENCH_obs.json --benchmark_out_format=json \
@@ -48,8 +64,6 @@ fi
 
 # fig3 prints a human table and drops a metrics snapshot in the cwd; fold
 # both into one JSON document.
-workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
 (cd "$workdir" && "$OLDPWD/build/bench/fig3_signalling_latency" > stdout.txt)
 python3 - "$workdir" > BENCH_fig3.json <<'EOF'
 import json, sys, pathlib
@@ -81,27 +95,13 @@ for run in 1 2 3; do
       > "load_broker.$run.stdout.txt") || load_rc=$?
 done
 python3 - "$workdir" > BENCH_admission.json <<'EOF'
-import json, os, re, subprocess, sys
+import json, sys
+sys.path.insert(0, "scripts")
+from host_block import host_block
 workdir = sys.argv[1]
 runs = [json.load(open(f"{workdir}/load_broker.{i}.json")) for i in (1, 2, 3)]
 doc = runs[-1]
-cache = open("build/CMakeCache.txt").read()
-def cache_value(key):
-    m = re.search(rf"^{key}:[A-Z]+=(.*)$", cache, re.M)
-    return m.group(1) if m else ""
-compiler = cache_value("CMAKE_CXX_COMPILER")
-version = subprocess.run([compiler, "--version"], capture_output=True,
-                         text=True).stdout.splitlines()[0]
-commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                        text=True).stdout.strip()
-dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench"],
-                       capture_output=True, text=True).stdout.strip()
-doc["host"] = {
-    "cores": os.cpu_count(),
-    "build_type": cache_value("CMAKE_BUILD_TYPE") or "RelWithDebInfo",
-    "compiler": version,
-    "commit": commit + ("+uncommitted" if dirty else ""),
-}
+doc["host"] = host_block()
 doc["tunnel_scaling_4t_runs"] = [r["tunnel_scaling_4t"] for r in runs]
 json.dump(doc, sys.stdout, indent=1)
 sys.stdout.write("\n")

@@ -12,8 +12,10 @@
 #                                     retry/exchange/failure-injection and
 #                                     channel cases of sig_test; build dir:
 #                                     ./build-asan via the "asan" preset)
-#        ./scripts/tier1.sh --bench  (crypto differential tests + a smoke run
-#                                     of scripts/bench_snapshot.sh)
+#        ./scripts/tier1.sh --bench  (crypto differential tests, the SHA-256
+#                                     and HMAC suites again under ASan/UBSan,
+#                                     and a smoke run of
+#                                     scripts/bench_snapshot.sh)
 #        ./scripts/tier1.sh --obs    (observability contract tests, the
 #                                     trace-propagation/audit soak, a
 #                                     tracedump determinism check, and the
@@ -54,10 +56,16 @@ cd "$(dirname "$0")/.."
 if [[ "${1:-}" == "--bench" ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j --target crypto_test >/dev/null
-  # The differential suites pin the Montgomery kernel and CRT signing
-  # against the reference implementations before we trust any numbers.
+  # The differential suites pin the SHA-256 kernel, the Montgomery kernel
+  # and CRT signing against the reference implementations before we trust
+  # any numbers.
   ./build/tests/crypto_test \
-    --gtest_filter='Montgomery*:CryptoCache*:Rsa*:BigUInt*'
+    --gtest_filter='Montgomery*:CryptoCache*:Rsa*:BigUInt*:Sha256*:Hmac*'
+  # The SHA-256 kernel and its buffering again under ASan/UBSan: the
+  # accelerated kernel reads whole blocks straight from callers' buffers.
+  cmake --preset asan >/dev/null
+  cmake --build build-asan -j --target crypto_test >/dev/null
+  ./build-asan/tests/crypto_test --gtest_filter='Sha256*:Hmac*'
   SMOKE=1 ./scripts/bench_snapshot.sh
   echo "tier1 --bench: OK"
   exit 0

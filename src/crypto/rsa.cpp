@@ -105,8 +105,7 @@ KeyPair generate_keypair(Rng& rng, unsigned bits) {
 }
 
 namespace {
-BigUInt hash_to_int(BytesView message, const BigUInt& n) {
-  const Digest digest = sha256(message);
+BigUInt digest_to_int(const Digest& digest, const BigUInt& n) {
   BigUInt h = BigUInt::from_bytes(BytesView(digest.data(), digest.size()));
   // Keys are always > 256 bits in this library, but reduce defensively so
   // the scheme stays well-defined for any modulus.
@@ -130,7 +129,7 @@ BigUInt sign_crt(const CrtParams& crt, const BigUInt& h) {
 
 Bytes sign(const PrivateKey& key, BytesView message) {
   auto& registry = obs::MetricsRegistry::global();
-  const BigUInt h = hash_to_int(message, key.n);
+  const BigUInt h = digest_to_int(sha256(message), key.n);
   BigUInt s;
   if (key.crt) {
     static obs::Counter& crt_count =
@@ -168,7 +167,8 @@ bool verify(const PublicKey& key, BytesView message, BytesView signature) {
   }
 
   // Memoize on the full (key, message, signature) triple so any mutation
-  // of any component misses.
+  // of any component misses. The message digest in the key is also the
+  // one a miss checks the signature against.
   Sha256 hasher;
   hasher.update(key.encode());
   const Digest msg_digest = sha256(message);
@@ -180,7 +180,7 @@ bool verify(const PublicKey& key, BytesView message, BytesView signature) {
   if (auto cached = cache.lookup(cache_key)) return *cached;
 
   const BigUInt recovered = s.modexp(key.e, key.n);
-  const bool valid = recovered == hash_to_int(message, key.n);
+  const bool valid = recovered == digest_to_int(msg_digest, key.n);
   cache.insert(cache_key, valid);
   return valid;
 }

@@ -25,7 +25,8 @@ std::string chain_json_escape(const std::string& s) {
 }
 
 std::string chain_sha256_hex(const std::string& s) {
-  const crypto::Digest digest = crypto::sha256(to_bytes(s));
+  const crypto::Digest digest = crypto::sha256(
+      BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
   return hex_encode(BytesView(digest.data(), digest.size()));
 }
 

@@ -1,5 +1,7 @@
 #include "sig/exchange.hpp"
 
+#include <optional>
+
 #include "crypto/sha256.hpp"
 #include "obs/instruments.hpp"
 
@@ -46,7 +48,7 @@ ExchangeResult exchange(Transport& transport, const RetryPolicy& policy,
                         const Exchange& request, const FarEnd& far_end) {
   auto& registry = obs::MetricsRegistry::global();
   auto engine = [&] { return obs::Labels{{"engine", request.engine}}; };
-  const std::uint64_t seed = jitter_seed(request.request);
+  std::optional<std::uint64_t> seed;  // only a timed-out attempt reads it
   const bool channel = request.near != nullptr;
   ExchangeResult result;
   for (std::size_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
@@ -54,12 +56,12 @@ ExchangeResult exchange(Transport& transport, const RetryPolicy& policy,
     if (attempt > 1) {
       registry.counter(obs::kSigRetransmitsTotal, engine()).increment();
     }
-    // The sender waits at most this long for the answer; every failure
-    // below charges it.
-    const SimDuration timeout = retry_timeout(policy, attempt, seed);
+    // Every failure below charges the timeout armed for this attempt: the
+    // longest the sender waits for the answer.
     auto timed_out = [&] {
       registry.counter(obs::kSigTimeoutsTotal, engine()).increment();
-      result.latency += timeout;
+      if (!seed) seed = jitter_seed(request.request);
+      result.latency += retry_timeout(policy, attempt, *seed);
     };
 
     Record record;

@@ -5,7 +5,8 @@
 // channel, and the source-domain agent's per-domain requests. It
 // owns everything about one exchange:
 //
-//  - the jitter seed, taken from the SHA-256 of the request bytes;
+//  - the jitter seed, taken from the SHA-256 of the request bytes when
+//    the first timeout is charged;
 //  - the attempt loop: arm the policy's timeout for each attempt,
 //    retransmit on silence (a lost or corrupted request, or a lost reply),
 //    give up once the budget is spent;

@@ -80,7 +80,6 @@ static Result<VerifiedRar> verify_rar_impl(
       channel_peer.subject(), 0,
       anchors.verify_chain(channel_peer, {}, at).ok()});
 
-  crypto::Certificate current_cert = channel_peer;  // cert of layer k signer
   for (std::size_t k = n - 1; k >= 1; --k) {
     const std::size_t depth = (n - 1) - (k - 1);
     if (depth > policy.max_introduction_depth) {
@@ -123,7 +122,6 @@ static Result<VerifiedRar> verify_rar_impl(
     path_rev.push_back(PathElement{
         introduced->subject(), depth,
         anchors.verify_chain(*introduced, {}, at).ok()});
-    current_cert = std::move(*introduced);
   }
 
   // 3. Innermost broker layer introduces the user's identity certificate.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "common/rng.hpp"
+
 namespace e2e::crypto {
 namespace {
 
@@ -80,6 +84,40 @@ TEST(Sha256, DigestBytesMatchesArray) {
   const Bytes b = digest_bytes(d);
   ASSERT_EQ(b.size(), kSha256DigestSize);
   EXPECT_TRUE(std::equal(b.begin(), b.end(), d.begin()));
+}
+
+// Differential oracle: the one-shot and incremental hashers, on whatever
+// kernel this CPU selected, against the portable scalar kernel alone.
+TEST(Sha256, AcceleratedMatchesReference) {
+  std::printf("[ info ] sha256 kernel: %s%s\n", sha256_kernel(),
+              std::string(sha256_kernel()) == "portable"
+                  ? " (no SHA extensions: the portable path is compared "
+                    "with itself)"
+                  : "");
+  Rng rng(20010807);
+  Bytes data(1100);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView input = BytesView(data).subspan(0, len);
+    const Digest expected = sha256_reference(input);
+    ASSERT_EQ(sha256(input), expected) << "one-shot, length " << len;
+
+    // A seeded random chunking of the same bytes.
+    Sha256 h;
+    std::size_t offset = 0;
+    while (offset < len) {
+      const std::size_t chunk = std::min<std::size_t>(
+          len - offset, 1 + rng.next_u64() % 150);
+      h.update(input.subspan(offset, chunk));
+      offset += chunk;
+    }
+    ASSERT_EQ(h.finish(), expected) << "chunked, length " << len;
+  }
+
+  Bytes big(1 << 20);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng.next_u64());
+  EXPECT_EQ(sha256(big), sha256_reference(big)) << "1 MiB";
 }
 
 // Parameterized sweep over message lengths crossing padding boundaries

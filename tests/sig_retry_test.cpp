@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "crypto/ca.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/audit.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -317,6 +318,36 @@ TEST(Exchange, BudgetExhaustedReturnsTheSavedGrant) {
   EXPECT_TRUE(result.reply->granted);
   ASSERT_EQ(result.reply->handles.size(), 1u);
   EXPECT_EQ(result.reply->handles[0].second, "res-1");
+}
+
+TEST(Exchange, JitteredTimeoutIsSeededByTheRequestDigest) {
+  ChannelPairFixture channel;
+  ScriptedTransport transport;
+  transport.script = {kDropped, {.latency = milliseconds(10)},
+                      {.latency = milliseconds(7)}};
+  const RetryPolicy policy;  // default jitter
+  ASSERT_GT(policy.jitter, 0);
+  CountingFarEnd far;
+  const Bytes request = to_bytes("rar");
+
+  const ExchangeResult result = exchange(
+      transport, policy,
+      Exchange{"hopbyhop", "DomainA", "DomainB", request, nullptr,
+               &channel.sessions.initiator, &channel.sessions.responder,
+               ReplyLeg::kSealed},
+      far.handler());
+
+  // The seed is the first eight bytes of the request's SHA-256,
+  // big-endian.
+  const crypto::Digest digest = crypto::sha256(request);
+  std::uint64_t seed = 0;
+  for (std::size_t i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
+  ASSERT_NE(retry_timeout(policy, 1, seed), retry_timeout(policy, 1, 0));
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(result.latency, retry_timeout(policy, 1, seed) +
+                                milliseconds(10) + milliseconds(7));
 }
 
 TEST(RetryBudget, ExhaustionDeniesWithTimeoutAndReleasesEverything) {
