@@ -73,7 +73,7 @@ void BM_RsaSignPlain(benchmark::State& state) {
     benchmark::DoNotOptimize(sign(plain, msg));
   }
 }
-BENCHMARK(BM_RsaSignPlain)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaSignPlain)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_RsaVerify(benchmark::State& state) {
   const KeyPair& kp = bench_keys(static_cast<unsigned>(state.range(0)));
@@ -97,7 +97,7 @@ void BM_RsaVerifyUncached(benchmark::State& state) {
   }
   VerifyCache::global().set_capacity(VerifyCache::kDefaultCapacity);
 }
-BENCHMARK(BM_RsaVerifyUncached)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaVerifyUncached)->Arg(256)->Arg(512)->Arg(1024);
 
 // --- modexp kernels, head to head at RSA private-exponent shapes ----------
 
@@ -126,13 +126,15 @@ void BM_ModexpReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ModexpReference)->Arg(512)->Arg(1024);
 
+/// 128 bits is one CRT half of a world (256-bit) key, and 256 bits its
+/// modulus: the fixed-width kernel's 2- and 4-limb shapes.
 void BM_ModexpMontgomery(benchmark::State& state) {
   const ModexpFixture fx = modexp_fixture(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.base.modexp(fx.exp, fx.mod));
   }
 }
-BENCHMARK(BM_ModexpMontgomery)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModexpMontgomery)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 /// One Montgomery-domain multiplication (the CIOS kernel itself).
 void BM_MontgomeryMul(benchmark::State& state) {

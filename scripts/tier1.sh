@@ -12,8 +12,9 @@
 #                                     retry/exchange/failure-injection and
 #                                     channel cases of sig_test; build dir:
 #                                     ./build-asan via the "asan" preset)
-#        ./scripts/tier1.sh --bench  (crypto differential tests, the SHA-256
-#                                     and HMAC suites again under ASan/UBSan,
+#        ./scripts/tier1.sh --bench  (crypto differential tests, the SHA-256,
+#                                     HMAC, Montgomery, RSA and BigUInt
+#                                     suites again under ASan/UBSan,
 #                                     and a smoke run of
 #                                     scripts/bench_snapshot.sh)
 #        ./scripts/tier1.sh --obs    (observability contract tests, the
@@ -61,11 +62,14 @@ if [[ "${1:-}" == "--bench" ]]; then
   # any numbers.
   ./build/tests/crypto_test \
     --gtest_filter='Montgomery*:CryptoCache*:Rsa*:BigUInt*:Sha256*:Hmac*'
-  # The SHA-256 kernel and its buffering again under ASan/UBSan: the
-  # accelerated kernel reads whole blocks straight from callers' buffers.
+  # The SHA-256 kernel and its buffering, and the Montgomery kernels and
+  # RSA on top of them, again under ASan/UBSan: the accelerated SHA-256
+  # kernel reads whole blocks straight from callers' buffers, and the
+  # fixed-width Montgomery kernel carries through stack arrays.
   cmake --preset asan >/dev/null
   cmake --build build-asan -j --target crypto_test >/dev/null
-  ./build-asan/tests/crypto_test --gtest_filter='Sha256*:Hmac*'
+  ./build-asan/tests/crypto_test \
+    --gtest_filter='Sha256*:Hmac*:Montgomery*:Rsa*:BigUInt*'
   SMOKE=1 ./scripts/bench_snapshot.sh
   echo "tier1 --bench: OK"
   exit 0

@@ -65,6 +65,164 @@ unsigned exp_window(const std::vector<u64>& e, unsigned pos, unsigned width) {
   return out;
 }
 
+/// Window width for an exponent of `ebits` bits: the 2^w - 2 table
+/// multiplies must pay for themselves.
+unsigned window_width(unsigned ebits) {
+  return ebits >= 128 ? 4 : (ebits >= 24 ? 2 : 1);
+}
+constexpr unsigned kMaxWindow = 4;
+
+// --- Fixed-width kernels ----------------------------------------------------
+//
+// The same CIOS product and window loop as the generic kernel, with the limb
+// count a template constant: loop bounds are known, the loops unroll and all
+// scratch lives on the stack. Instantiated only for the widths in
+// modexp_fixed(); every other width runs the generic kernel. Inside the
+// window loop the product is force-inlined, so each lane's operands stay in
+// registers and the lanes' instructions sit side by side; the table and the
+// exit from the Montgomery domain call one out-of-line copy, which keeps
+// the code small. Carries go through __builtin_add_overflow rather than
+// 128-bit sums, which GCC assembles through the stack.
+
+/// One modexp's operands: the context's precomputed limbs, a reduced
+/// non-zero base and an exponent > 1.
+struct Lane {
+  const u64* mod;
+  u64 inv64;
+  const u64* one;  // R mod m
+  const u64* rr;   // R^2 mod m
+  BigUInt base;
+  const BigUInt* exp;
+};
+
+/// lo + hi * 2^64 = a * b + c + d, which cannot overflow; returns lo.
+[[gnu::always_inline]] inline u64 mac(u64 a, u64 b, u64 c, u64 d,
+                                      u64& hi) {
+  const u128 p = static_cast<u128>(a) * b;
+  u64 lo = static_cast<u64>(p);
+  hi = static_cast<u64>(p >> 64);
+  hi += __builtin_add_overflow(lo, c, &lo);
+  hi += __builtin_add_overflow(lo, d, &lo);
+  return lo;
+}
+
+/// out = REDC(a * b) over N limbs: the generic CIOS loop with N fixed.
+/// Reads every input before writing `out`, so `out` may alias `a` or `b`.
+template <std::size_t N>
+[[gnu::always_inline]] inline void mul_fixed(const u64* a, const u64* b,
+                                             const u64* mod, u64 inv64,
+                                             u64* out) {
+  u64 t[N + 1] = {};
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < N; ++i) {
+    // t += a[i] * b
+    u64 carry = 0;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) {
+      t[j] = mac(a[i], b[j], t[j], carry, carry);
+    }
+    u64 top = __builtin_add_overflow(t[N], carry, &t[N]);
+    // (t + mfac * m) / 2^64
+    const u64 mfac = t[0] * inv64;
+    mac(mfac, mod[0], t[0], 0, carry);
+#pragma GCC unroll 8
+    for (std::size_t j = 1; j < N; ++j) {
+      t[j - 1] = mac(mfac, mod[j], t[j], carry, carry);
+    }
+    top += __builtin_add_overflow(t[N], carry, &t[N - 1]);
+    t[N] = top;
+  }
+  // t < 2m: subtract m once unless t < m.
+  u64 diff[N] = {};
+  u64 borrow = 0;
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < N; ++j) {
+    u64 next = __builtin_sub_overflow(t[j], mod[j], &diff[j]);
+    next += __builtin_sub_overflow(diff[j], borrow, &diff[j]);
+    borrow = next;
+  }
+  const bool subtract = t[N] != 0 || borrow == 0;
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < N; ++j) out[j] = subtract ? diff[j] : t[j];
+}
+
+/// mul_fixed as a call, for the products outside the window loop.
+template <std::size_t N>
+[[gnu::noinline]] void mul_fixed_call(const u64* a, const u64* b,
+                                      const u64* mod, u64 inv64, u64* out) {
+  mul_fixed<N>(a, b, mod, inv64, out);
+}
+
+/// base^exp mod m for every lane, in one window loop: each step does one
+/// product per lane, so the core overlaps the lanes' independent chains.
+/// The window width follows the longest exponent; a lane whose top window
+/// is 0 starts from R mod m.
+template <std::size_t N, std::size_t L>
+void modexp_lanes(const Lane (&lanes)[L], BigUInt (&out)[L]) {
+  unsigned ebits = 0;
+  for (const Lane& lane : lanes) {
+    ebits = std::max(ebits, lane.exp->bit_length());
+  }
+  const unsigned w = window_width(ebits);
+  const unsigned windows = (ebits + w - 1) / w;
+  u64 mod[L][N] = {};
+  u64 inv64[L] = {};
+  // table[l][v] = base_l^v in Montgomery form; table[l][0] = R mod m_l.
+  u64 table[L][1u << kMaxWindow][N] = {};
+  u64 acc[L][N] = {};
+  for (std::size_t l = 0; l < L; ++l) {
+    const Lane& lane = lanes[l];
+    std::copy(lane.mod, lane.mod + N, mod[l]);
+    inv64[l] = lane.inv64;
+    u64 base[N] = {};
+    std::copy(lane.base.limbs().begin(), lane.base.limbs().end(), base);
+    std::copy(lane.one, lane.one + N, table[l][0]);
+    mul_fixed_call<N>(base, lane.rr, mod[l], inv64[l], table[l][1]);
+    for (unsigned v = 2; v < (1u << w); ++v) {
+      mul_fixed_call<N>(table[l][v - 1], table[l][1], mod[l], inv64[l],
+                        table[l][v]);
+    }
+    const unsigned top = exp_window(lane.exp->limbs(), (windows - 1) * w, w);
+    std::copy(table[l][top], table[l][top] + N, acc[l]);
+  }
+  for (unsigned wi = windows - 1; wi-- > 0;) {
+    for (unsigned s = 0; s < w; ++s) {
+#pragma GCC unroll 2
+      for (std::size_t l = 0; l < L; ++l) {
+        mul_fixed<N>(acc[l], acc[l], mod[l], inv64[l], acc[l]);
+      }
+    }
+#pragma GCC unroll 2
+    for (std::size_t l = 0; l < L; ++l) {
+      const unsigned v = exp_window(lanes[l].exp->limbs(), wi * w, w);
+      if (v != 0) mul_fixed<N>(acc[l], table[l][v], mod[l], inv64[l], acc[l]);
+    }
+  }
+  // Leave the Montgomery domain: REDC(acc * 1).
+  for (std::size_t l = 0; l < L; ++l) {
+    const u64 unit[N] = {1};
+    u64 res[N] = {};
+    mul_fixed_call<N>(acc[l], unit, mod[l], inv64[l], res);
+    out[l] = BigUInt::from_limbs(std::vector<u64>(res, res + N));
+  }
+}
+
+/// Runs the lanes on the fixed-width kernel for `n` limbs; false when `n`
+/// has none.
+template <std::size_t L>
+bool modexp_fixed(const Lane (&lanes)[L], std::size_t n, BigUInt (&out)[L]) {
+  switch (n) {
+    case 2:
+      modexp_lanes<2>(lanes, out);
+      return true;
+    case 4:
+      modexp_lanes<4>(lanes, out);
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 MontgomeryContext::MontgomeryContext(const BigUInt& m) : m_(m) {
@@ -218,13 +376,54 @@ BigUInt MontgomeryContext::sqr(const BigUInt& a_mont) const {
 BigUInt MontgomeryContext::modexp(const BigUInt& base,
                                   const BigUInt& exp) const {
   if (exp.is_zero()) return BigUInt(1);  // m > 1
-  const BigUInt reduced = base >= m_ ? base % m_ : base;
+  BigUInt reduced = base >= m_ ? base % m_ : base;
   if (exp == BigUInt(1)) return reduced;
   if (reduced.is_zero()) return {};
+  const Lane lanes[1] = {
+      {mod_.data(), inv64_, one_.data(), rr_.data(), std::move(reduced), &exp}};
+  BigUInt out[1];
+  if (modexp_fixed(lanes, n_, out)) return std::move(out[0]);
+  return modexp_generic(lanes[0].base, exp);
+}
 
+std::pair<BigUInt, BigUInt> MontgomeryContext::modexp_pair(
+    const BigUInt& base, const BigUInt& exp_a, const BigUInt& m_a,
+    const BigUInt& exp_b, const BigUInt& m_b) {
+  const BigUInt one(1);
+  if (!m_a.is_odd() || !m_b.is_odd() || m_a == one || m_b == one) {
+    return {base.modexp(exp_a, m_a), base.modexp(exp_b, m_b)};
+  }
+  static obs::Counter& montgomery_count =
+      obs::MetricsRegistry::global().counter(obs::kCryptoModexpTotal,
+                                             {{"kernel", "montgomery"}});
+  montgomery_count.increment(2);
+  const auto ctx_a = shared(m_a);
+  const auto ctx_b = shared(m_b);
+  const MontgomeryContext& a = *ctx_a;
+  const MontgomeryContext& b = *ctx_b;
+  BigUInt reduced_a = base >= m_a ? base % m_a : base;
+  BigUInt reduced_b = base >= m_b ? base % m_b : base;
+  // Lockstep needs one limb count and a window loop on both sides.
+  if (a.n_ != b.n_ || exp_a <= one || exp_b <= one || reduced_a.is_zero() ||
+      reduced_b.is_zero()) {
+    return {a.modexp(reduced_a, exp_a), b.modexp(reduced_b, exp_b)};
+  }
+  const Lane lanes[2] = {{a.mod_.data(), a.inv64_, a.one_.data(),
+                          a.rr_.data(), std::move(reduced_a), &exp_a},
+                         {b.mod_.data(), b.inv64_, b.one_.data(),
+                          b.rr_.data(), std::move(reduced_b), &exp_b}};
+  BigUInt out[2];
+  if (modexp_fixed(lanes, a.n_, out)) {
+    return {std::move(out[0]), std::move(out[1])};
+  }
+  return {a.modexp_generic(lanes[0].base, exp_a),
+          b.modexp_generic(lanes[1].base, exp_b)};
+}
+
+BigUInt MontgomeryContext::modexp_generic(const BigUInt& reduced,
+                                          const BigUInt& exp) const {
   const unsigned ebits = exp.bit_length();
-  // Window width: the 2^w - 2 table multiplies must pay for themselves.
-  const unsigned w = ebits >= 128 ? 4 : (ebits >= 24 ? 2 : 1);
+  const unsigned w = window_width(ebits);
   const unsigned table_size = 1u << w;
   const std::size_t n = n_;
 

@@ -14,6 +14,17 @@
 // small (the public e = 65537 case), so the table precompute never
 // outweighs the multiplies it saves.
 //
+// modexp() picks its kernel from the modulus's limb count alone. At 2 and
+// 4 limbs (the CRT halves and the verify modulus of a 256-bit key, the CRT
+// halves of a 512-bit one) it runs a fixed-width kernel: the limb count is
+// a template constant, so the loops unroll and scratch stays on the stack
+// (it squares with the general product; a dedicated squaring measured no
+// faster at these widths). Every other width, and the exposed mul/sqr/to_mont/from_mont, run the
+// generic kernel. modexp_pair() runs two modexps of one width through
+// one window loop, one product of each per step, so the core overlaps two
+// independent chains of dependent multiplies: the two CRT halves of a
+// signature.
+//
 // Contexts are immutable after construction and safe to share across
 // threads. `shared()` hands out contexts from a bounded process-wide cache
 // keyed by modulus value, so every verify against the same key — and every
@@ -24,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "crypto/biguint.hpp"
@@ -42,6 +54,18 @@ class MontgomeryContext {
   /// exp == 1 without entering the window machinery.
   BigUInt modexp(const BigUInt& base, const BigUInt& exp) const;
 
+  /// {base.modexp(exp_a, m_a), base.modexp(exp_b, m_b)}, counted the same
+  /// (one e2e_crypto_modexp_total and one shared-context lookup per
+  /// half): CRT signing's two half-size exponentiations. Runs the halves
+  /// in lockstep on the fixed-width kernel when both moduli are odd and
+  /// have the same limb count, and it has one; otherwise two single
+  /// modexps.
+  static std::pair<BigUInt, BigUInt> modexp_pair(const BigUInt& base,
+                                                 const BigUInt& exp_a,
+                                                 const BigUInt& m_a,
+                                                 const BigUInt& exp_b,
+                                                 const BigUInt& m_b);
+
   // Montgomery-domain primitives, exposed for the differential tests and
   // the micro benches. Values must already be < m.
   BigUInt to_mont(const BigUInt& x) const;    // x * R mod m
@@ -57,6 +81,9 @@ class MontgomeryContext {
   static constexpr std::size_t kSharedCacheCapacity = 64;
 
  private:
+  /// The window loop over the generic kernels; `reduced` is in (0, m) and
+  /// `exp` > 1.
+  BigUInt modexp_generic(const BigUInt& reduced, const BigUInt& exp) const;
   // Raw kernels over n-limb little-endian arrays. `scratch` must hold at
   // least 2n + 2 limbs; `out` may not alias the inputs.
   void mul_raw(const std::uint64_t* a, const std::uint64_t* b,

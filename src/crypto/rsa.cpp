@@ -1,6 +1,7 @@
 #include "crypto/rsa.hpp"
 
 #include "common/tlv.hpp"
+#include "crypto/montgomery.hpp"
 #include "crypto/verify_cache.hpp"
 #include "obs/instruments.hpp"
 
@@ -107,8 +108,8 @@ KeyPair generate_keypair(Rng& rng, unsigned bits) {
 namespace {
 BigUInt digest_to_int(const Digest& digest, const BigUInt& n) {
   BigUInt h = BigUInt::from_bytes(BytesView(digest.data(), digest.size()));
-  // Keys are always > 256 bits in this library, but reduce defensively so
-  // the scheme stays well-defined for any modulus.
+  // A 256-bit key (ChainWorld's default) has n < 2^256, so a digest is
+  // often >= n: the reduction is part of the scheme, not a safeguard.
   return h % n;
 }
 }  // namespace
@@ -118,8 +119,8 @@ namespace {
 /// Algebraically equal to h^d mod n, so signatures are byte-identical to
 /// the plain path (pinned by the differential test in crypto_rsa_test).
 BigUInt sign_crt(const CrtParams& crt, const BigUInt& h) {
-  const BigUInt m1 = h.modexp(crt.dp, crt.p);
-  const BigUInt m2 = h.modexp(crt.dq, crt.q);
+  const auto [m1, m2] =
+      MontgomeryContext::modexp_pair(h, crt.dp, crt.p, crt.dq, crt.q);
   const BigUInt m2p = m2 % crt.p;
   const BigUInt diff = m1 >= m2p ? m1 - m2p : m1 + crt.p - m2p;
   const BigUInt t = (diff * crt.qinv) % crt.p;

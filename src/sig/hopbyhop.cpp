@@ -153,12 +153,12 @@ Result<RarMessage> HopByHopEngine::build_user_request(
 }
 
 std::vector<policy::ValidatedCapability>
-HopByHopEngine::validate_capabilities(Node& node, const VerifiedRar& vr,
-                                      SimTime at) const {
+HopByHopEngine::validate_capabilities(
+    Node& node, const VerifiedRar& vr,
+    const Result<std::vector<crypto::Certificate>>& chain, SimTime at) const {
   std::vector<policy::ValidatedCapability> out;
   if (vr.capability_certs.empty()) return out;
   out.reserve(1);  // one validated chain per RAR
-  auto chain = decode_chain(vr.capability_certs);
   if (!chain.ok()) {
     log::warn("sig[" + node.broker->domain() + "]")
         << "capability chain undecodable: " << chain.error().to_text();
@@ -467,6 +467,9 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
   //    covers capability-chain validation and, at the destination, cost
   //    negotiation — everything feeding the decision).
   obs::SpanScope policy_scope = hop.stage("policy");
+  // The capability chain, decoded once for validation here and delegation
+  // in stage 4 (no certificates decode to an empty chain).
+  const auto chain = decode_chain(vr.capability_certs);
   ContextInputs inputs;
   inputs.broker = &broker;
   inputs.spec = &vr.res_spec;
@@ -475,7 +478,7 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
   inputs.augmentations = &vr.augmentations;
   inputs.group_server = node.options.group_server;
   inputs.relevant_groups = &node.options.relevant_groups;
-  inputs.capabilities = validate_capabilities(node, vr, at);
+  inputs.capabilities = validate_capabilities(node, vr, chain, at);
   inputs.cpu_reservation_checker = node.options.cpu_reservation_checker;
   const policy::EvalContext ctx = build_policy_context(inputs);
   const policy::PolicyReply policy_reply = [&] {
@@ -601,22 +604,19 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
   layer.signer_dn = broker.dn().to_string();
   // §6.5: delegate the capability chain to the next broker under our own
   // signature, preserving the RAR restriction.
-  if (!vr.capability_certs.empty()) {
-    auto chain = decode_chain(vr.capability_certs);
-    if (chain.ok() && !chain->empty()) {
-      const crypto::Certificate delegated =
-          broker.sign_certificate(build_delegation(
-              chain->back(), next_node->broker->dn(),
-              next_node->broker->public_key(), /*rar_restriction=*/"",
-              chain->back().validity(), broker.next_certificate_serial()));
-      layer.capability_certs.push_back(delegated.encode());
-      obs::CurrentSpan audit_scope(hop.ref(forward_scope));
-      obs::AuditLog::global().append(
-          domain, obs::audit_kind::kDelegation,
-          {{"issuer", broker.dn().to_string()},
-           {"subject", next_node->broker->dn().to_string()},
-           {"serial", std::to_string(delegated.serial())}});
-    }
+  if (chain.ok() && !chain->empty()) {
+    const crypto::Certificate delegated =
+        broker.sign_certificate(build_delegation(
+            chain->back(), next_node->broker->dn(),
+            next_node->broker->public_key(), /*rar_restriction=*/"",
+            chain->back().validity(), broker.next_certificate_serial()));
+    layer.capability_certs.push_back(delegated.encode());
+    obs::CurrentSpan audit_scope(hop.ref(forward_scope));
+    obs::AuditLog::global().append(
+        domain, obs::audit_kind::kDelegation,
+        {{"issuer", broker.dn().to_string()},
+         {"subject", next_node->broker->dn().to_string()},
+         {"serial", std::to_string(delegated.serial())}});
   }
   forwarded.append_broker_layer(std::move(layer),
                                 [&broker](BytesView tbs) {

@@ -260,11 +260,14 @@ class HopByHopEngine {
   void establish_tunnel(Node& node, const bb::ResSpec& spec, RarReply& reply,
                         Outcome& outcome, HopSpan& hop, SimTime at);
 
-  /// Validate the capability chain carried by a verified RAR at `node`;
-  /// returns the validated capabilities usable by the policy engine (empty
-  /// if no chain or no trusted CAS for the community).
+  /// Validate the capability chain carried by a verified RAR at `node`,
+  /// given `chain`, the decoding of vr.capability_certs; returns the
+  /// validated capabilities usable by the policy engine (empty if no chain
+  /// or no trusted CAS for the community).
   std::vector<policy::ValidatedCapability> validate_capabilities(
-      Node& node, const VerifiedRar& vr, SimTime at) const;
+      Node& node, const VerifiedRar& vr,
+      const Result<std::vector<crypto::Certificate>>& chain,
+      SimTime at) const;
 
   ChannelEndpoint endpoint_for(const Node& node,
                                const crypto::Certificate* pinned = nullptr) const;

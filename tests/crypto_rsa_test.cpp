@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/tlv.hpp"
 #include "obs/instruments.hpp"
 
@@ -133,6 +135,80 @@ TEST(Rsa, CrtSignatureMatchesPlainAcrossKeySizes) {
     EXPECT_EQ(crt_sig, sign(plain, msg)) << bits;
     EXPECT_TRUE(verify(kp.pub, msg, crt_sig));
   }
+}
+
+/// s = H^d mod n on the reference kernel, at the key's width: the bytes
+/// sign() must produce whichever kernel it runs.
+Bytes reference_signature(const PrivateKey& key, BytesView message) {
+  const Digest digest = sha256(message);
+  const BigUInt h =
+      BigUInt::from_bytes(BytesView(digest.data(), digest.size())) % key.n;
+  return h.modexp_reference(key.d, key.n)
+      .to_bytes((key.n.bit_length() + 7) / 8);
+}
+
+TEST(Rsa, CrtSignatureMatchesReferenceKernel) {
+  // CRT halves of 1, 2, 3, 4 and 8 limbs: in lockstep on the fixed-width
+  // kernel at 256 and 512 bits, on the generic one elsewhere. Pin the
+  // bytes against the reference kernel, not just the plain path.
+  for (unsigned bits : {128u, 256u, 384u, 512u, 1024u}) {
+    Rng rng(7000 + bits);
+    const KeyPair kp = generate_keypair(rng, bits);
+    for (int i = 0; i < 200; ++i) {
+      Bytes msg(rng.next_u64() % 200);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+      ASSERT_EQ(sign(kp.priv, msg), reference_signature(kp.priv, msg))
+          << "bits=" << bits << " message " << i;
+    }
+  }
+}
+
+TEST(Rsa, DigestAboveModulusRoundTrips) {
+  // A 256-bit key has n < 2^256, so some digests are >= n and sign()
+  // must reduce them first.
+  Rng rng(9256);
+  const KeyPair kp = generate_keypair(rng, 256);
+  Bytes msg;
+  for (int i = 0; i < 256; ++i) {
+    const Bytes candidate = to_bytes("digest above modulus " +
+                                     std::to_string(i));
+    const Digest digest = sha256(candidate);
+    if (BigUInt::from_bytes(BytesView(digest.data(), digest.size())) >=
+        kp.pub.n) {
+      msg = candidate;
+      break;
+    }
+  }
+  ASSERT_FALSE(msg.empty()) << "no message with digest >= n";
+  const PrivateKey plain{kp.priv.n, kp.priv.d, std::nullopt};
+  const Bytes sig = sign(kp.priv, msg);
+  EXPECT_EQ(sig, sign(plain, msg));
+  EXPECT_EQ(sig, reference_signature(kp.priv, msg));
+  EXPECT_TRUE(verify(kp.pub, msg, sig));
+  Bytes tampered_msg = msg;
+  tampered_msg.back() ^= 0x01;
+  EXPECT_FALSE(verify(kp.pub, tampered_msg, sig));
+  Bytes tampered_sig = sig;
+  tampered_sig.back() ^= 0x01;
+  EXPECT_FALSE(verify(kp.pub, msg, tampered_sig));
+}
+
+TEST(Rsa, CrtSignCountsTwoModexpsAndTwoContextLookups) {
+  // The lockstep halves count as the two modexps they replace. (Fetch the
+  // key first: generating it runs counted Miller-Rabin modexps.)
+  const PrivateKey& priv = test_keys().priv;
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& montgomery =
+      registry.counter(obs::kCryptoModexpTotal, {{"kernel", "montgomery"}});
+  obs::Counter& hits =
+      registry.counter(obs::kCryptoMontCtxLookupsTotal, {{"result", "hit"}});
+  obs::Counter& misses =
+      registry.counter(obs::kCryptoMontCtxLookupsTotal, {{"result", "miss"}});
+  const std::uint64_t modexps_before = montgomery.value();
+  const std::uint64_t lookups_before = hits.value() + misses.value();
+  (void)sign(priv, to_bytes("counted once per half"));
+  EXPECT_EQ(montgomery.value() - modexps_before, 2u);
+  EXPECT_EQ(hits.value() + misses.value() - lookups_before, 2u);
 }
 
 TEST(Rsa, LegacyTwoFieldPrivateKeyStillDecodes) {
