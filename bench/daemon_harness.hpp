@@ -42,24 +42,10 @@ inline void maybe_dump_grant(BytesView reply_bytes) {
 /// One forked daemon process + the socket path it serves on.
 class DaemonHarness {
  public:
-  /// Knobs for the forked child's BbdService. Zero-valued sizes keep the
-  /// service defaults.
-  struct LaunchSpec {
-    /// Open the plaintext admin plane on a second UNIX socket
-    /// (admin_endpoint()), for the scrape-overhead bench mode.
-    bool with_admin = false;
-    /// BbdService::Options::rpc_workers (0 = service default).
-    std::size_t rpc_workers = 0;
-  };
-
-  /// Fork a child hosting BbdService on a fresh UNIX socket.
+  /// Fork a child hosting BbdService on a fresh UNIX socket; with_admin
+  /// also opens the plaintext admin plane on a second UNIX socket
+  /// (admin_endpoint()), for the scrape-overhead bench mode.
   static DaemonHarness launch(bool with_admin = false) {
-    LaunchSpec spec;
-    spec.with_admin = with_admin;
-    return launch(spec);
-  }
-
-  static DaemonHarness launch(const LaunchSpec& spec) {
     DaemonHarness h;
     // The counter keeps paths distinct when one bench process launches
     // several daemons in sequence (load_daemon's serial vs pipelined
@@ -70,7 +56,7 @@ class DaemonHarness {
         "_" + std::to_string(launch_count++);
     h.socket_path_ = stem + ".sock";
     ::unlink(h.socket_path_.c_str());
-    if (spec.with_admin) {
+    if (with_admin) {
       h.admin_path_ = stem + ".admin.sock";
       ::unlink(h.admin_path_.c_str());
     }
@@ -83,7 +69,6 @@ class DaemonHarness {
         options.admin_on = {
             net::Endpoint::parse("unix:" + h.admin_path_).value()};
       }
-      if (spec.rpc_workers != 0) options.rpc_workers = spec.rpc_workers;
       net::BbdService service(std::move(options));
       if (!service.start().ok()) ::_exit(1);
       service.wait();  // until the client's kShutdown drains the loop

@@ -2,10 +2,9 @@
 //
 // load_broker prices admission with the engine in-process; this bench
 // prices the same RAR churn through the full daemon stack — sealed TLV
-// framing, the event loop, the RPC worker pool — and measures what wire
-// pipelining buys. A fleet of C connections (one BbdClient per thread,
-// each affine to its own RPC worker in the child) drives mini-batches of
-// tunnel-flow RARs against a forked bbd:
+// framing and the event loop that executes every request — and measures
+// what wire pipelining buys. A fleet of C connections (one BbdClient per
+// thread) drives mini-batches of tunnel-flow RARs against a forked bbd:
 //
 //   serial     every call is one synchronous round trip (pipeline_depth
 //              1, the pre-ISSUE-10 wire, byte-identical hello);
@@ -23,7 +22,7 @@
 // The RESULT line `daemon_pipeline_x=` (pipelined / serial RARs/s) is
 // gated by scripts/bench_snapshot.sh — >= 3x on hosts with >= 4 cores,
 // > 1x sanity on 2-3 cores, recorded-only on a single core (the client
-// fleet, the loop thread and the workers all contend for one CPU, so the
+// fleet and the daemon's loop thread all contend for one CPU, so the
 // ratio measures oversubscription, not pipelining; same policy as
 // load_broker's scaling gate).
 //
@@ -188,14 +187,12 @@ void run_connection(const bu::DaemonHarness& harness, std::size_t index,
   }
 }
 
-/// Fork a fresh daemon (one RPC worker per connection), run the fleet,
-/// shut the daemon down. Each mode gets its own daemon so the serial
-/// numbers are never polluted by the pipelined run's world state.
+/// Fork a fresh daemon, run the fleet, shut the daemon down. Each mode
+/// gets its own daemon so the serial numbers are never polluted by the
+/// pipelined run's world state.
 FleetResult run_fleet(std::size_t connections, std::uint64_t window,
                       std::uint64_t depth, std::size_t batches) {
-  bu::DaemonHarness::LaunchSpec spec;
-  spec.rpc_workers = connections;
-  bu::DaemonHarness harness = bu::DaemonHarness::launch(spec);
+  bu::DaemonHarness harness = bu::DaemonHarness::launch();
 
   // Control connection: size the world before the fleet dials in.
   auto control = harness.connect();
@@ -278,8 +275,8 @@ int main(int argc, char** argv) {
   ok &= bu::check(serial.ops == pipelined.ops && serial.ops > 0,
                   "both modes completed the identical op count");
   // Core-aware gate, mirroring load_broker's scaling policy: the ratio
-  // only measures pipelining when the fleet, the loop thread and the
-  // workers actually run in parallel.
+  // only measures pipelining when the fleet and the daemon's loop thread
+  // actually run in parallel.
   if (cores >= 4) {
     ok &= bu::check(pipeline_x >= 3.0,
                     "depth-" + std::to_string(depth) +

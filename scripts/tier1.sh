@@ -41,8 +41,9 @@
 #                                     multi-process soak and the admin-plane
 #                                     conformance suite, default build then
 #                                     ASan/UBSan, then net_stream_test
-#                                     again under TSan (off-loop
-#                                     execution); the scrape-
+#                                     and daemon_admin_test again under
+#                                     TSan (admin thread vs the loop);
+#                                     the scrape-
 #                                     conformance gate — a live bbd with
 #                                     --admin scraped over /metrics, /statz
 #                                     and /healthz, families checked against
@@ -212,14 +213,17 @@ if [[ "${1:-}" == "--daemon" ]]; then
   ./build-asan/tests/daemon_admin_test
   echo "tier1 --daemon: stream/soak/admin suites OK (asan)"
 
-  # And under ThreadSanitizer (ISSUE 10): the pipeline suite drives
-  # cross-thread StreamServer::post(), the RPC worker pool and the
-  # pipelined client, so data races in the off-loop execution path are
-  # caught here, not in production.
+  # And under ThreadSanitizer: requests execute on the loop
+  # thread, so what is left to race is the admin thread (/healthz,
+  # /statz, /tracez, metrics refresh) against the loop, plus the
+  # pipelined client fleet against the daemon in one process. The stream
+  # suites and the admin-plane conformance suite run here.
   cmake --preset tsan >/dev/null
-  cmake --build build-tsan -j --target net_stream_test >/dev/null
+  cmake --build build-tsan -j --target net_stream_test daemon_admin_test \
+    >/dev/null
   ./build-tsan/tests/net_stream_test
-  echo "tier1 --daemon: stream suites OK under TSan"
+  ./build-tsan/tests/daemon_admin_test
+  echo "tier1 --daemon: stream and admin suites OK under TSan"
 
   # Scrape conformance: a live bbd with --admin must serve /healthz,
   # /statz (valid JSON with connection totals) and a parseable /metrics

@@ -98,7 +98,7 @@ class BandwidthBroker {
   const policy::PolicyServer& policy_server() const { return policy_server_; }
 
   // --- Admission control ----------------------------------------------------
-  // A broker is a server: the daemon's RPC workers, concurrent tunnel
+  // A broker is a server: the daemon's event loop, concurrent tunnel
   // sub-reservations and the load harness all issue requests against it
   // from several threads. Admission state is sharded instead of
   // serialized behind one broker lock: each capacity pool carries its own

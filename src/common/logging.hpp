@@ -1,9 +1,8 @@
-// Minimal logger for warnings and errors.
+// Minimal logger for warnings.
 //
 // Components report anomalies (a rejected capability chain, a failed
-// policy evaluation or tunnel channel, a worker task that threw) on
-// stderr, one line each. The normal protocol path logs nothing, so tests
-// and benchmarks stay quiet.
+// policy evaluation or tunnel channel) on stderr, one line each. The
+// normal protocol path logs nothing, so tests and benchmarks stay quiet.
 #pragma once
 
 #include <sstream>
@@ -11,18 +10,15 @@
 
 namespace e2e::log {
 
-enum class Level { kWarn, kError };
-
-/// Emit one line on stderr (thread-safe).
-void write(Level level, const std::string& component,
-           const std::string& message);
+/// Emit one warning line on stderr (thread-safe).
+void write(const std::string& component, const std::string& message);
 
 namespace detail {
 class LineBuilder {
  public:
-  LineBuilder(Level level, std::string component)
-      : level_(level), component_(std::move(component)) {}
-  ~LineBuilder() { write(level_, component_, stream_.str()); }
+  explicit LineBuilder(std::string component)
+      : component_(std::move(component)) {}
+  ~LineBuilder() { write(component_, stream_.str()); }
   LineBuilder(const LineBuilder&) = delete;
   LineBuilder& operator=(const LineBuilder&) = delete;
 
@@ -33,17 +29,13 @@ class LineBuilder {
   }
 
  private:
-  Level level_;
   std::string component_;
   std::ostringstream stream_;
 };
 }  // namespace detail
 
 inline detail::LineBuilder warn(std::string component) {
-  return {Level::kWarn, std::move(component)};
-}
-inline detail::LineBuilder error(std::string component) {
-  return {Level::kError, std::move(component)};
+  return detail::LineBuilder(std::move(component));
 }
 
 }  // namespace e2e::log

@@ -76,26 +76,35 @@ Status BbdClient::pump_one(std::chrono::steady_clock::time_point deadline) {
                            std::to_string(id)));
 }
 
+Status BbdClient::pump_oldest() {
+  const auto oldest = pending_.begin();
+  const auto deadline = oldest->second;
+  const Status pumped = pump_one(deadline);
+  if (pumped.ok() || pumped.error().code != ErrorCode::kTimeout) {
+    return pumped;
+  }
+  if (std::chrono::steady_clock::now() < deadline) {
+    return Status::ok_status();
+  }
+  const std::uint64_t stale = oldest->first;
+  pending_.erase(stale);
+  abandoned_.insert(stale);
+  completed_.emplace(
+      stale, Result<BbdResponse>(make_error(ErrorCode::kTimeout,
+                                            "pipelined call timed out",
+                                            std::to_string(stale))));
+  return Status::ok_status();
+}
+
 Result<BbdClient::Call> BbdClient::call_async(BbdRequest request) {
   if (broken_.has_value()) return *broken_;
   // A full window blocks on the OLDEST call's own deadline; when it
   // expires the slot is reclaimed by abandoning that call (its wait()
   // will report kTimeout from completed_).
   while (pending_.size() >= std::max<std::uint64_t>(window_, 1)) {
-    const auto oldest = pending_.begin();
-    const auto deadline = oldest->second;
-    const Status pumped = pump_one(deadline);
-    if (pumped.ok()) continue;
-    if (pumped.error().code != ErrorCode::kTimeout) return pumped.error();
-    if (std::chrono::steady_clock::now() < deadline) continue;
-    const std::uint64_t stale = oldest->first;
-    pending_.erase(stale);
-    abandoned_.insert(stale);
-    completed_.emplace(
-        stale,
-        Result<BbdResponse>(make_error(ErrorCode::kTimeout,
-                                       "pipelined call timed out",
-                                       std::to_string(stale))));
+    if (const Status pumped = pump_oldest(); !pumped.ok()) {
+      return pumped.error();
+    }
   }
   request.id = next_id_++;
   const sig::Record record = session_.seal(request.encode());
@@ -141,20 +150,7 @@ Result<BbdResponse> BbdClient::wait(const Call& call) {
 
 Status BbdClient::drain() {
   while (!pending_.empty()) {
-    const auto oldest = pending_.begin();
-    const auto deadline = oldest->second;
-    const Status pumped = pump_one(deadline);
-    if (pumped.ok()) continue;
-    if (pumped.error().code != ErrorCode::kTimeout) return pumped;
-    if (std::chrono::steady_clock::now() < deadline) continue;
-    const std::uint64_t stale = oldest->first;
-    pending_.erase(stale);
-    abandoned_.insert(stale);
-    completed_.emplace(
-        stale,
-        Result<BbdResponse>(make_error(ErrorCode::kTimeout,
-                                       "pipelined call timed out",
-                                       std::to_string(stale))));
+    if (const Status pumped = pump_oldest(); !pumped.ok()) return pumped;
   }
   return broken_.has_value() ? Status(*broken_) : Status::ok_status();
 }

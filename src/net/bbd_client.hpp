@@ -162,6 +162,10 @@ class BbdClient {
   /// abandon); any other failure is recorded as the sticky error and
   /// fails every pending call.
   Status pump_one(std::chrono::steady_clock::time_point deadline);
+  /// pump_one() against the oldest in-flight call's deadline; once that
+  /// deadline has passed, abandon the call (its wait() reports kTimeout).
+  /// Only sticky errors are returned. Requires a call in flight.
+  Status pump_oldest();
   /// Mark the connection broken and fail every pending call with
   /// `error`.
   Status poison(const Error& error);

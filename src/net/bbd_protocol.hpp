@@ -84,7 +84,8 @@ enum class BbdOp : std::uint32_t {
   kHello = 2,
   /// (Re)build the daemon's world: u64a=domains, u64b=seed (0 keeps the
   /// config default), u64c=inter-domain latency (SimDuration), f64a=domain
-  /// capacity, f64b=SLA rate. Destroys the previous world.
+  /// capacity, f64b=SLA rate. Destroys the previous world. Response
+  /// u64a = the number of domains in the world just built.
   kConfigure = 3,
   /// u64a=i, u64b=j, u64c=one-way latency between domains i and j.
   kSetLatency = 4,

@@ -93,20 +93,11 @@ Status BbdService::start() {
   if (auto built = rebuild_world(std::move(config)); !built.ok()) {
     return built;
   }
-  rpc_pool_ = std::make_unique<ThreadPool>(options_.rpc_workers);
   StreamServer::Options server_options;
   server_options.listen_on = options_.listen_on;
   server_options.idle_timeout = options_.idle_timeout;
   server_options.max_write_queue_bytes = options_.max_write_queue_bytes;
   server_options.force_poll = options_.force_poll;
-  // Graceful drain must outwait requests the worker pool still owns, not
-  // just queued writes: a connection is drainable only once every
-  // dispatched request has its response in the write queue.
-  server_options.drain_gate = [this](StreamServer::ConnId id) {
-    const ConnPtr conn = find_conn(id);
-    return conn == nullptr ||
-           conn->in_flight.load(std::memory_order_acquire) == 0;
-  };
   StreamServer::Callbacks callbacks;
   callbacks.on_open = [this](StreamServer::ConnId id, const Endpoint& via) {
     on_open(id, via);
@@ -140,7 +131,7 @@ Status BbdService::start_admin() {
     const bool draining = draining_.load(std::memory_order_acquire);
     bool has_world = false;
     {
-      // Pointer lock only: readiness must answer even while a worker
+      // Pointer lock only: readiness must answer even while the loop
       // holds world_mutex_ for a long-running RPC.
       std::lock_guard lock(world_ptr_mutex_);
       has_world = world_ != nullptr;
@@ -243,13 +234,10 @@ std::string BbdService::build_statz() const {
       out += ",\"frames_rx\":" + std::to_string(conn.frames_rx);
       out += ",\"frames_tx\":" + std::to_string(conn.frames_tx);
       out += ",\"queued_bytes\":" + std::to_string(conn.queued_bytes);
-      std::uint64_t in_flight = 0;
       std::uint64_t window = 1;
       if (const ConnPtr state = find_conn(conn.id); state != nullptr) {
-        in_flight = state->in_flight.load(std::memory_order_relaxed);
         window = state->window.load(std::memory_order_relaxed);
       }
-      out += ",\"in_flight\":" + std::to_string(in_flight);
       out += ",\"window\":" + std::to_string(window);
       out += "}";
     }
@@ -270,13 +258,9 @@ std::string BbdService::build_tracez() const {
 
 void BbdService::finalize_shutdown() {
   loop_live_.store(false, std::memory_order_release);
-  // Retire the worker pool first: its destructor drains every queued
-  // task (stale frames, disconnect finalizers), so the audit record and
-  // the metrics snapshot below observe a fully settled world. A stop()
-  // (non-graceful) exit may still have requests queued here; their
-  // completions post to a loop that never runs again, which is safe —
-  // posted tasks are discarded, never executed off-loop.
-  rpc_pool_.reset();
+  // run() has closed every connection, so each on_close orphan release
+  // already ran on the loop: the audit record and the metrics snapshot
+  // below observe a fully settled world.
   if (admin_server_ != nullptr) {
     admin_server_->stop();
     if (admin_loop_.joinable()) admin_loop_.join();
@@ -307,7 +291,7 @@ void BbdService::stop() {
 
 void BbdService::shutdown_gracefully() {
   // Readiness flips before the drain begins: a load balancer probing
-  // /readyz stops routing while the last in-flight requests finish.
+  // /readyz stops routing while the last responses flush.
   draining_.store(true, std::memory_order_release);
   if (server_ != nullptr) server_->shutdown_gracefully();
 }
@@ -376,17 +360,13 @@ void BbdService::on_close(StreamServer::ConnId id, const Status& reason) {
     conn = std::move(it->second);
     conns_.erase(it);
   }
-  conn->dead.store(true, std::memory_order_release);
-  // The disconnect finalizer runs on the connection's own worker, so it
-  // queues BEHIND every request dispatched before the close: the grants
-  // list is final when it runs, and orphan release happens exactly once,
-  // after the last grant of the connection landed.
-  rpc_pool_->post(id, [this, conn] {
-    if (conn->release_on_disconnect) {
-      std::lock_guard lock(world_mutex_);
-      release_orphans(*conn);
-    }
-  });
+  // Requests execute inline on the loop, so every request of this
+  // connection has run by now: the grants list is final, and orphan
+  // release happens exactly once, after the connection's last grant.
+  if (conn->release_on_disconnect) {
+    std::lock_guard lock(world_mutex_);
+    release_orphans(*conn);
+  }
 }
 
 void BbdService::release_orphans(ConnState& conn) {
@@ -439,49 +419,17 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
     (void)on_handshake_frame(id, *conn, frame);
     return;
   }
-  if (conn->dead.load(std::memory_order_acquire)) return;
-  // Window enforcement at dispatch: a connection may keep at most its
-  // negotiated number of requests in flight (1 unless kHello raised it).
-  // Exceeding it is a protocol violation — the peer is not the client
-  // library — and the connection is shed before the excess can queue.
-  const std::uint64_t in_flight =
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (in_flight > conn->window.load(std::memory_order_acquire)) {
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    conn->dead.store(true, std::memory_order_release);
-    server_->close_after_flush(id);
-    return;
-  }
-  // Everything else — unseal, decode, execute, re-seal — happens on the
-  // connection's affine worker (keyed by connection id, so its sealed
-  // channel's sequence chain advances in FIFO order); the loop goes
-  // straight back to IO.
-  rpc_pool_->post(id, [this, id, conn, frame = std::move(frame)]() mutable {
-    process_frame(id, conn, std::move(frame));
-  });
-}
-
-/// Worker-thread half of the RPC path.
-void BbdService::process_frame(StreamServer::ConnId id, const ConnPtr& conn,
-                               Bytes frame) {
-  if (conn->dead.load(std::memory_order_acquire)) {
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
+  if (conn->dead) return;
   // Established: every frame is a sealed record carrying one request.
   auto record = sig::decode_record(frame);
   Result<Bytes> payload = record.ok()
                               ? conn->handshake->session().open(record.value())
                               : Result<Bytes>(record.error());
   if (!payload.ok()) {
-    // Protocol corruption: poison the connection worker-side first so
-    // frames already queued behind this one become no-ops, then hand the
-    // close to the loop.
-    conn->dead.store(true, std::memory_order_release);
-    server_->post([this, id, conn] {
-      server_->close_after_flush(id);
-      conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    });
+    // Protocol corruption: frames that follow on this connection are
+    // ignored until the close completes.
+    conn->dead = true;
+    server_->close_after_flush(id);
     return;
   }
   auto request = BbdRequest::decode(payload.value());
@@ -493,9 +441,8 @@ void BbdService::process_frame(StreamServer::ConnId id, const ConnPtr& conn,
     const auto rpc_start = std::chrono::steady_clock::now();
     {
       // One exclusive section for world/engine/users: the signalling
-      // engines mutate unsynchronized per-tunnel and per-node state, so
-      // request execution serializes here — crypto framing above and
-      // below runs concurrently across connections.
+      // engines mutate unsynchronized per-tunnel and per-node state, and
+      // /tracez reads them from the admin thread.
       std::lock_guard lock(world_mutex_);
       response = handle(id, *conn, request.value());
     }
@@ -511,20 +458,10 @@ void BbdService::process_frame(StreamServer::ConnId id, const ConnPtr& conn,
     shutdown_after_reply =
         request.value().op == BbdOp::kShutdown && response.ok;
   }
-  // Seal on the worker too: per-connection FIFO execution keeps the send
-  // sequence chain in order, and the loop thread never runs crypto.
-  sig::Record sealed = conn->handshake->session().seal(response.encode());
-  server_->post([this, id, conn, wire = sig::encode_record(sealed),
-                 shutdown_after_reply] {
-    (void)server_->send(id, BytesView(wire.data(), wire.size()));
-    // Decrement AFTER the response is queued: the drain gate must never
-    // see zero in-flight with the reply still on a worker.
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    if (shutdown_after_reply) {
-      draining_.store(true, std::memory_order_release);
-      server_->shutdown_gracefully();
-    }
-  });
+  const Bytes wire =
+      sig::encode_record(conn->handshake->session().seal(response.encode()));
+  (void)server_->send(id, BytesView(wire.data(), wire.size()));
+  if (shutdown_after_reply) shutdown_gracefully();
 }
 
 BbdResponse BbdService::handle(StreamServer::ConnId id, ConnState& conn,
@@ -573,7 +510,7 @@ BbdResponse BbdService::handle(StreamServer::ConnId id, ConnState& conn,
         return BbdResponse::failure(req.id, built.error());
       }
       BbdResponse res = BbdResponse::success(req.id);
-      res.u64a = options_.world.domains;
+      res.u64a = world_->names().size();
       return res;
     }
     case BbdOp::kSetLatency: {

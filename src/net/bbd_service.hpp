@@ -8,32 +8,28 @@
 // RarReply crosses the wire as its canonical encoding, a multi-process run
 // produces byte-identical protocol output to the in-memory one.
 //
-// Threading: the daemon is a three-stage pipeline, and the RPC worker
-// pool is its only thread pool.
-//   1. The StreamServer loop thread owns sockets and frames: it runs the
-//      handshake stages inline, dispatches established frames to the RPC
-//      worker pool, and is the only thread that calls send().
-//   2. The RPC worker pool (a ThreadPool of Options::rpc_workers threads)
-//      unseals, decodes, executes and re-seals each request. Requests
-//      are posted under their connection id, so a connection is affine
-//      to one worker (id mod pool size) and its sealed sequence numbers
-//      advance in FIFO order with no cross-thread session use;
-//      completions return to the loop via StreamServer::post().
-//      Admission runs inline on the worker against the brokers'
-//      self-locked pools.
-//   3. The admin plane thread renders introspection documents.
-// Locks are per-stage, not monolithic:
+// Threading: the service runs on two threads.
+//   1. The StreamServer loop thread owns sockets and frames and runs
+//      every request inline, one at a time, in arrival order: handshake
+//      stages, then per established frame unseal, decode, execute under
+//      world_mutex_, seal and send(). A connection's requests therefore
+//      run in FIFO order and its sealed sequence numbers advance on one
+//      thread; on_close runs after the connection's last request, so
+//      orphan release sees its final grants list. What bounds a peer
+//      that floods requests and never reads is the server's per-
+//      connection write-queue bound (Options::max_write_queue_bytes).
+//   2. The admin plane thread (only with Options::admin_on) renders
+//      introspection documents.
+// Locks guard what the admin thread reads while the loop runs:
 //   - world_mutex_   serializes world/engine/users mutation (the engines
-//     are not internally synchronized), taken by workers per request and
-//     by /tracez;
+//     are not internally synchronized), taken by the loop per request
+//     and by /tracez;
 //   - world_ptr_mutex_ guards only the world_ pointer itself, so /healthz
 //     observes the world without queueing behind a long-running RPC;
 //   - conns_mutex_   guards the connection-state map (loop inserts and
-//     erases; /statz reads the per-connection in-flight gauges).
-// Per-connection mutable state is either loop-owned (handshake stage),
-// worker-affine (grants, release_on_disconnect — the disconnect
-// finalizer runs on the same worker queue, after every dispatched
-// request), or atomic (in_flight, pipeline window, dead flag).
+//     erases; /statz reads the per-connection pipeline windows).
+// Per-connection state is loop-owned, except the atomic pipeline window
+// that /statz reads.
 #pragma once
 
 #include <atomic>
@@ -48,7 +44,6 @@
 
 #include "common/result.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/ca.hpp"
 #include "kit/chain_world.hpp"
 #include "net/bbd_protocol.hpp"
@@ -93,11 +88,6 @@ class BbdService {
     std::chrono::milliseconds idle_timeout{0};
     std::size_t max_write_queue_bytes = 4u << 20;
     bool force_poll = false;
-    /// RPC worker pool size: decode/unseal + request execution run on
-    /// these threads, not the event loop (docs/DAEMON.md "Pipelining").
-    /// Each connection is affine to one worker; sizing past the number
-    /// of distinct client connections buys nothing.
-    std::size_t rpc_workers = 2;
     /// Optional plaintext admin/telemetry listeners (docs/DAEMON.md "Live
     /// operations"): a second StreamServer in raw mode serving the
     /// obs::AdminPlane HTTP routes. Empty (the default) disables the
@@ -138,26 +128,21 @@ class BbdService {
     /// frame must be the Finished message. (The responder's own done()
     /// only flips after Finished, so the connection tracks this stage.)
     bool hello_consumed = false;
-    /// Loop thread only: set when the handshake completes. After this
-    /// the session inside `handshake` is used exclusively by the
-    /// connection's affine worker (the dispatch post orders the handoff).
+    /// Set when the handshake completes; every later frame is a sealed
+    /// request on the session inside `handshake`.
     bool established = false;
-    /// Worker-affine (kHello handler and the disconnect finalizer both
-    /// run on the connection's worker).
+    /// Set by kHello (flag bit 0).
     bool release_on_disconnect = false;
     /// (engine, RarReply bytes) of every end-to-end grant made over this
     /// connection and not yet released — released on disconnect when the
-    /// connection asked for it (kHello flag bit 0). Worker-affine.
+    /// connection asked for it (kHello flag bit 0).
     std::vector<std::pair<std::string, Bytes>> grants;
     /// Negotiated pipeline window (kHello); 1 = the serial contract.
+    /// Atomic because /statz reads it from the admin thread.
     std::atomic<std::uint64_t> window{1};
-    /// Requests dispatched to the worker pool whose responses have not
-    /// been queued yet. Loop increments at dispatch and decrements in
-    /// the completion task; the drain gate and /statz read it.
-    std::atomic<std::uint64_t> in_flight{0};
-    /// Protocol error or close observed: queued worker tasks for this
-    /// connection become no-ops.
-    std::atomic<bool> dead{false};
+    /// Protocol error observed: frames that follow are ignored until the
+    /// close completes.
+    bool dead = false;
   };
   using ConnPtr = std::shared_ptr<ConnState>;
 
@@ -169,10 +154,6 @@ class BbdService {
   /// the connection was closed on error. Loop thread.
   bool on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
                           const Bytes& frame);
-  /// Worker thread: unseal, decode, execute, seal; posts the completion
-  /// (or the close) back to the loop.
-  void process_frame(StreamServer::ConnId id, const ConnPtr& conn,
-                     Bytes frame);
   BbdResponse handle(StreamServer::ConnId id, ConnState& conn,
                      const BbdRequest& request);
   Status rebuild_world(kit::ChainWorldConfig config);
@@ -187,9 +168,8 @@ class BbdService {
   void on_admin_data(StreamServer::ConnId id, BytesView data);
   std::string build_statz() const;
   std::string build_tracez() const;
-  /// Runs on the loop thread after run() returns: retire the RPC worker
-  /// pool (draining any queued work), stop the admin plane, append the
-  /// audit "shutdown" record, write the final snapshot.
+  /// Runs on the loop thread after run() returns: stop the admin plane,
+  /// append the audit "shutdown" record, write the final snapshot.
   void finalize_shutdown();
 
   Options options_;
@@ -199,8 +179,9 @@ class BbdService {
   std::thread loop_;
   std::map<std::string, kit::WorldUser> users_;
 
-  /// Serializes every world/engine/users mutation (workers, kConfigure,
-  /// /tracez). The signalling engines are not internally synchronized.
+  /// Serializes every world/engine/users mutation (requests on the loop,
+  /// /tracez on the admin thread). The signalling engines are not
+  /// internally synchronized.
   mutable std::mutex world_mutex_;
   /// Guards only the world_ pointer (swap on kConfigure vs the admin
   /// thread's /healthz read); never held across engine work.
@@ -213,7 +194,7 @@ class BbdService {
 
   std::atomic<bool> loop_live_{false};
   /// Set the moment a graceful drain is requested; /readyz flips to
-  /// not-ready immediately, before the last in-flight request finishes.
+  /// not-ready immediately, before the last responses flush.
   std::atomic<bool> draining_{false};
 
   std::unique_ptr<StreamServer> admin_server_;
@@ -224,14 +205,10 @@ class BbdService {
 
   /// Wall-clock telemetry over the RPC stream: latency distribution and
   /// SLO burn over the last minute, published at admin snapshot refresh.
-  /// Internally synchronized (workers record, admin thread reads).
+  /// Internally synchronized (the loop records, the admin thread reads).
   obs::WallClockFn wall_clock_;
   obs::WindowedHistogram rpc_latency_;
   obs::BurnRateTracker rpc_burn_;
-
-  /// Declared last: its destructor drains all queued tasks, which may
-  /// still touch the members above.
-  std::unique_ptr<ThreadPool> rpc_pool_;
 };
 
 }  // namespace e2e::net

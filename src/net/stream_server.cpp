@@ -233,26 +233,6 @@ void StreamServer::shutdown_gracefully() {
   }
 }
 
-void StreamServer::post(std::function<void()> task) {
-  {
-    std::lock_guard lock(post_mutex_);
-    posted_.push_back(std::move(task));
-  }
-  if (wake_write_fd_ >= 0) {
-    const char byte = 'p';
-    [[maybe_unused]] ssize_t n = ::write(wake_write_fd_, &byte, 1);
-  }
-}
-
-void StreamServer::run_posted_tasks() {
-  std::deque<std::function<void()>> tasks;
-  {
-    std::lock_guard lock(post_mutex_);
-    tasks.swap(posted_);
-  }
-  for (auto& task : tasks) task();
-}
-
 void StreamServer::require_loop_thread(const char* api) const {
   if (!loop_live_.load(std::memory_order_acquire)) return;
   if (loop_thread_.load(std::memory_order_relaxed) ==
@@ -263,7 +243,7 @@ void StreamServer::require_loop_thread(const char* api) const {
   // a foreign thread reaching the loop-owned write path is a data race
   // on every connection structure — abort before it corrupts anything.
   std::fprintf(stderr,
-               "StreamServer::%s called off the loop thread; use post()\n",
+               "StreamServer::%s called off the loop thread\n",
                api);
   std::abort();
 }
@@ -310,14 +290,9 @@ void StreamServer::run() {
   loop_live_.store(true, std::memory_order_release);
   while (true) {
     if (stop_requested_.load(std::memory_order_acquire)) break;
-    // Posted tasks run before the drain sweep so completions handed over
-    // by worker threads queue their responses (and clear the drain gate)
-    // in the same iteration that evaluates it.
-    run_posted_tasks();
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
-      // Stop accepting; existing connections get to drain their writes
-      // and their in-flight worker requests (Options::drain_gate).
+      // Stop accepting; existing connections get to drain their writes.
       for (Listener& listener : listeners_) {
         poller_->remove(listener.fd());
         listener.close();
@@ -374,13 +349,6 @@ void StreamServer::run() {
 void StreamServer::sweep_draining() {
   std::vector<ConnId> idle_now;
   for (auto& [id, conn] : connections_) {
-    if (options_.drain_gate && !options_.drain_gate(id)) {
-      // In-flight application work: the response is not even queued yet,
-      // so this connection must neither close now nor arm
-      // closing_after_flush (the write queue may transiently drain while
-      // a worker still owns a request). Re-checked next iteration.
-      continue;
-    }
     if (conn.write_queue.empty()) {
       idle_now.push_back(id);
     } else {
@@ -443,52 +411,50 @@ void StreamServer::read_ready(ConnId id) {
   if (it == connections_.end()) return;
   Connection& conn = it->second;
   conn.last_activity = std::chrono::steady_clock::now();
-  while (true) {
-    std::uint8_t chunk[16384];
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      close_connection(id, make_error(ErrorCode::kUnavailable,
-                                      std::string("recv(): ") +
-                                          std::strerror(errno)));
-      return;
+  // One chunk per readiness event: the poller is level-triggered, so any
+  // bytes left in the socket are reported again next iteration, after
+  // the other ready connections had their turn.
+  std::uint8_t chunk[16384];
+  const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+    close_connection(id, make_error(ErrorCode::kUnavailable,
+                                    std::string("recv(): ") +
+                                        std::strerror(errno)));
+    return;
+  }
+  if (n == 0) {
+    close_connection(id,
+                     !options_.raw_stream && conn.decoder.mid_frame()
+                         ? Status(make_error(ErrorCode::kUnavailable,
+                                             "peer disconnected "
+                                             "mid-message"))
+                         : Status::ok_status());
+    return;
+  }
+  count_stream_bytes("rx", static_cast<std::size_t>(n));
+  conn.stats->bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
+                                 std::memory_order_relaxed);
+  if (options_.raw_stream) {
+    if (callbacks_.on_data) {
+      callbacks_.on_data(id, BytesView(chunk, static_cast<std::size_t>(n)));
     }
-    if (n == 0) {
-      close_connection(id,
-                       !options_.raw_stream && conn.decoder.mid_frame()
-                           ? Status(make_error(ErrorCode::kUnavailable,
-                                               "peer disconnected "
-                                               "mid-message"))
-                           : Status::ok_status());
-      return;
-    }
-    count_stream_bytes("rx", static_cast<std::size_t>(n));
-    conn.stats->bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
-                                   std::memory_order_relaxed);
-    if (options_.raw_stream) {
-      if (callbacks_.on_data) {
-        callbacks_.on_data(id,
-                           BytesView(chunk, static_cast<std::size_t>(n)));
-      }
-      // The callback may have closed the connection (bad request).
-      if (!connections_.contains(id)) return;
-      continue;
-    }
-    auto fed = conn.decoder.feed(BytesView(chunk, static_cast<std::size_t>(n)));
-    if (!fed.ok()) {
-      close_connection(id, fed);
-      return;
-    }
-    while (auto frame = conn.decoder.next()) {
-      obs::MetricsRegistry::global()
-          .counter(obs::kNetFramesTotal, {{"dir", "rx"}})
-          .increment();
-      conn.stats->frames_rx.fetch_add(1, std::memory_order_relaxed);
-      if (callbacks_.on_frame) callbacks_.on_frame(id, std::move(*frame));
-      // The callback may have closed the connection (protocol error).
-      if (!connections_.contains(id)) return;
-    }
+    return;
+  }
+  auto fed = conn.decoder.feed(BytesView(chunk, static_cast<std::size_t>(n)));
+  if (!fed.ok()) {
+    close_connection(id, fed);
+    return;
+  }
+  while (auto frame = conn.decoder.next()) {
+    obs::MetricsRegistry::global()
+        .counter(obs::kNetFramesTotal, {{"dir", "rx"}})
+        .increment();
+    conn.stats->frames_rx.fetch_add(1, std::memory_order_relaxed);
+    if (callbacks_.on_frame) callbacks_.on_frame(id, std::move(*frame));
+    // The callback may have closed the connection (protocol error, or a
+    // response that overran the write-queue bound).
+    if (!connections_.contains(id)) return;
   }
 }
 

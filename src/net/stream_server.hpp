@@ -10,16 +10,19 @@
 // Contract with the application (bbd_service.hpp):
 //  - callbacks run on the loop thread, one at a time, never concurrently;
 //  - send()/close_after_flush() may only be called from the loop thread
-//    (i.e. from inside a callback or a post()ed task). This is enforced:
-//    while run() is live, calling them from any other thread aborts the
-//    process — the check is always on, not assert()-gated, because every
-//    CI preset builds RelWithDebInfo (NDEBUG);
-//  - stop()/shutdown_gracefully()/post() are the thread-safe entry points
-//    (they wake the loop through a pipe). post(fn) runs fn on the loop
-//    thread before the next poll — it is how worker threads hand
-//    completed responses back to the loop for send();
+//    (i.e. from inside a callback). This is enforced: while run() is
+//    live, calling them from any other thread aborts the process — the
+//    check is always on, not assert()-gated, because every CI preset
+//    builds RelWithDebInfo (NDEBUG);
+//  - stop()/shutdown_gracefully()/connection_stats() are the thread-safe
+//    entry points (the first two wake the loop through a pipe);
 //  - a frame passed to send() is either fully written or the connection is
 //    closed; there is no partial-message state an application can observe.
+//
+// Fairness: each readiness event reads one recv() chunk, then the loop
+// moves on to the next ready connection. The poller is level-triggered,
+// so a connection with more bytes waiting is reported again on the next
+// iteration; one busy peer cannot starve the others.
 //
 // Backpressure: writes that cannot complete inline queue for EPOLLOUT.
 // The queue is bounded (Options::max_write_queue_bytes); a peer that stops
@@ -27,10 +30,10 @@
 // closed — a daemon must shed such clients, not buffer without limit.
 //
 // Shutdown: shutdown_gracefully() stops accepting, lets every connection
-// drain its pending writes — and, when Options::drain_gate is set, waits
-// until the gate reports each connection free of in-flight application
-// work — then closes them and returns from run(). stop() closes
-// everything immediately.
+// drain its pending writes, then closes them and returns from run().
+// Callbacks queue their responses before the loop iterates again, so the
+// write queues are all a drain waits on. stop() closes everything
+// immediately.
 #pragma once
 
 #include <atomic>
@@ -95,14 +98,6 @@ class StreamServer {
     /// two servers in one process never fight over shared series; byte
     /// counters still accumulate (counters merge safely).
     bool raw_stream = false;
-    /// Graceful-drain gate: when set, a draining loop keeps a connection
-    /// open (and keeps running) until the gate returns true for it — the
-    /// application reports whether the connection still has in-flight
-    /// requests on worker threads whose responses have not been queued
-    /// yet. Re-evaluated every loop iteration; post()ing a completion
-    /// wakes the loop, so the drain converges as workers finish. Called
-    /// on the loop thread only.
-    std::function<bool(ConnId)> drain_gate;
   };
 
   struct Callbacks {
@@ -147,15 +142,9 @@ class StreamServer {
   /// Thread-safe: close everything and return from run() now.
   void stop();
 
-  /// Thread-safe: stop accepting, drain pending writes (and wait out
-  /// Options::drain_gate), then return from run().
+  /// Thread-safe: stop accepting, drain pending writes, then return from
+  /// run().
   void shutdown_gracefully();
-
-  /// Thread-safe: run `task` on the loop thread before the next poll.
-  /// This is the only way a foreign thread may reach send()/
-  /// close_after_flush(). Tasks still queued when run() exits are
-  /// discarded without running (their connections are gone anyway).
-  void post(std::function<void()> task);
 
   /// Queue one frame (loop thread only). Closes the connection and
   /// returns kUnavailable when the write queue bound is exceeded.
@@ -203,11 +192,9 @@ class StreamServer {
   };
 
   void accept_ready(int listener_fd);
+  /// Read one recv() chunk and deliver what it completes.
   void read_ready(ConnId id);
-  /// Run every task handed over via post() since the last iteration.
-  void run_posted_tasks();
-  /// Close drained connections; flag the rest to close after flush. Only
-  /// touches connections Options::drain_gate (when set) reports idle.
+  /// Close drained connections; flag the rest to close after flush.
   void sweep_draining();
   /// Abort unless called on the loop thread while run() is live.
   void require_loop_thread(const char* api) const;
@@ -244,9 +231,6 @@ class StreamServer {
   /// flag is released so a reader that observes loop_live_ sees the id.
   std::atomic<bool> loop_live_{false};
   std::atomic<std::thread::id> loop_thread_{};
-
-  std::mutex post_mutex_;
-  std::deque<std::function<void()>> posted_;
 
   mutable std::mutex stats_mutex_;
   std::map<ConnId, std::shared_ptr<ConnCounters>> stats_;

@@ -15,9 +15,9 @@
 // one_way(from, to). Fault decisions come from a private RNG seeded via
 // seed_faults(), so a run is replayable from its seed.
 //
-// Thread safety: one mutex guards latencies, counters and all fault state
-// — the daemon's RPC workers call one_way()/transmit() from several
-// threads while tests and benches mutate latencies.
+// Thread safety: one mutex guards latencies, counters and all fault state,
+// so callers on several threads may transmit while others mutate
+// latencies.
 #pragma once
 
 #include <cstdint>

@@ -306,7 +306,6 @@ TEST(DaemonAdmin, ScrapeConformanceUnderLoadAndGracefulSnapshot) {
     const json::Value* connections = parsed.value().find("connections");
     ASSERT_NE(connections, nullptr);
     ASSERT_EQ(connections->array.size(), 1u);
-    EXPECT_EQ(number_at(connections->array[0], "in_flight"), 0);
     const json::Value* totals = parsed.value().find("totals");
     ASSERT_NE(totals, nullptr);
     EXPECT_EQ(number_at(*totals, "connections"), 1);

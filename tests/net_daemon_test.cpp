@@ -6,17 +6,23 @@
 // sockets and the poll() fallback; byte-identity of daemon-produced grant
 // bytes against an identically-seeded in-memory world; peer-disconnect
 // error paths (mid-handshake, post-reserve orphan release); idle-timeout
-// sweeps; and kShutdown graceful drain.
+// sweeps; kShutdown graceful drain; the kConfigure domain count; and the
+// write-queue bound that sheds a flooding peer.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "kit/chain_world.hpp"
 #include "net/bbd_client.hpp"
+#include "net/bbd_protocol.hpp"
 #include "net/bbd_service.hpp"
+#include "net/stream_socket.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
+#include "sig/channel.hpp"
+#include "sig/message.hpp"
 
 namespace e2e::net {
 namespace {
@@ -265,6 +271,75 @@ TEST(Daemon, MetricQueryAnswersOverTheWire) {
                                      "engine=hopbyhop", "count");
   ASSERT_TRUE(count.ok()) << count.error().to_text();
   EXPECT_GE(count.value(), 1.0);
+  service.stop();
+  service.wait();
+}
+
+// kConfigure answers with the domain count of the world it just built,
+// not the startup config's. Raw call(): configure() drops the value.
+TEST(Daemon, ConfigureReportsTheBuiltDomainCount) {
+  BbdService::Options options = tcp_options();
+  options.world.domains = 3;
+  BbdService service(std::move(options));
+  ASSERT_TRUE(service.start().ok());
+  auto client = BbdClient::connect(client_options(service));
+  ASSERT_TRUE(client.ok()) << client.error().to_text();
+  BbdRequest req;
+  req.op = BbdOp::kConfigure;
+  req.u64a = 5;
+  auto res = client.value().call(std::move(req));
+  ASSERT_TRUE(res.ok()) << res.error().to_text();
+  EXPECT_EQ(res.value().u64a, 5u);
+  service.stop();
+  service.wait();
+}
+
+// Requests execute on the loop, so a peer that floods requests and never
+// reads its responses is bounded by the per-connection write queue: once
+// the unread responses pass max_write_queue_bytes the daemon sheds the
+// connection, and everyone else is still served.
+TEST(Daemon, FloodingPeerIsShedByTheWriteQueueBound) {
+  BbdService::Options options;
+  const std::string path = ::testing::TempDir() + "e2e_bbd_flood_test.sock";
+  options.listen_on = {Endpoint::parse("unix:" + path).value()};
+  options.max_write_queue_bytes = 16u << 10;
+  auto& stalls = obs::MetricsRegistry::global().counter(
+      obs::kNetBackpressureStallsTotal);
+  const std::uint64_t stalls_before = stalls.value();
+  BbdService service(std::move(options));
+  ASSERT_TRUE(service.start().ok());
+
+  // Handshake exactly as BbdClient::connect does, then keep the session.
+  auto peer = StreamSocket::connect(service.bound_endpoints().front());
+  ASSERT_TRUE(peer.ok()) << peer.error().to_text();
+  const ServiceIdentity identity = make_service_identity(kDefaultAuthSeed);
+  Rng rng(7);
+  sig::HandshakeInitiator initiator(identity.client_endpoint(), 0, rng);
+  ASSERT_TRUE(peer.value().send_frame(initiator.client_hello()).ok());
+  auto server_hello = peer.value().recv_frame(std::chrono::seconds(5));
+  ASSERT_TRUE(server_hello.ok()) << server_hello.error().to_text();
+  auto finished = initiator.on_server_hello(server_hello.value());
+  ASSERT_TRUE(finished.ok()) << finished.error().to_text();
+  ASSERT_TRUE(peer.value().send_frame(finished.value()).ok());
+  sig::Session session = std::move(initiator.session());
+
+  // Thousands of sealed pings, never a read. The write fails once the
+  // daemon has closed the connection.
+  constexpr std::uint64_t kMaxPings = 20000;
+  std::uint64_t sent = 0;
+  for (; sent < kMaxPings; ++sent) {
+    BbdRequest ping;
+    ping.op = BbdOp::kPing;
+    ping.id = sent + 1;
+    const sig::Record record = session.seal(ping.encode());
+    if (!peer.value().send_frame(sig::encode_record(record)).ok()) break;
+  }
+  EXPECT_LT(sent, kMaxPings) << "the flooding peer was never shed";
+  EXPECT_GT(stalls.value(), stalls_before);
+
+  auto client = BbdClient::connect(client_options(service));
+  ASSERT_TRUE(client.ok()) << client.error().to_text();
+  EXPECT_TRUE(client.value().ping().ok());
   service.stop();
   service.wait();
 }

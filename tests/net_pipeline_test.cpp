@@ -1,5 +1,5 @@
-// Wire-pipelining tests (ISSUE 10): the multiplexed BbdClient, the
-// daemon's off-loop execution, and StreamServer's cross-thread post().
+// Wire-pipelining tests: the multiplexed BbdClient, the
+// daemon's pipelined window, and StreamServer's loop discipline.
 //
 // Three layers of coverage:
 //   - a mock daemon (raw Listener + HandshakeResponder + manual sealing)
@@ -11,9 +11,10 @@
 //     negotiation (granted = min(asked, kMaxPipelineWindow), serial
 //     clients stay at 1) and byte/decision-identity of a pipelined op
 //     sequence vs the serial client on an identically-seeded daemon;
-//   - StreamServer::post() run under multi-thread fire (TSan covers this
-//     file via tier1.sh --daemon) and the always-on loop-thread guard on
-//     send() (fork-based death check, skipped under sanitizers).
+//   - StreamServer's one-read-per-readiness-event fairness across
+//     connections, and the always-on loop-thread guard on send()
+//     (fork-based death check, skipped under sanitizers). TSan covers
+//     this file via tier1.sh --daemon.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -382,46 +383,57 @@ TEST(PipelineConformance, PipelinedMatchesSerialByteForByte) {
 }
 
 // ---------------------------------------------------------------------
-// StreamServer::post() and the loop-thread guard.
+// StreamServer's read fairness and the loop-thread guard.
 
-TEST(StreamServerPost, TasksRunOnTheLoopThread) {
+// Each readiness event reads one 16 KiB recv() chunk, so a peer with a
+// backlog cannot hold the loop while another peer waits: B's single
+// frame is delivered before the last of A's 48 KiB.
+TEST(StreamServer, OneReadPerReadinessEventInterleavesConnections) {
+  constexpr std::size_t kFramesA = 48;
+  constexpr std::size_t kPayload = 1020;  // 1 KiB on the wire per frame
+  // First payload byte of each delivered frame, in delivery order. Loop
+  // thread only until the join below.
+  std::vector<std::uint8_t> order;
+  std::atomic<std::size_t> delivered{0};
   StreamServer::Options options;
   options.listen_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
-  StreamServer server(std::move(options), {});
+  StreamServer::Callbacks callbacks;
+  callbacks.on_frame = [&](StreamServer::ConnId, Bytes frame) {
+    order.push_back(frame.front());
+    delivered.fetch_add(1, std::memory_order_release);
+  };
+  StreamServer server(std::move(options), std::move(callbacks));
   ASSERT_TRUE(server.start().ok());
-  std::thread loop([&] { server.run(); });
 
-  constexpr int kThreads = 4;
-  constexpr int kTasksPerThread = 250;
-  std::atomic<int> ran{0};
-  std::atomic<bool> all_on_loop{true};
-  const std::thread::id loop_id = loop.get_id();
-  std::vector<std::thread> posters;
-  for (int t = 0; t < kThreads; ++t) {
-    posters.emplace_back([&] {
-      for (int i = 0; i < kTasksPerThread; ++i) {
-        server.post([&] {
-          if (std::this_thread::get_id() != loop_id) all_on_loop = false;
-          ran.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
+  // Both peers connect and write everything before the loop runs, so
+  // both sockets hold their bytes when the loop first reports them.
+  auto a = StreamSocket::connect(server.bound_endpoints().front());
+  auto b = StreamSocket::connect(server.bound_endpoints().front());
+  ASSERT_TRUE(a.ok() && b.ok());
+  const Bytes frame_a(kPayload, 0xaa);
+  for (std::size_t i = 0; i < kFramesA; ++i) {
+    ASSERT_TRUE(a.value().send_frame(frame_a).ok());
   }
-  for (auto& p : posters) p.join();
+  ASSERT_TRUE(b.value().send_frame(Bytes{0xbb}).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
+  std::thread loop([&] { server.run(); });
   const auto deadline = std::chrono::steady_clock::now() + kWait;
-  while (ran.load() < kThreads * kTasksPerThread &&
+  while (delivered.load(std::memory_order_acquire) < kFramesA + 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(ran.load(), kThreads * kTasksPerThread);
-  EXPECT_TRUE(all_on_loop.load());
-
   server.stop();
   loop.join();
-  // Tasks posted after run() exits are discarded, never run.
-  server.post([&] { ran.fetch_add(1000, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(), kThreads * kTasksPerThread);
+  ASSERT_EQ(order.size(), kFramesA + 1);
+  std::size_t b_at = order.size();
+  std::size_t last_a_at = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (order[i] == 0xbb) b_at = i;
+    if (order[i] == 0xaa) last_a_at = i;
+  }
+  ASSERT_LT(b_at, order.size());
+  EXPECT_LT(b_at, last_a_at) << "B's frame waited for all of A's backlog";
 }
 
 bool running_under_sanitizer() {
@@ -455,12 +467,18 @@ TEST(StreamServerPost, OffLoopSendAborts) {
     if (null_fd >= 0) ::dup2(null_fd, 2);
     StreamServer::Options options;
     options.listen_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
-    StreamServer server(std::move(options), {});
+    // Make sure the loop is actually live before tripping the guard: it
+    // has accepted a connection once on_open runs.
+    std::atomic<bool> live{false};
+    StreamServer::Callbacks callbacks;
+    callbacks.on_open = [&](StreamServer::ConnId, const Endpoint&) {
+      live = true;
+    };
+    StreamServer server(std::move(options), std::move(callbacks));
     if (!server.start().ok()) ::_exit(2);
     std::thread loop([&] { server.run(); });
-    // Make sure the loop is actually live before tripping the guard.
-    std::atomic<bool> live{false};
-    server.post([&] { live = true; });
+    auto peer = StreamSocket::connect(server.bound_endpoints().front());
+    if (!peer.ok()) ::_exit(2);
     while (!live.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

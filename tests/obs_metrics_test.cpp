@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "obs/instruments.hpp"
 
 namespace e2e::obs {
@@ -78,17 +78,16 @@ TEST(MetricsRegistry, ConcurrentIncrementsLoseNothing) {
   Histogram& h = registry.histogram("concurrent_us");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
-  {
-    ThreadPool pool(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      pool.post(t, [&c, &h] {
-        for (int i = 0; i < kPerThread; ++i) {
-          c.increment();
-          h.observe(1.0);
-        }
-      });
-    }
-  }  // the destructor drains every worker's queue
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c, &h] {
+      for (int i = 0; i < kPerThread; ++i) {
+        c.increment();
+        h.observe(1.0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread);

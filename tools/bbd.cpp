@@ -16,7 +16,7 @@
 // Usage:
 //   bbd [--listen tcp:HOST:PORT | --listen unix:/PATH]...
 //       [--admin tcp:HOST:PORT | --admin unix:/PATH]...
-//       [--domains N] [--seed N] [--rpc-workers N]
+//       [--domains N] [--seed N]
 //       [--durability-dir DIR] [--recover]
 //       [--metrics-out PATH] [--idle-timeout-ms N] [--force-poll]
 //       [--auth-seed N]
@@ -41,7 +41,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen tcp:HOST:PORT|unix:/PATH]..."
                " [--admin tcp:HOST:PORT|unix:/PATH]... [--domains N]"
-               " [--seed N] [--rpc-workers N]"
+               " [--seed N]"
                " [--durability-dir DIR] [--recover] [--metrics-out PATH]"
                " [--idle-timeout-ms N] [--force-poll] [--auth-seed N]\n",
                argv0);
@@ -80,10 +80,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.admin_on.push_back(endpoint.value());
-    } else if (arg == "--rpc-workers") {
-      const char* value = next();
-      if (value == nullptr) return usage(argv[0]);
-      options.rpc_workers = std::strtoull(value, nullptr, 10);
     } else if (arg == "--metrics-out") {
       const char* value = next();
       if (value == nullptr) return usage(argv[0]);
