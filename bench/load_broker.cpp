@@ -8,13 +8,8 @@
 //            timeline-indexed decisions vs the original full-scan kept as
 //            the `*_reference` oracle. The RESULT line
 //            `pool_speedup_10k=` is gated (>= 5x) by tier1.sh --load.
-//   Phase B  sharded-broker churn (commit + release + audit + metrics)
-//            at each live level: RARs/sec and p50/p99 admission latency.
-//   Phase C  parallel tunnel admission at T in {1,2,4,8}: T callers on
-//            T tunnels, each caller locking into its own tunnel's
-//            self-locked pool (the production path). The RESULT line
-//            `tunnel_scaling_4t=` (4-thread / 1-thread) is gated by
-//            tier1.sh --load on hosts with >= 4 cores.
+//   Phase B  broker churn (commit + release + audit + metrics) at each
+//            live level: RARs/sec and p50/p99 admission latency.
 //   Phase D  WAL overhead (ISSUE 6): the same commit churn with durability
 //            off, write-no-sync and fsync-before-ack. The fsync row prices
 //            the durability contract.
@@ -38,7 +33,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
@@ -206,8 +200,8 @@ struct BrokerSample {
   double p99_us = 0;
 };
 
-/// Phase B: full broker commits — pool decision + sharded record insert +
-/// atomic counters + audit append + edge hook dispatch.
+/// Phase B: full broker commits — pool decision + record insert +
+/// counters + audit append + edge hook dispatch.
 BrokerSample bench_broker(std::size_t live, std::size_t ops) {
   BrokerHarness h;
   std::vector<ReservationId> ids;
@@ -235,64 +229,6 @@ BrokerSample bench_broker(std::size_t live, std::size_t ops) {
   s.rars_per_s = static_cast<double>(ops) / elapsed;
   s.p50_us = percentile(latencies, 0.50);
   s.p99_us = percentile(latencies, 0.99);
-  return s;
-}
-
-struct ParallelSample {
-  unsigned threads = 1;
-  double rars_per_s = 0;
-};
-
-/// Phase C: `threads` callers, one tunnel each, all hammering
-/// allocate/release churn; each caller locks into its own tunnel's pool.
-/// Tunnel::allocate skips the global audit log, so this measures the
-/// admission state itself rather than one shared mutex.
-ParallelSample bench_parallel_tunnels(unsigned threads, std::size_t live,
-                                      std::size_t ops_per_thread) {
-  BrokerHarness h;
-  std::vector<Tunnel*> tunnels;
-  for (unsigned t = 0; t < threads; ++t) {
-    ChurnOp agg;
-    agg.start = 0;
-    agg.len = seconds(1000);
-    agg.rate = 1e12;
-    ResSpec spec = BrokerHarness::spec(agg);
-    spec.is_tunnel = true;
-    const auto tid = h.broker.register_tunnel(spec);
-    Tunnel* tunnel = h.broker.find_tunnel(*tid);
-    (void)tunnel->authorize("CN=Load,O=DomainLoad,C=US");
-    std::size_t seeded = 0;
-    for (const ChurnOp& op : make_churn(19 + t, live, live)) {
-      (void)tunnel->allocate("seed-" + std::to_string(seeded++),
-                             "CN=Load,O=DomainLoad,C=US",
-                             {op.start, op.start + op.len}, op.rate);
-    }
-    tunnels.push_back(tunnel);
-  }
-  const auto t0 = Clock::now();
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      Tunnel* tunnel = tunnels[t];
-      std::size_t next = 0;
-      for (const ChurnOp& op : make_churn(23 + t, ops_per_thread, live)) {
-        const std::string key =
-            "w" + std::to_string(t) + "-" + std::to_string(next++);
-        if (tunnel
-                ->allocate(key, "CN=Load,O=DomainLoad,C=US",
-                           {op.start, op.start + op.len}, op.rate)
-                .ok()) {
-          (void)tunnel->release(key);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double elapsed = secs_since(t0);
-  ParallelSample s;
-  s.threads = threads;
-  s.rars_per_s =
-      static_cast<double>(ops_per_thread) * threads / elapsed;
   return s;
 }
 
@@ -420,18 +356,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  bu::heading("load_broker", "admission throughput: timeline pool, sharded "
-                             "broker, parallel tunnels, WAL");
+  bu::heading("load_broker",
+              "admission throughput: timeline pool, broker, WAL");
 
   std::vector<std::size_t> live_levels = {1000, 10000, 100000};
   std::size_t pool_ops = 200000;
   std::size_t broker_ops = 20000;
-  std::size_t parallel_ops = 20000;
   if (smoke) {
     live_levels = {1000, 10000};
     pool_ops = 20000;
     broker_ops = 2000;
-    parallel_ops = 4000;
   }
 
   bool ok = true;
@@ -453,7 +387,7 @@ int main(int argc, char** argv) {
                   "timeline pool >= 5x reference at 10k live reservations");
 
   bu::rule();
-  bu::note("Phase B: full broker commits (pool + shards + audit + metrics)");
+  bu::note("Phase B: full broker commits (pool + records + audit + metrics)");
   std::vector<BrokerSample> broker_samples;
   for (std::size_t live : live_levels) {
     const BrokerSample s = bench_broker(live, broker_ops);
@@ -463,40 +397,6 @@ int main(int argc, char** argv) {
   }
   ok &= bu::check(broker_samples.back().rars_per_s > 0,
                   "broker sustains load at the largest live level");
-
-  bu::rule();
-  bu::note("Phase C: parallel tunnel admission (T callers on T "
-           "self-locked tunnel pools)");
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::vector<unsigned> thread_counts =
-      smoke ? std::vector<unsigned>{1, 4} : std::vector<unsigned>{1, 2, 4, 8};
-  std::vector<ParallelSample> parallel_samples;
-  const std::size_t parallel_live = smoke ? 1000 : 100000;
-  double rars_1t = 0;
-  double rars_4t = 0;
-  for (unsigned threads : thread_counts) {
-    const ParallelSample s = bench_parallel_tunnels(
-        threads, parallel_live / std::max(1u, threads), parallel_ops);
-    parallel_samples.push_back(s);
-    bu::row("threads=%-3u %10.0f RARs/s aggregate", s.threads, s.rars_per_s);
-    if (threads == 1) rars_1t = s.rars_per_s;
-    if (threads == 4) rars_4t = s.rars_per_s;
-  }
-  const double scaling = rars_4t / rars_1t;
-  std::printf("RESULT tunnel_scaling_4t=%.2f cores=%u\n", scaling, cores);
-  if (cores >= 4) {
-    ok &= bu::check(scaling >= 2.5,
-                    "4 callers on 4 tunnels >= 2.5x one caller");
-  } else if (cores > 1) {
-    ok &= bu::check(scaling > 1.0,
-                    "independent tunnels admit faster with more callers");
-  } else {
-    // One core: the callers time-slice, so no aggregate speedup is
-    // attainable — record the samples and only require the runs to finish.
-    ok &= bu::check(rars_4t > 0,
-                    "single-core host: parallel churn completes "
-                    "(scaling gated only on multicore hosts)");
-  }
 
   bu::rule();
   bu::note("Phase D: WAL overhead (durability off / no-sync / fsync)");
@@ -534,8 +434,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     std::ofstream out(json_out);
     out << "{\n \"bench\": \"load_broker\",\n \"smoke\": "
-        << (smoke ? "true" : "false") << ",\n \"cores\": " << cores
-        << ",\n \"pool\": [";
+        << (smoke ? "true" : "false") << ",\n \"pool\": [";
     for (std::size_t i = 0; i < pool_samples.size(); ++i) {
       const PoolSample& s = pool_samples[i];
       out << (i ? ",\n  " : "\n  ") << "{\"live\": " << s.live
@@ -553,14 +452,7 @@ int main(int argc, char** argv) {
           << ", \"p50_us\": " << s.p50_us << ", \"p99_us\": " << s.p99_us
           << "}";
     }
-    out << "\n ],\n \"tunnel_parallel\": [";
-    for (std::size_t i = 0; i < parallel_samples.size(); ++i) {
-      const ParallelSample& s = parallel_samples[i];
-      out << (i ? ",\n  " : "\n  ") << "{\"threads\": " << s.threads
-          << ", \"rars_per_s\": " << s.rars_per_s << "}";
-    }
-    out << "\n ],\n \"tunnel_scaling_4t\": " << scaling << ",\n"
-        << " \"wal\": [";
+    out << "\n ],\n \"wal\": [";
     for (std::size_t i = 0; i < wal_samples.size(); ++i) {
       const WalSample& s = wal_samples[i];
       out << (i ? ",\n  " : "\n  ") << "{\"mode\": \"" << s.mode

@@ -10,9 +10,8 @@
 #                       bench/daemon_latency: daemon RPC p50/p99 with and
 #                       without a concurrent admin-plane scraper)
 #   BENCH_admission.json (bench/load_broker: RARs/sec + p50/p99 for the
-#                       timeline pool vs the reference scan, the sharded
-#                       broker, parallel tunnels, and the WAL overhead
-#                       sweep (off/nosync/fsync);
+#                       timeline pool vs the reference scan, the broker,
+#                       and the WAL overhead sweep (off/nosync/fsync);
 #                       format documented in docs/PERFORMANCE.md)
 #   BENCH_daemon.json  (bench/daemon_latency: wall-clock p50/p99 of a full
 #                       RAR setup through the in-memory world vs the same
@@ -21,7 +20,9 @@
 #                       "load" key folded in from bench/load_daemon: fleet
 #                       RARs/s serial vs pipelined, with a core-aware
 #                       pipeline-speedup gate)
-# so successive PRs can diff the numbers.
+# so successive PRs can diff the numbers. A bench whose own gate fails does
+# not stop the snapshot: all five files are written, and the script then
+# exits non-zero naming every step that failed.
 #
 # Usage: ./scripts/bench_snapshot.sh           (full run)
 #        SMOKE=1 ./scripts/bench_snapshot.sh   (fast smoke: fewer repetitions,
@@ -78,21 +79,25 @@ json.dump(doc, sys.stdout, indent=1)
 sys.stdout.write("\n")
 EOF
 
+# Steps that run a gated bench record their failure here instead of
+# stopping the script; the summary at the end reports them.
+failed=()
+
 # load_broker writes its own JSON summary; run it three times from the
 # workdir (so the per-run metrics snapshot doesn't land in the repo root)
 # and keep the last run's document, plus a host block and the spread of
-# tunnel_scaling_4t over the three runs. The snapshot is written even when
-# the bench's own gates fail, and the script then still fails.
+# pool_speedup_10k over the three runs.
 load_flags=""
 if [[ "${SMOKE:-0}" == "1" ]]; then
   load_flags="--smoke"
 fi
-load_rc=0
 for run in 1 2 3; do
   (cd "$workdir" &&
     "$OLDPWD/build/bench/load_broker" ${load_flags:+"$load_flags"} \
       --json-out "$workdir/load_broker.$run.json" \
-      > "load_broker.$run.stdout.txt") || load_rc=$?
+      > "load_broker.$run.stdout.txt") || {
+        cat "$workdir/load_broker.$run.stdout.txt"
+        failed+=("load_broker run $run"); }
 done
 python3 - "$workdir" > BENCH_admission.json <<'EOF'
 import json, sys
@@ -102,14 +107,11 @@ workdir = sys.argv[1]
 runs = [json.load(open(f"{workdir}/load_broker.{i}.json")) for i in (1, 2, 3)]
 doc = runs[-1]
 doc["host"] = host_block()
-doc["tunnel_scaling_4t_runs"] = [r["tunnel_scaling_4t"] for r in runs]
+doc["pool_speedup_10k_runs"] = [
+    next(p["speedup"] for p in r["pool"] if p["live"] == 10000) for r in runs]
 json.dump(doc, sys.stdout, indent=1)
 sys.stdout.write("\n")
 EOF
-if [[ "$load_rc" != 0 ]]; then
-  cat "$workdir/load_broker.3.stdout.txt"
-  exit "$load_rc"
-fi
 
 # daemon_latency forks its own broker daemon on a UNIX socket and writes
 # the p50/p99 transport-overhead summary itself. The full (non-smoke) run
@@ -117,18 +119,19 @@ fi
 # hosts (bench/daemon_latency.cpp).
 (cd "$workdir" &&
   "$OLDPWD/build/bench/daemon_latency" ${load_flags:+"$load_flags"} \
-    --json-out "$OLDPWD/BENCH_daemon.json" > daemon_latency.stdout.txt)
+    --json-out "$OLDPWD/BENCH_daemon.json" > daemon_latency.stdout.txt) || {
+      cat "$workdir/daemon_latency.stdout.txt"; failed+=("daemon_latency"); }
 
 # load_daemon drives a forked bbd with a client fleet, serial vs pipelined
 # (ISSUE 10). The bench itself enforces the core-aware gate — depth-8
 # pipeline >= 3x serial RARs/s on >= 4 cores, > 1x sanity on 2-3 cores,
-# recorded-only on one core — so a regression fails this script here. Its
-# summary is folded into BENCH_daemon.json under "load", preserving the
-# daemon_latency keys.
+# recorded-only on one core — so a regression fails this script at the
+# end. Its summary is folded into BENCH_daemon.json under "load",
+# preserving the daemon_latency keys.
 (cd "$workdir" &&
   "$OLDPWD/build/bench/load_daemon" ${load_flags:+"$load_flags"} \
     --json-out "$OLDPWD/build/load_daemon.json" > load_daemon.stdout.txt) || {
-      cat "$workdir/load_daemon.stdout.txt"; exit 1; }
+      cat "$workdir/load_daemon.stdout.txt"; failed+=("load_daemon"); }
 python3 - <<'PY'
 import json
 daemon = json.load(open("BENCH_daemon.json"))
@@ -161,3 +164,7 @@ with open("BENCH_obs.json", "w") as out:
 EOF
 
 echo "bench_snapshot: wrote BENCH_crypto.json, BENCH_fig3.json, BENCH_obs.json, BENCH_admission.json and BENCH_daemon.json"
+if (( ${#failed[@]} > 0 )); then
+  printf 'bench_snapshot: FAILED: %s\n' "${failed[@]}" >&2
+  exit 1
+fi

@@ -9,23 +9,19 @@ namespace e2e::bb {
 
 CapacityPool::~CapacityPool() {
   // Return this pool's contribution to the boundary gauge (tunnel pools
-  // come and go; the gauge must track live timelines only). No lock:
-  // nobody else may hold a reference during destruction.
+  // come and go; the gauge must track live timelines only).
   if (boundaries_gauge_ != nullptr && reported_boundaries_ != 0) {
     boundaries_gauge_->add(-reported_boundaries_);
   }
 }
 
 CapacityPool::CapacityPool(const CapacityPool& other)
-    : mutex_(std::make_unique<std::mutex>()) {
-  std::lock_guard lock(*other.mutex_);
-  capacity_ = other.capacity_;
-  owner_domain_ = other.owner_domain_;
-  // Copy-assign keeps this side's fresh arena (POCCA is false); the copy
-  // never deallocates into the source's slabs.
-  commitments_ = other.commitments_;
-  timeline_ = other.timeline_;
-}
+    : capacity_(other.capacity_),
+      owner_domain_(other.owner_domain_),
+      // The map's copy gets a fresh arena (select_on_container_copy_
+      // construction); the copy never deallocates into the source's slabs.
+      commitments_(other.commitments_),
+      timeline_(other.timeline_) {}
 
 CapacityPool& CapacityPool::operator=(const CapacityPool& other) {
   if (this == &other) return *this;
@@ -44,7 +40,6 @@ CapacityPool& CapacityPool::operator=(CapacityPool&& other) noexcept {
   owner_domain_ = std::move(other.owner_domain_);
   commitments_ = std::move(other.commitments_);
   timeline_ = std::move(other.timeline_);
-  mutex_ = std::move(other.mutex_);
   commits_counter_ = other.commits_counter_;
   releases_counter_ = other.releases_counter_;
   rejections_counter_ = other.rejections_counter_;
@@ -56,22 +51,21 @@ CapacityPool& CapacityPool::operator=(CapacityPool&& other) noexcept {
 }
 
 void CapacityPool::set_owner_domain(std::string domain) {
-  std::lock_guard lock(*mutex_);
   if (domain == owner_domain_) return;
   // The reported boundary count belongs to the OLD label's series: settle
   // it, then take it back before re-resolving under the new label.
-  ensure_instruments_locked();
-  publish_boundaries_locked();
+  ensure_instruments();
+  publish_boundaries();
   if (reported_boundaries_ != 0) boundaries_gauge_->add(-reported_boundaries_);
   reported_boundaries_ = 0;
   owner_domain_ = std::move(domain);
   rejections_counter_ = nullptr;
   boundaries_gauge_ = nullptr;
-  ensure_instruments_locked();
-  publish_boundaries_locked();
+  ensure_instruments();
+  publish_boundaries();
 }
 
-void CapacityPool::ensure_instruments_locked() const {
+void CapacityPool::ensure_instruments() const {
   if (commits_counter_ != nullptr && rejections_counter_ != nullptr) return;
   auto& registry = obs::MetricsRegistry::global();
   obs::Labels domain_labels;
@@ -86,7 +80,7 @@ void CapacityPool::ensure_instruments_locked() const {
       &registry.gauge(obs::kBbPoolBoundaries, domain_labels);
 }
 
-void CapacityPool::publish_boundaries_locked() {
+void CapacityPool::publish_boundaries() {
   const double now = static_cast<double>(timeline_.size());
   if (now != reported_boundaries_) {
     boundaries_gauge_->add(now - reported_boundaries_);
@@ -94,58 +88,35 @@ void CapacityPool::publish_boundaries_locked() {
   }
 }
 
-void CapacityPool::note_mutation_locked(
-    obs::Counter* CapacityPool::*counter) {
-  ensure_instruments_locked();
+void CapacityPool::note_mutation(obs::Counter* CapacityPool::*counter) {
+  ensure_instruments();
   (this->*counter)->increment();
-  publish_boundaries_locked();
+  publish_boundaries();
 }
 
 // --- Timeline queries -------------------------------------------------------
 
-double CapacityPool::committed_at_locked(SimTime t) const {
-  return timeline_.committed_at(t);
-}
-
-double CapacityPool::peak_committed_locked(
-    const TimeInterval& interval) const {
+double CapacityPool::peak_committed(const TimeInterval& interval) const {
   return timeline_.peak_committed(interval);
 }
 
-bool CapacityPool::can_admit_locked(const TimeInterval& interval,
-                                    double rate) const {
-  return interval.valid() && rate >= 0 &&
-         peak_committed_locked(interval) + rate <= capacity_ + kEpsilon;
-}
-
-double CapacityPool::headroom_locked(const TimeInterval& interval) const {
-  const double h = capacity_ - peak_committed_locked(interval);
-  return h > 0 ? h : 0;
-}
-
-double CapacityPool::peak_committed(const TimeInterval& interval) const {
-  std::lock_guard lock(*mutex_);
-  return peak_committed_locked(interval);
-}
-
 double CapacityPool::committed_at(SimTime t) const {
-  std::lock_guard lock(*mutex_);
-  return committed_at_locked(t);
+  return timeline_.committed_at(t);
 }
 
 bool CapacityPool::can_admit(const TimeInterval& interval, double rate) const {
-  std::lock_guard lock(*mutex_);
-  return can_admit_locked(interval, rate);
+  return interval.valid() && rate >= 0 &&
+         peak_committed(interval) + rate <= capacity_ + kEpsilon;
 }
 
 double CapacityPool::headroom(const TimeInterval& interval) const {
-  std::lock_guard lock(*mutex_);
-  return headroom_locked(interval);
+  const double h = capacity_ - peak_committed(interval);
+  return h > 0 ? h : 0;
 }
 
 // --- Reference oracle (the original full-scan implementation) ---------------
 
-double CapacityPool::committed_at_reference_locked(SimTime t) const {
+double CapacityPool::committed_at_reference(SimTime t) const {
   double total = 0;
   for (const auto& [key, c] : commitments_) {
     if (c.interval.contains(t)) total += c.rate;
@@ -153,7 +124,7 @@ double CapacityPool::committed_at_reference_locked(SimTime t) const {
   return total;
 }
 
-double CapacityPool::peak_committed_reference_locked(
+double CapacityPool::peak_committed_reference(
     const TimeInterval& interval) const {
   // Sweep over the start points of overlapping commitments; the committed
   // function only changes at boundaries, so evaluating at each start inside
@@ -167,41 +138,27 @@ double CapacityPool::peak_committed_reference_locked(
   }
   double peak = 0;
   for (SimTime p : points) {
-    peak = std::max(peak, committed_at_reference_locked(p));
+    peak = std::max(peak, committed_at_reference(p));
   }
   return peak;
 }
 
-double CapacityPool::peak_committed_reference(
-    const TimeInterval& interval) const {
-  std::lock_guard lock(*mutex_);
-  return peak_committed_reference_locked(interval);
-}
-
-double CapacityPool::committed_at_reference(SimTime t) const {
-  std::lock_guard lock(*mutex_);
-  return committed_at_reference_locked(t);
-}
-
 bool CapacityPool::can_admit_reference(const TimeInterval& interval,
                                        double rate) const {
-  std::lock_guard lock(*mutex_);
   return interval.valid() && rate >= 0 &&
-         peak_committed_reference_locked(interval) + rate <=
-             capacity_ + kEpsilon;
+         peak_committed_reference(interval) + rate <= capacity_ + kEpsilon;
 }
 
 double CapacityPool::headroom_reference(const TimeInterval& interval) const {
-  std::lock_guard lock(*mutex_);
-  const double h = capacity_ - peak_committed_reference_locked(interval);
+  const double h = capacity_ - peak_committed_reference(interval);
   return h > 0 ? h : 0;
 }
 
 // --- Mutation ---------------------------------------------------------------
 
-Status CapacityPool::commit_locked(const std::string& key,
-                                   const TimeInterval& interval, double rate,
-                                   bool use_reference) {
+Status CapacityPool::commit_with(const std::string& key,
+                                 const TimeInterval& interval, double rate,
+                                 bool use_reference) {
   if (!interval.valid() || rate < 0) {
     return make_error(ErrorCode::kInvalidArgument,
                       "commit: bad interval or rate");
@@ -209,44 +166,34 @@ Status CapacityPool::commit_locked(const std::string& key,
   if (commitments_.find(key) != commitments_.end()) {
     return make_error(ErrorCode::kConflict, "commit: duplicate key " + key);
   }
-  const bool admit =
-      use_reference
-          ? (interval.valid() && rate >= 0 &&
-             peak_committed_reference_locked(interval) + rate <=
-                 capacity_ + kEpsilon)
-          : can_admit_locked(interval, rate);
+  const bool admit = use_reference ? can_admit_reference(interval, rate)
+                                   : can_admit(interval, rate);
   if (!admit) {
-    const double headroom = use_reference
-                                ? capacity_ - peak_committed_reference_locked(
-                                                  interval)
-                                : headroom_locked(interval);
-    note_mutation_locked(&CapacityPool::rejections_counter_);
+    const double headroom = use_reference ? headroom_reference(interval)
+                                          : this->headroom(interval);
+    note_mutation(&CapacityPool::rejections_counter_);
     return make_error(ErrorCode::kAdmissionRejected,
                       "commit: insufficient capacity (headroom " +
-                          std::to_string(headroom > 0 ? headroom : 0) +
-                          " bits/s)");
+                          std::to_string(headroom) + " bits/s)");
   }
   commitments_.emplace(key, Commitment{interval, rate});
   timeline_.apply(interval, rate);
-  note_mutation_locked(&CapacityPool::commits_counter_);
+  note_mutation(&CapacityPool::commits_counter_);
   return Status::ok_status();
 }
 
 Status CapacityPool::commit(const std::string& key,
                             const TimeInterval& interval, double rate) {
-  std::lock_guard lock(*mutex_);
-  return commit_locked(key, interval, rate, /*use_reference=*/false);
+  return commit_with(key, interval, rate, /*use_reference=*/false);
 }
 
 Status CapacityPool::commit_reference(const std::string& key,
                                       const TimeInterval& interval,
                                       double rate) {
-  std::lock_guard lock(*mutex_);
-  return commit_locked(key, interval, rate, /*use_reference=*/true);
+  return commit_with(key, interval, rate, /*use_reference=*/true);
 }
 
 Status CapacityPool::release(const std::string& key) {
-  std::lock_guard lock(*mutex_);
   const auto it = commitments_.find(key);
   if (it == commitments_.end()) {
     return make_error(ErrorCode::kNotFound, "release: unknown key " + key);
@@ -258,7 +205,7 @@ Status CapacityPool::release(const std::string& key) {
   // may leave float residue on boundaries still referenced by other
   // commitments, but an empty pool has an exactly-zero profile.
   if (commitments_.empty()) timeline_.clear();
-  note_mutation_locked(&CapacityPool::releases_counter_);
+  note_mutation(&CapacityPool::releases_counter_);
   return Status::ok_status();
 }
 

@@ -22,16 +22,12 @@
 // oracle), and commitment map nodes come from a slab arena
 // (bb/arena.hpp).
 //
-// Pools are internally locked: commit() is an atomic check+insert, so
-// brokers and tunnels can run admission from worker threads without an
-// external mutex. Single-threaded call sequences behave exactly as the
-// pre-lock implementation did.
+// Thread safety: none of its own. A pool belongs to one broker or tunnel
+// and is driven by the thread that owns its world (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,14 +49,12 @@ class CapacityPool {
   explicit CapacityPool(double capacity_bits_per_s,
                         std::string owner_domain = {})
       : capacity_(capacity_bits_per_s),
-        owner_domain_(std::move(owner_domain)),
-        mutex_(std::make_unique<std::mutex>()) {}
+        owner_domain_(std::move(owner_domain)) {}
 
   ~CapacityPool();
 
-  // Copies get independent state (and a fresh mutex + arena); moved-from
-  // pools are empty shells (only destruction/assignment are valid
-  // afterwards).
+  // Copies get independent state (and a fresh arena); moved-from pools are
+  // empty shells (only destruction/assignment are valid afterwards).
   CapacityPool(const CapacityPool& other);
   CapacityPool& operator=(const CapacityPool& other);
   CapacityPool(CapacityPool&& other) noexcept;
@@ -70,7 +64,7 @@ class CapacityPool {
 
   /// Domain this pool accounts against; labels the rejection counter and
   /// the boundary gauge. Set at construction (brokers) or right after
-  /// registration (tunnels), before concurrent use.
+  /// registration (tunnels).
   void set_owner_domain(std::string domain);
   const std::string& owner_domain() const { return owner_domain_; }
 
@@ -84,8 +78,7 @@ class CapacityPool {
   bool can_admit(const TimeInterval& interval, double rate) const;
 
   /// Commit `rate` over `interval` under `key` (the reservation handle).
-  /// Fails if it does not fit or the key is already present. The
-  /// check-and-insert is atomic under the pool's internal lock.
+  /// Fails if it does not fit or the key is already present.
   Status commit(const std::string& key, const TimeInterval& interval,
                 double rate);
 
@@ -93,16 +86,13 @@ class CapacityPool {
   Status release(const std::string& key);
 
   bool holds(const std::string& key) const {
-    std::lock_guard lock(*mutex_);
     return commitments_.find(key) != commitments_.end();
   }
   std::size_t commitment_count() const {
-    std::lock_guard lock(*mutex_);
     return commitments_.size();
   }
   /// Live boundary points in the timeline index (<= 2 * commitments).
   std::size_t boundary_count() const {
-    std::lock_guard lock(*mutex_);
     return timeline_.size();
   }
 
@@ -119,7 +109,6 @@ class CapacityPool {
   /// pure function of this set, so persisting it is enough to rebuild the
   /// pool exactly (recovery re-commits each entry).
   std::vector<CommitmentView> commitments_view() const {
-    std::lock_guard lock(*mutex_);
     std::vector<CommitmentView> out;
     out.reserve(commitments_.size());
     for (const auto& [key, c] : commitments_) {
@@ -131,7 +120,6 @@ class CapacityPool {
   /// Slab bytes held by this pool's node arena (footprint reporting —
   /// bench/load_broker's 1M-live point).
   std::size_t arena_bytes() const {
-    std::lock_guard lock(*mutex_);
     return commitments_.get_allocator().slab_bytes();
   }
 
@@ -164,34 +152,27 @@ class CapacityPool {
       std::map<std::string, Commitment, std::less<std::string>,
                ArenaAllocator<std::pair<const std::string, Commitment>>>;
 
-  double committed_at_locked(SimTime t) const;
-  double peak_committed_locked(const TimeInterval& interval) const;
-  bool can_admit_locked(const TimeInterval& interval, double rate) const;
-  double headroom_locked(const TimeInterval& interval) const;
-  double peak_committed_reference_locked(const TimeInterval& interval) const;
-  double committed_at_reference_locked(SimTime t) const;
-  Status commit_locked(const std::string& key, const TimeInterval& interval,
-                       double rate, bool use_reference);
+  /// commit() and commit_reference(): the admission decision comes from
+  /// the timeline index or from the reference scan.
+  Status commit_with(const std::string& key, const TimeInterval& interval,
+                     double rate, bool use_reference);
   /// Bump one of the pool's counters and bring the boundary gauge up to
   /// date with the timeline.
-  void note_mutation_locked(obs::Counter* CapacityPool::*counter);
+  void note_mutation(obs::Counter* CapacityPool::*counter);
   /// Move the boundary gauge by the change in timeline size since the
   /// last report.
-  void publish_boundaries_locked();
-  void ensure_instruments_locked() const;
+  void publish_boundaries();
+  void ensure_instruments() const;
 
   double capacity_ = 0;
   std::string owner_domain_;
   CommitmentMap commitments_;
   FlatTimeline timeline_;
 
-  // unique_ptr keeps the pool movable (tunnels live in maps).
-  mutable std::unique_ptr<std::mutex> mutex_;
-
   // Cached instrument pointers: MetricsRegistry hands out references that
   // stay valid for its lifetime, and resolving one takes the registry
-  // mutex — far too expensive per admission. Resolved lazily under the
-  // pool lock; invalidated when the owner domain changes.
+  // mutex — far too expensive per admission. Resolved lazily; invalidated
+  // when the owner domain changes.
   mutable obs::Counter* commits_counter_ = nullptr;
   mutable obs::Counter* releases_counter_ = nullptr;
   mutable obs::Counter* rejections_counter_ = nullptr;

@@ -1,24 +1,22 @@
 // Slab arena allocator for admission bookkeeping nodes.
 //
-// ISSUE 8: a broker holding a million live reservations spends a large
-// slice of its footprint (and its cache misses) on malloc'd map nodes —
-// commitment entries in CapacityPool and ReservationRecords in the broker
-// shards. This allocator carves fixed-size blocks out of 64 KiB slabs and
-// recycles freed blocks through per-size free lists: nodes of one
-// container pack contiguously, there is no per-node malloc header, and a
-// freed node is reused before a fresh slab byte is touched.
+// A broker holding a million live reservations spends a large slice of
+// its footprint (and its cache misses) on malloc'd map nodes: the
+// commitment entries in CapacityPool. This allocator carves fixed-size
+// blocks out of 64 KiB slabs and recycles freed blocks through per-size
+// free lists: nodes of one container pack contiguously, there is no
+// per-node malloc header, and a freed node is reused before a fresh slab
+// byte is touched.
 //
-// NOT thread-safe by itself. Every container using it is mutated under
-// its owner's serialization (the pool mutex, the record-shard mutex, or
-// the owning shard worker of the thread-per-shard engine) — the same
-// discipline that already guards the container.
+// Not thread-safe, like the pool that holds it: both belong to the one
+// thread that owns their world (docs/ARCHITECTURE.md).
 //
 // Allocator semantics:
 //   - Copies share the arena (shared_ptr'd state), so a container and its
 //     node handles always deallocate into the slab set they came from.
 //   - Container copies get a FRESH arena (select_on_container_copy_
-//     construction): a copied pool runs under a different mutex, and two
-//     mutexes over one non-thread-safe arena would race.
+//     construction): a copied pool is an independent owner and must not
+//     allocate from, or outlive, the source's slabs.
 //   - Move assignment propagates the allocator (steals nodes + slabs).
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "bb/bandwidth_broker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -118,7 +117,7 @@ Status BandwidthBroker::screen_request(
 
 void BandwidthBroker::record_rejection(const ResSpec& spec,
                                        const std::string& reason) {
-  stats_.denied.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.denied_admission;
   checks_rejected_->increment();
   obs::AuditLog::global().append(
       config_.domain, obs::audit_kind::kAdmission,
@@ -131,7 +130,7 @@ void BandwidthBroker::record_rejection(const ResSpec& spec,
 }
 
 void BandwidthBroker::record_grant(const ResSpec& spec) {
-  stats_.granted.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.granted;
   checks_admitted_->increment();
   obs::AuditLog::global().append(
       config_.domain, obs::audit_kind::kAdmission,
@@ -147,10 +146,8 @@ void BandwidthBroker::record_grant(const ResSpec& spec) {
 Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
                                               const std::string& from_domain) {
   const auto t0 = std::chrono::steady_clock::now();
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  // Advisory pre-pool checks (spec shape, SLA conformance). The local-pool
-  // check-and-insert below is the authoritative admission decision under
-  // concurrency.
+  ++stats_.requests;
+  // Pre-pool checks: spec shape, SLA conformance, local capacity.
   auto admissible = screen_request(spec, from_domain);
   if (admissible.ok() &&
       !local_pool_.can_admit(spec.interval, spec.rate_bits_per_s)) {
@@ -166,53 +163,34 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
     return admissible.error();
   }
   const ReservationId id =
-      config_.domain + "-resv-" +
-      std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
+      config_.domain + "-resv-" + std::to_string(next_id_++);
   Reservation resv{id, spec, ReservationState::kGranted, from_domain};
 
-  // Apply half: pools + record shard, plus the WAL append. The blocking
-  // group commit below runs outside every admission lock.
-  std::uint64_t lsn = 0;
-  auto apply = [&]() -> Status {
-    auto local = local_pool_.commit(id, spec.interval, spec.rate_bits_per_s);
-    if (!local.ok()) return local;
-    if (!from_domain.empty()) {
-      auto peer = peer_pools_.at(from_domain)
-                      .commit(id, spec.interval, spec.rate_bits_per_s);
-      if (!peer.ok()) {
-        (void)local_pool_.release(id);  // rollback
-        return peer;
-      }
-    }
-    {
-      RecordShard& shard = shard_for(id);
-      std::lock_guard lock(shard.mutex);
-      shard.records.emplace(id, resv);
-    }
-    if (wal_ != nullptr) {
-      lsn = wal_->append(config_.domain, wal_kind::kAdmit,
-                         reservation_to_fields(resv));
-    }
-    return Status::ok_status();
-  };
-
-  const Status applied = apply();
+  // Apply: pools + record, plus the WAL append; the commit follows.
+  Status applied =
+      local_pool_.commit(id, spec.interval, spec.rate_bits_per_s);
+  if (applied.ok() && !from_domain.empty()) {
+    applied = peer_pools_.at(from_domain)
+                  .commit(id, spec.interval, spec.rate_bits_per_s);
+    if (!applied.ok()) (void)local_pool_.release(id);  // rollback
+  }
   if (!applied.ok()) {
     record_rejection(spec, applied.error().message);
     admission_hist_->observe(wall_us_since(t0));
     return applied.error();
   }
+  records_.emplace(id, resv);
+  std::uint64_t lsn = 0;
+  if (wal_ != nullptr) {
+    lsn = wal_->append(config_.domain, wal_kind::kAdmit,
+                       reservation_to_fields(resv));
+  }
   // Durable before acked: the grant is only returned once its WAL record
-  // is fsync'd (group-committed with concurrent grants). A sync failure
-  // unwinds the whole admission.
+  // is fsync'd. A sync failure unwinds the whole admission.
   if (lsn != 0) {
     auto durable = wal_->commit(lsn);
     if (!durable.ok()) {
-      {
-        RecordShard& shard = shard_for(id);
-        std::lock_guard lock(shard.mutex);
-        shard.records.erase(id);
-      }
+      records_.erase(id);
       (void)local_pool_.release(id);
       if (!from_domain.empty()) (void)peer_pools_.at(from_domain).release(id);
       record_rejection(spec, durable.error().message);
@@ -227,36 +205,24 @@ Result<ReservationId> BandwidthBroker::commit(const ResSpec& spec,
 }
 
 Status BandwidthBroker::release(const ReservationId& id) {
-  Reservation resv;
+  const auto it = records_.find(id);
+  if (it == records_.end()) {
+    return make_error(ErrorCode::kNotFound, "unknown reservation " + id,
+                      config_.domain);
+  }
+  Reservation resv = std::move(it->second);
+  records_.erase(it);
+  (void)local_pool_.release(id);
+  if (!resv.upstream_domain.empty()) {
+    const auto pool_it = peer_pools_.find(resv.upstream_domain);
+    if (pool_it != peer_pools_.end()) (void)pool_it->second.release(id);
+  }
   std::uint64_t lsn = 0;
-  // Apply half: record erase + pool releases + WAL append; the group
-  // commit runs last, outside every admission lock.
-  auto apply = [&]() -> Status {
-    {
-      RecordShard& shard = shard_for(id);
-      std::lock_guard lock(shard.mutex);
-      const auto it = shard.records.find(id);
-      if (it == shard.records.end()) {
-        return make_error(ErrorCode::kNotFound, "unknown reservation " + id,
-                          config_.domain);
-      }
-      resv = it->second;
-      shard.records.erase(it);
-    }
-    (void)local_pool_.release(id);
-    if (!resv.upstream_domain.empty()) {
-      const auto pool_it = peer_pools_.find(resv.upstream_domain);
-      if (pool_it != peer_pools_.end()) (void)pool_it->second.release(id);
-    }
-    if (wal_ != nullptr) {
-      lsn = wal_->append(config_.domain, wal_kind::kRelease, {{"id", id}});
-    }
-    return Status::ok_status();
-  };
-  auto applied = apply();
-  if (!applied.ok()) return applied;
+  if (wal_ != nullptr) {
+    lsn = wal_->append(config_.domain, wal_kind::kRelease, {{"id", id}});
+  }
   resv.state = ReservationState::kReleased;
-  stats_.released.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.released;
   released_counter_->increment();
   active_gauge_->add(-1);
   if (edge_configurator_) edge_configurator_(resv, /*install=*/false);
@@ -269,26 +235,23 @@ Status BandwidthBroker::release(const ReservationId& id) {
 
 std::size_t BandwidthBroker::purge_expired(SimTime now) {
   std::vector<Reservation> purged;
-  for (RecordShard& shard : record_shards_) {
-    std::lock_guard lock(shard.mutex);
-    for (auto it = shard.records.begin(); it != shard.records.end();) {
-      if (it->second.spec.interval.end <= now) {
-        purged.push_back(it->second);
-        (void)local_pool_.release(it->first);
-        if (!it->second.upstream_domain.empty()) {
-          const auto pool_it = peer_pools_.find(it->second.upstream_domain);
-          if (pool_it != peer_pools_.end()) {
-            (void)pool_it->second.release(it->first);
-          }
+  for (auto it = records_.begin(); it != records_.end();) {
+    if (it->second.spec.interval.end <= now) {
+      purged.push_back(it->second);
+      (void)local_pool_.release(it->first);
+      if (!it->second.upstream_domain.empty()) {
+        const auto pool_it = peer_pools_.find(it->second.upstream_domain);
+        if (pool_it != peer_pools_.end()) {
+          (void)pool_it->second.release(it->first);
         }
-        it = shard.records.erase(it);
-      } else {
-        ++it;
       }
+      it = records_.erase(it);
+    } else {
+      ++it;
     }
   }
   if (!purged.empty()) {
-    stats_.released.fetch_add(purged.size(), std::memory_order_relaxed);
+    stats_.released += purged.size();
     released_counter_->increment(purged.size());
     active_gauge_->add(-static_cast<double>(purged.size()));
     // One record for the whole purge; replay releases each listed handle
@@ -311,10 +274,8 @@ std::size_t BandwidthBroker::purge_expired(SimTime now) {
 }
 
 const Reservation* BandwidthBroker::find(const ReservationId& id) const {
-  const RecordShard& shard = shard_for(id);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.records.find(id);
-  return it == shard.records.end() ? nullptr : &it->second;
+  const auto it = records_.find(id);
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 Result<TunnelId> BandwidthBroker::register_tunnel(
@@ -326,14 +287,11 @@ Result<TunnelId> BandwidthBroker::register_tunnel(
   }
   const TunnelId id =
       config_.domain + "-tunnel-" +
-      std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::lock_guard lock(tunnels_mutex_);
-    auto [it, inserted] = tunnels_.emplace(id, Tunnel(id, aggregate_spec));
-    if (inserted) {
-      it->second.set_owner_domain(config_.domain);
-      it->second.set_wal(wal_);
-    }
+      std::to_string(next_id_++);
+  auto [it, inserted] = tunnels_.emplace(id, Tunnel(id, aggregate_spec));
+  if (inserted) {
+    it->second.set_owner_domain(config_.domain);
+    it->second.set_wal(wal_);
   }
   auto durable = wal_log(
       wal_kind::kTunnelRegister,
@@ -343,7 +301,6 @@ Result<TunnelId> BandwidthBroker::register_tunnel(
     // Never ack what isn't durable — and never KEEP what wasn't acked:
     // the caller sees an error, so the tunnel must not stay live in
     // tunnels_ (same unwind discipline as commit()/Tunnel::allocate()).
-    std::lock_guard lock(tunnels_mutex_);
     tunnels_.erase(id);
     return durable.error();
   }
@@ -354,20 +311,17 @@ Result<TunnelId> BandwidthBroker::register_tunnel(
 }
 
 Tunnel* BandwidthBroker::find_tunnel(const TunnelId& id) {
-  std::lock_guard lock(tunnels_mutex_);
   const auto it = tunnels_.find(id);
   return it == tunnels_.end() ? nullptr : &it->second;
 }
 
 const Tunnel* BandwidthBroker::find_tunnel(const TunnelId& id) const {
-  std::lock_guard lock(tunnels_mutex_);
   const auto it = tunnels_.find(id);
   return it == tunnels_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t BandwidthBroker::next_certificate_serial() {
-  const std::uint64_t serial =
-      next_cert_serial_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t serial = next_cert_serial_++;
   (void)wal_log(wal_kind::kDelegationSerial,
                 {{"serial", std::to_string(serial)}});
   return serial;
@@ -382,20 +336,14 @@ Status BandwidthBroker::wal_log(const char* kind, WalFields fields,
 
 void BandwidthBroker::attach_wal(WriteAheadLog* wal) {
   wal_ = wal;
-  std::lock_guard lock(tunnels_mutex_);
   for (auto& [id, tunnel] : tunnels_) tunnel.set_wal(wal);
 }
 
 Status BandwidthBroker::restore_reservation(const Reservation& reservation) {
   const ReservationId& id = reservation.id;
-  {
-    const RecordShard& shard = shard_for(id);
-    std::lock_guard lock(shard.mutex);
-    if (shard.records.contains(id)) {
-      return make_error(ErrorCode::kConflict,
-                        "reservation already present: " + id,
-                        config_.domain);
-    }
+  if (records_.contains(id)) {
+    return make_error(ErrorCode::kConflict,
+                      "reservation already present: " + id, config_.domain);
   }
   const ResSpec& spec = reservation.spec;
   auto local = local_pool_.commit(id, spec.interval, spec.rate_bits_per_s);
@@ -411,18 +359,13 @@ Status BandwidthBroker::restore_reservation(const Reservation& reservation) {
       }
     }
   }
-  {
-    RecordShard& shard = shard_for(id);
-    std::lock_guard lock(shard.mutex);
-    shard.records.emplace(id, reservation);
-  }
+  records_.emplace(id, reservation);
   active_gauge_->add(1);
   return Status::ok_status();
 }
 
 Status BandwidthBroker::restore_tunnel(const TunnelId& id,
                                        const ResSpec& aggregate_spec) {
-  std::lock_guard lock(tunnels_mutex_);
   auto [it, inserted] = tunnels_.emplace(id, Tunnel(id, aggregate_spec));
   if (!inserted) {
     return make_error(ErrorCode::kConflict, "tunnel already present: " + id,
@@ -434,25 +377,18 @@ Status BandwidthBroker::restore_tunnel(const TunnelId& id,
 
 void BandwidthBroker::restore_ids(std::uint64_t next_id,
                                   std::uint64_t next_cert_serial) {
-  next_id_.store(next_id, std::memory_order_relaxed);
-  next_cert_serial_.store(next_cert_serial, std::memory_order_relaxed);
+  next_id_ = next_id;
+  next_cert_serial_ = next_cert_serial;
 }
 
 std::vector<Reservation> BandwidthBroker::all_reservations() const {
   std::vector<Reservation> out;
-  for (const RecordShard& shard : record_shards_) {
-    std::lock_guard lock(shard.mutex);
-    for (const auto& [id, resv] : shard.records) out.push_back(resv);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Reservation& a, const Reservation& b) {
-              return a.id < b.id;
-            });
+  out.reserve(records_.size());
+  for (const auto& [id, resv] : records_) out.push_back(resv);
   return out;
 }
 
 std::vector<const Tunnel*> BandwidthBroker::all_tunnels() const {
-  std::lock_guard lock(tunnels_mutex_);
   std::vector<const Tunnel*> out;
   out.reserve(tunnels_.size());
   for (const auto& [id, tunnel] : tunnels_) out.push_back(&tunnel);

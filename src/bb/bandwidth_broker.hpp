@@ -12,11 +12,8 @@
 // this interface.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -98,14 +95,9 @@ class BandwidthBroker {
   const policy::PolicyServer& policy_server() const { return policy_server_; }
 
   // --- Admission control ----------------------------------------------------
-  // A broker is a server: the daemon's event loop, concurrent tunnel
-  // sub-reservations and the load harness all issue requests against it
-  // from several threads. Admission state is sharded instead of
-  // serialized behind one broker lock: each capacity pool carries its own
-  // internal mutex (commit is an atomic check+insert), reservation records
-  // are striped across kRecordShards lock shards keyed by handle hash, and
-  // the statistics counters / id source are atomics. SLA and routing
-  // tables are written only at setup and read lock-free afterwards.
+  // A broker is not thread-safe: it belongs to one world, and the thread
+  // that owns the world drives every call (docs/ARCHITECTURE.md). Pools,
+  // records, tunnels, counters and the id sources are plain state.
 
   /// Admit and record the reservation; returns the new handle. Commits
   /// both the local capacity pool and (for transit traffic) the per-peer
@@ -121,14 +113,7 @@ class BandwidthBroker {
   /// interval-aware), so this only reclaims records and pool entries.
   /// Returns the number purged.
   std::size_t purge_expired(SimTime now);
-  std::size_t reservation_count() const {
-    std::size_t n = 0;
-    for (const auto& shard : record_shards_) {
-      std::lock_guard lock(shard.mutex);
-      n += shard.records.size();
-    }
-    return n;
-  }
+  std::size_t reservation_count() const { return records_.size(); }
   double committed_at(SimTime t) const { return local_pool_.committed_at(t); }
   double headroom(const TimeInterval& iv) const {
     return local_pool_.headroom(iv);
@@ -136,29 +121,24 @@ class BandwidthBroker {
 
   // --- Tunnels --------------------------------------------------------------
   /// Record an established aggregate tunnel at this (end) domain.
-  /// Registration is locked; the returned Tunnel* stays valid (tunnels are
-  /// never erased) and is itself thread-safe for allocate/release.
+  /// The returned Tunnel* stays valid (registered tunnels are never
+  /// erased).
   Result<TunnelId> register_tunnel(const ResSpec& aggregate_spec);
   Tunnel* find_tunnel(const TunnelId& id);
   const Tunnel* find_tunnel(const TunnelId& id) const;
-  std::size_t tunnel_count() const {
-    std::lock_guard lock(tunnels_mutex_);
-    return tunnels_.size();
-  }
+  std::size_t tunnel_count() const { return tunnels_.size(); }
 
   // --- Durability (src/bb/wal.hpp, snapshot.hpp, recovery.hpp) --------------
   /// Attach a write-ahead log: every state-changing decision from here on
-  /// is appended and fsync'd before the call returns (group-committed; a
-  /// purge logs one record for every handle it drops). Propagates to
-  /// already registered tunnels; newly registered tunnels inherit it. Pass
-  /// nullptr to detach (recovery replays with the WAL detached). Not
-  /// synchronized against in-flight requests — attach at setup or after
-  /// recovery.
+  /// is appended and fsync'd before the call returns (a purge logs one
+  /// record for every handle it drops). Propagates to already registered
+  /// tunnels; newly registered tunnels inherit it. Pass nullptr to detach
+  /// (recovery replays with the WAL detached).
   void attach_wal(WriteAheadLog* wal);
   WriteAheadLog* wal() const { return wal_; }
   double capacity() const { return config_.capacity_bits_per_s; }
 
-  /// Re-install a reservation during recovery: pools + record shard only —
+  /// Re-install a reservation during recovery: pools + record only —
   /// no audit append, no WAL append, no edge-configurator callback, no
   /// grant counters. kConflict on a duplicate handle (idempotent replay).
   Status restore_reservation(const Reservation& reservation);
@@ -168,11 +148,9 @@ class BandwidthBroker {
   /// recovered broker never reuses a handle.
   void restore_ids(std::uint64_t next_id, std::uint64_t next_cert_serial);
 
-  std::uint64_t next_id_value() const {
-    return next_id_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t next_id_value() const { return next_id_; }
   std::uint64_t next_certificate_serial_value() const {
-    return next_cert_serial_.load(std::memory_order_relaxed);
+    return next_cert_serial_;
   }
   /// Every live reservation, for the state snapshot (id order).
   std::vector<Reservation> all_reservations() const;
@@ -196,59 +174,11 @@ class BandwidthBroker {
     std::uint64_t denied_admission = 0;
     std::uint64_t released = 0;
   };
-  Counters counters() const {
-    Counters c;
-    c.requests = stats_.requests.load(std::memory_order_relaxed);
-    c.granted = stats_.granted.load(std::memory_order_relaxed);
-    c.denied_admission = stats_.denied.load(std::memory_order_relaxed);
-    c.released = stats_.released.load(std::memory_order_relaxed);
-    return c;
-  }
+  Counters counters() const { return stats_; }
   /// Restore the statistics counters from a snapshot (recovery only).
-  void restore_counters(const Counters& counters) {
-    stats_.requests.store(counters.requests, std::memory_order_relaxed);
-    stats_.granted.store(counters.granted, std::memory_order_relaxed);
-    stats_.denied.store(counters.denied_admission, std::memory_order_relaxed);
-    stats_.released.store(counters.released, std::memory_order_relaxed);
-  }
+  void restore_counters(const Counters& counters) { stats_ = counters; }
 
  private:
-  /// Reservation records are striped across this many lock shards (keyed
-  /// by handle hash) so concurrent commits/releases on different handles
-  /// don't contend on one broker-wide mutex.
-  static constexpr std::size_t kRecordShards = 16;
-  struct RecordShard {
-    mutable std::mutex mutex;
-    std::map<ReservationId, Reservation> records;
-  };
-  /// Shard off the numeric id the broker minted into the handle —
-  /// sequential ids round-robin the shards perfectly and cost one reverse
-  /// scan of the suffix, not a full std::hash pass over the string per
-  /// lookup. Foreign handle shapes (no numeric suffix) fall back to FNV-1a.
-  static std::size_t shard_index(const ReservationId& id) {
-    if (const std::uint64_t n = reservation_handle_number(id); n != 0) {
-      return n % kRecordShards;
-    }
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : id) {
-      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    }
-    return h % kRecordShards;
-  }
-  RecordShard& shard_for(const ReservationId& id) {
-    return record_shards_[shard_index(id)];
-  }
-  const RecordShard& shard_for(const ReservationId& id) const {
-    return record_shards_[shard_index(id)];
-  }
-
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> granted{0};
-    std::atomic<std::uint64_t> denied{0};
-    std::atomic<std::uint64_t> released{0};
-  };
-
   BrokerConfig config_;
   crypto::DistinguishedName dn_;
   crypto::KeyPair keys_;
@@ -257,35 +187,32 @@ class BandwidthBroker {
   policy::PolicyServer policy_server_;
 
   // Setup-time tables: written by add_upstream_sla()/set_next_hop() during
-  // world wiring, read lock-free afterwards (std::map nodes are stable and
-  // the pools carry their own locks).
+  // world wiring, read by every request afterwards.
   std::map<std::string, sla::ServiceLevelAgreement> upstream_slas_;
   std::map<std::string, CapacityPool> peer_pools_;
   std::map<std::string, std::string> next_hops_;
 
   CapacityPool local_pool_;
-  std::array<RecordShard, kRecordShards> record_shards_;
-  mutable std::mutex tunnels_mutex_;
+  std::map<ReservationId, Reservation> records_;
   std::map<TunnelId, Tunnel> tunnels_;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> next_cert_serial_{100000};
+  std::uint64_t next_id_ = 1;
+  std::uint64_t next_cert_serial_ = 100000;
 
-  /// commit()'s pre-pool validation: spec shape and SLA conformance
-  /// (advisory; pools re-check atomically).
+  /// commit()'s pre-pool validation: spec shape and SLA conformance.
   Status screen_request(const ResSpec& spec,
                         const std::string& from_domain) const;
   /// Per-decision bookkeeping for commit().
   void record_rejection(const ResSpec& spec, const std::string& reason);
   void record_grant(const ResSpec& spec);
 
-  /// Append one record covering an already-applied state change and block
-  /// until it is durable (no-op when no WAL is attached). Returns the
+  /// Append one record covering an already-applied state change and make
+  /// it durable (no-op when no WAL is attached). Returns the
   /// commit status so callers can refuse to ack on a sync failure.
   Status wal_log(const char* kind, WalFields fields,
                  std::vector<WalFields> items = {});
 
   EdgeConfigurator edge_configurator_;
-  AtomicCounters stats_;
+  Counters stats_;
   WriteAheadLog* wal_ = nullptr;  // owned by the deployment, not the broker
 
   // Cached instrument pointers (stable for the registry's lifetime);

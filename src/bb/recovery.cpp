@@ -19,9 +19,18 @@ bool file_exists(const std::string& path) {
   return !path.empty() && ::stat(path.c_str(), &st) == 0;
 }
 
-// Handle-number parsing lives in bb/reservation.hpp
-// (reservation_handle_number) — shared with the broker's record-shard
-// routing so recovery and routing agree on every handle's number.
+/// Numeric suffix of a broker-minted handle ("DomainA-resv-17" -> 17,
+/// "DomainA-tunnel-3" -> 3); 0 when the handle has a different shape.
+std::uint64_t reservation_handle_number(const std::string& id) {
+  const std::size_t dash = id.rfind('-');
+  if (dash == std::string::npos || dash + 1 >= id.size()) return 0;
+  std::uint64_t value = 0;
+  for (std::size_t i = dash + 1; i < id.size(); ++i) {
+    if (id[i] < '0' || id[i] > '9') return 0;
+    value = value * 10 + static_cast<std::uint64_t>(id[i] - '0');
+  }
+  return value;
+}
 
 void count(const char* metric, const char* label_key,
            const char* label_value, std::uint64_t by = 1) {

@@ -15,22 +15,6 @@ namespace e2e::bb {
 
 using ReservationId = std::string;
 
-/// Numeric suffix of a broker-minted handle ("DomainA-resv-17" -> 17,
-/// "DomainA-tunnel-3" -> 3); 0 when the handle has a different shape.
-/// Shared by record-shard routing, the shard engine's tunnel ownership
-/// map and recovery's id fast-forward, so all three agree on a handle's
-/// number without hashing the string.
-inline std::uint64_t reservation_handle_number(const std::string& id) {
-  const std::size_t dash = id.rfind('-');
-  if (dash == std::string::npos || dash + 1 >= id.size()) return 0;
-  std::uint64_t value = 0;
-  for (std::size_t i = dash + 1; i < id.size(); ++i) {
-    if (id[i] < '0' || id[i] > '9') return 0;
-    value = value * 10 + static_cast<std::uint64_t>(id[i] - '0');
-  }
-  return value;
-}
-
 struct ResSpec {
   /// DN text of the requesting principal.
   std::string user;

@@ -13,9 +13,7 @@
 //                   level over [start, end) is a linear pass over adjacent
 //                   entries; inserting a new boundary is one vector insert.
 //                   No per-node allocation, no pointer chasing: this is
-//                   what the pool runs in production (ISSUE 8 — the
-//                   shared-nothing admission engine wants shard state that
-//                   stays in its owner core's cache).
+//                   what the pool runs in production.
 //
 //   MapTimeline   — the PR-5 std::map<SimTime, Boundary> implementation,
 //                   kept verbatim as the differential oracle
@@ -23,8 +21,7 @@
 //                   identical op sequences, the same *_reference pattern
 //                   as crypto's modexp_reference).
 //
-// Neither is internally locked; the owning pool's mutex (or owning shard
-// worker) serializes access.
+// Neither is internally locked: the owning pool is driven by one thread.
 #pragma once
 
 #include <algorithm>

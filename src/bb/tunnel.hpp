@@ -34,7 +34,7 @@ class Tunnel {
   double aggregate_rate() const { return spec_.rate_bits_per_s; }
 
   /// Domain whose broker registered this tunnel; labels the pool's
-  /// rejection counter and boundary gauge. Call before concurrent use.
+  /// rejection counter and boundary gauge.
   void set_owner_domain(std::string domain) {
     owner_domain_ = domain;
     pool_.set_owner_domain(std::move(domain));
@@ -42,11 +42,10 @@ class Tunnel {
 
   /// Attach the owning broker's write-ahead log: per-flow allocations,
   /// releases and authorization grants become durable-before-ack. Set at
-  /// registration (or recovery completion), before concurrent use.
+  /// registration (or recovery completion).
   void set_wal(WriteAheadLog* wal) { wal_ = wal; }
 
-  /// Principals authorized to draw bandwidth from this tunnel. Setup-time
-  /// only: authorization is not synchronized against concurrent allocate().
+  /// Principals authorized to draw bandwidth from this tunnel.
   /// Durable-before-ack like every grant: if the WAL commit fails, the
   /// in-memory insert is rolled back and the error propagates — a
   /// recovered broker never silently loses an acked authorization.
@@ -68,9 +67,7 @@ class Tunnel {
   const std::set<std::string>& authorized() const { return authorized_; }
 
   /// Allocate a per-flow slice inside the aggregate. Only the two end
-  /// domains run this check — no intermediate signalling. Thread-safe:
-  /// the pool's internal lock makes the check-and-commit atomic, and the
-  /// WAL group commit is awaited outside it.
+  /// domains run this check — no intermediate signalling.
   Status allocate(const ReservationId& sub_id, const std::string& user_dn,
                   const TimeInterval& interval, double rate) {
     if (!is_authorized(user_dn)) {

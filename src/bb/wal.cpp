@@ -42,15 +42,14 @@ void fields_to_json(const WalFields& fields, std::string& out) {
   out += '}';
 }
 
-/// The per-record payload between the `seq` field and the `prev` link:
-/// everything that does NOT depend on the record's position in the chain.
-/// append() renders this part OUTSIDE the log mutex (the field escaping
-/// dominates encoding cost — the nosync-slower-than-off anomaly in
-/// BENCH_admission.json was every appender serializing through the lock
-/// to run it); canonical_body() splices the same bytes between the
-/// position-dependent prefix/suffix, so the chain hash covers identical
-/// bytes either way.
-void append_payload(const WalRecord& record, std::string& out) {
+/// The record as JSON *without* the trailing hash field — the exact bytes
+/// the chain hash covers (same discipline as obs/audit.cpp).
+std::string canonical_body(const WalRecord& record) {
+  std::string out;
+  out.reserve(192 + 64 * (record.fields.size() +
+                          record.items.size() * 8));
+  out += "{\"seq\":";
+  out += std::to_string(record.seq);
   out += ",\"at\":";
   out += std::to_string(record.at);
   out += ",\"domain\":\"";
@@ -67,17 +66,6 @@ void append_payload(const WalRecord& record, std::string& out) {
     }
     out += ']';
   }
-}
-
-/// The record as JSON *without* the trailing hash field — the exact bytes
-/// the chain hash covers (same discipline as obs/audit.cpp).
-std::string canonical_body(const WalRecord& record) {
-  std::string out;
-  out.reserve(192 + 64 * (record.fields.size() +
-                          record.items.size() * 8));
-  out += "{\"seq\":";
-  out += std::to_string(record.seq);
-  append_payload(record, out);
   out += ",\"prev\":\"";
   out += record.prev_hash;
   out += "\"}";
@@ -435,18 +423,11 @@ WriteAheadLog::WriteAheadLog(std::string path, SyncMode mode, int fd,
 }
 
 WriteAheadLog::~WriteAheadLog() {
-  {
-    // Flush anything appended but never committed (best effort — those
-    // records were never acked, but keeping them is harmless because
-    // replay is idempotent). Never after a latched failure: the failed
-    // batch is gone, so flushing later appends would put a sequence gap
-    // on disk.
-    std::lock_guard lock(mutex_);
-    if (!buffer_.empty() && fail_status_.ok()) {
-      (void)write_all(fd_, buffer_);
-      buffer_.clear();
-    }
-  }
+  // Flush anything appended but never committed (best effort — those
+  // records were never acked, but keeping them is harmless because replay
+  // is idempotent). Never after a latched failure: the failed batch is
+  // gone, so flushing later appends would put a sequence gap on disk.
+  if (!buffer_.empty() && fail_status_.ok()) (void)write_all(fd_, buffer_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -524,102 +505,55 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::open(
 std::uint64_t WriteAheadLog::append(const std::string& domain,
                                     const std::string& kind, WalFields fields,
                                     std::vector<WalFields> items) {
-  // Render everything that doesn't depend on the record's chain position
-  // BEFORE taking the log mutex. Field escaping dominates encoding cost;
-  // doing it under the lock serialized every concurrent appender (the WAL
-  // "nosync slower than off" anomaly).
   WalRecord record;
+  record.seq = next_seq_++;
   record.at = obs::current_span_ref().at;
   record.domain = domain;
   record.kind = kind;
   record.fields = std::move(fields);
   record.items = std::move(items);
-  std::string payload;
-  payload.reserve(192 + 64 * (record.fields.size() +
-                              record.items.size() * 8));
-  append_payload(record, payload);
-
-  std::uint64_t seq = 0;
-  std::size_t line_bytes = 0;
-  {
-    std::lock_guard lock(mutex_);
-    record.seq = seq = next_seq_++;
-    record.prev_hash = head_hash_.empty() ? genesis_hash() : head_hash_;
-    // Byte-identical to canonical_body(record): position-dependent prefix
-    // + the pre-rendered payload + the prev link.
-    std::string body;
-    body.reserve(payload.size() + 2 * kChainHexDigestLen + 64);
-    body += "{\"seq\":";
-    body += std::to_string(record.seq);
-    body += payload;
-    body += ",\"prev\":\"";
-    body += record.prev_hash;
-    body += "\"}";
-    record.hash = chain_sha256_hex(record.prev_hash + body);
-    head_hash_ = record.hash;
-    body.pop_back();  // drop the closing '}' to splice the hash in
-    body += kChainHashMarker;
-    body += record.hash;
-    body += "\"}";
-    line_bytes = body.size() + 1;
-    buffer_ += body;
-    buffer_ += '\n';
-    ++buffered_records_;
-  }
+  record.prev_hash = head_hash_.empty() ? genesis_hash() : head_hash_;
+  std::string body = canonical_body(record);
+  head_hash_ = chain_sha256_hex(record.prev_hash + body);
+  body.pop_back();  // drop the closing '}' to splice the hash in
+  body += kChainHashMarker;
+  body += head_hash_;
+  body += "\"}\n";
+  buffer_ += body;
+  ++buffered_records_;
   records_counter_for(kind)->increment();
-  bytes_counter_->increment(line_bytes);
-  return seq;
+  bytes_counter_->increment(body.size());
+  return record.seq;
 }
 
 Status WriteAheadLog::commit(std::uint64_t lsn) {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (durable_seq_ >= lsn) return {};  // a leader already covered us
-    if (!fail_status_.ok()) return fail_status_;  // latched: never ack
-    if (!sync_in_flight_) break;         // become the next leader
-    cv_.wait(lock,
-             [&] { return durable_seq_ >= lsn || !sync_in_flight_; });
-  }
-  sync_in_flight_ = true;
-  std::string batch = std::move(buffer_);
-  buffer_.clear();
-  const std::size_t group = buffered_records_;
-  buffered_records_ = 0;
-  const std::uint64_t covered = next_seq_ - 1;  // everything appended so far
-  const int fd = fd_;  // snapshot under the lock (truncate may swap fd_)
-  const bool injected_failure = fail_next_commit_for_testing_;
-  fail_next_commit_for_testing_ = false;
-  lock.unlock();
-
+  if (durable_seq_ >= lsn) return {};  // an earlier commit covered it
+  if (!fail_status_.ok()) return fail_status_;  // latched: never ack
   Status status =
-      injected_failure
+      fail_next_commit_for_testing_
           ? Status(make_error(ErrorCode::kInternal,
                               "wal write failed: injected fault", "bb.wal"))
-          : write_all(fd, batch);
-  if (status.ok() && mode_ == SyncMode::kFsync) {
-    if (::fsync(fd) != 0) {
-      status = make_error(ErrorCode::kInternal,
-                          std::string("wal fsync failed: ") +
-                              std::strerror(errno),
-                          "bb.wal");
-    }
+          : write_all(fd_, buffer_);
+  fail_next_commit_for_testing_ = false;
+  if (status.ok() && mode_ == SyncMode::kFsync && ::fsync(fd_) != 0) {
+    status = make_error(ErrorCode::kInternal,
+                        std::string("wal fsync failed: ") +
+                            std::strerror(errno),
+                        "bb.wal");
   }
-
-  lock.lock();
-  if (status.ok()) {
-    durable_seq_ = std::max(durable_seq_, covered);
-  } else {
-    // The drained batch is lost; anything appended after it would chain
+  const std::size_t group = buffered_records_;
+  buffer_.clear();
+  buffered_records_ = 0;
+  if (!status.ok()) {
+    // The buffered group is lost; anything appended after it would chain
     // past the hole (sequence gap + prev-hash break on disk, which would
     // poison every later acked record at recovery time). Latch instead:
     // all further commits fail with this error.
     fail_status_ = status;
+    return status;
   }
-  sync_in_flight_ = false;
-  cv_.notify_all();
-  lock.unlock();
-
-  if (status.ok() && group > 0 && mode_ == SyncMode::kFsync) {
+  durable_seq_ = next_seq_ - 1;  // everything appended so far
+  if (group > 0 && mode_ == SyncMode::kFsync) {
     fsyncs_counter_->increment();
     group_size_hist_->observe(static_cast<double>(group));
   }
@@ -632,30 +566,15 @@ Status WriteAheadLog::log(const std::string& domain, const std::string& kind,
 }
 
 void WriteAheadLog::inject_commit_failure_for_testing() {
-  std::lock_guard lock(mutex_);
   fail_next_commit_for_testing_ = true;
 }
 
-std::uint64_t WriteAheadLog::next_seq() const {
-  std::lock_guard lock(mutex_);
-  return next_seq_;
-}
-
 std::string WriteAheadLog::head_hash() const {
-  std::lock_guard lock(mutex_);
   return head_hash_.empty() ? genesis_hash() : head_hash_;
 }
 
 Result<std::size_t> WriteAheadLog::truncate_through(
     std::uint64_t covered_seq) {
-  std::unique_lock lock(mutex_);
-  // Wait out any in-flight group-commit leader: it writes to fd_ OUTSIDE
-  // the lock, and rewriting/renaming the file underneath it would send
-  // its acked batch to an unlinked inode (and detach the in-memory chain
-  // head from the file). Once the flag is clear and we hold the mutex, no
-  // new leader can start until we return — the whole rewrite below runs
-  // with the file quiescent.
-  cv_.wait(lock, [&] { return !sync_in_flight_; });
   if (!fail_status_.ok()) return fail_status_.error();
   // Make everything appended durable first so the rewrite sees it.
   if (!buffer_.empty()) {
@@ -696,7 +615,6 @@ Result<std::size_t> WriteAheadLog::truncate_through(
   }
   ::close(fd_);
   fd_ = fd;
-  lock.unlock();
 
   if (dropped > 0) {
     obs::MetricsRegistry::global()

@@ -8,12 +8,13 @@
 // same tamper-evident chain discipline as the audit log, obs/audit.hpp)
 // and fsync'd **before the caller's request is acked**.
 //
-// Group commit: concurrent committers coalesce onto one fsync. append()
-// buffers the record under the log mutex and returns its sequence number
-// (the LSN); commit(lsn) blocks until every record up to lsn is durable —
-// the first waiter becomes the sync leader, writes and fsyncs everything
-// buffered so far, and wakes the group, so N concurrent admissions cost
-// N lines but (at most) one fsync.
+// Group commit: append() buffers the record and returns its sequence
+// number (the LSN); commit(lsn) makes every record up to lsn durable by
+// writing and fsyncing everything buffered so far. The group is the set of
+// records appended since the last commit, so N appends followed by one
+// commit cost N lines but one fsync, and a commit of an LSN already
+// covered is free. There is no leader: the log belongs to one broker and
+// is driven by the thread that owns its world (docs/ARCHITECTURE.md).
 //
 // The recovery contract (docs/DURABILITY.md): replaying a snapshot plus
 // the log tail into a fresh broker reproduces the exact pre-crash pool
@@ -32,9 +33,6 @@
 #include "bb/reservation.hpp"
 #include "common/clock.hpp"
 #include "common/result.hpp"
-
-#include <condition_variable>
-#include <mutex>
 
 namespace e2e::obs {
 class Counter;
@@ -108,7 +106,7 @@ class WriteAheadLog {
     /// Records are written but never fsync'd — no durability guarantee.
     /// Useful only for measuring the pure serialization overhead.
     kNone,
-    /// fsync-before-ack with group commit (the durability contract).
+    /// fsync-before-ack (the durability contract).
     kFsync,
   };
 
@@ -138,8 +136,9 @@ class WriteAheadLog {
   std::uint64_t append(const std::string& domain, const std::string& kind,
                        WalFields fields, std::vector<WalFields> items = {});
 
-  /// Block until every record up to `lsn` is durable. Concurrent callers
-  /// coalesce onto one fsync (group commit).
+  /// Make every record up to `lsn` durable: return at once if an earlier
+  /// commit already covered it, otherwise write and fsync the whole buffer
+  /// (every record appended so far, `lsn` included).
   ///
   /// A write or fsync failure LATCHES the log into a permanent-failure
   /// state: the failed batch is discarded, and every subsequent commit()
@@ -152,7 +151,7 @@ class WriteAheadLog {
   /// caller was ever acked — conservative, never a double-grant.)
   Status commit(std::uint64_t lsn);
 
-  /// Make the next group-commit leader's write fail (test hook for the
+  /// Make the next commit's write fail (test hook for the
   /// latch + caller-unwind paths; real injection would need a full fs
   /// fault harness).
   void inject_commit_failure_for_testing();
@@ -164,7 +163,7 @@ class WriteAheadLog {
   const std::string& path() const { return path_; }
   SyncMode sync_mode() const { return mode_; }
   /// LSN the next append will get.
-  std::uint64_t next_seq() const;
+  std::uint64_t next_seq() const { return next_seq_; }
   /// Chain head (hash of the newest record; genesis when empty).
   std::string head_hash() const;
 
@@ -211,13 +210,10 @@ class WriteAheadLog {
   SyncMode mode_;
   int fd_ = -1;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::string buffer_;             // appended-but-unwritten lines
   std::uint64_t next_seq_ = 1;     // LSN of the next append
   std::uint64_t durable_seq_ = 0;  // highest durable LSN (0 = none)
   std::size_t buffered_records_ = 0;
-  bool sync_in_flight_ = false;
   Status fail_status_;  // non-ok = latched permanent failure
   bool fail_next_commit_for_testing_ = false;
   std::string head_hash_;  // empty = genesis

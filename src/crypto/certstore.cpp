@@ -16,23 +16,6 @@ Digest chain_cache_key(const Certificate& leaf,
 }
 }  // namespace
 
-TrustStore::TrustStore(const TrustStore& o)
-    : anchors_(o.anchors_), revocation_(o.revocation_) {
-  std::lock_guard lock(o.cache_mu_);
-  chain_cache_ = o.chain_cache_;
-  cache_tick_ = o.cache_tick_;
-}
-
-TrustStore& TrustStore::operator=(const TrustStore& o) {
-  if (this == &o) return *this;
-  anchors_ = o.anchors_;
-  revocation_ = o.revocation_;
-  std::scoped_lock lock(cache_mu_, o.cache_mu_);
-  chain_cache_ = o.chain_cache_;
-  cache_tick_ = o.cache_tick_;
-  return *this;
-}
-
 bool TrustStore::add_anchor(const Certificate& cert) {
   if (!cert.is_self_signed()) return false;
   if (!cert.verify_signature(cert.subject_public_key())) return false;
@@ -46,16 +29,6 @@ bool TrustStore::add_anchor(const Certificate& cert) {
 void TrustStore::set_revocation_check(RevocationCheck check) {
   revocation_ = std::move(check);
   invalidate_chain_cache();
-}
-
-void TrustStore::invalidate_chain_cache() {
-  std::lock_guard lock(cache_mu_);
-  chain_cache_.clear();
-}
-
-std::size_t TrustStore::chain_cache_size() const {
-  std::lock_guard lock(cache_mu_);
-  return chain_cache_.size();
 }
 
 const Certificate* TrustStore::find_anchor(const DistinguishedName& dn) const {
@@ -73,26 +46,23 @@ Result<std::vector<Certificate>> TrustStore::verify_chain(
       obs::kCryptoChainCacheLookupsTotal, {{"result", "miss"}});
 
   const Digest cache_key = chain_cache_key(leaf, intermediates);
-  {
-    std::lock_guard lock(cache_mu_);
-    if (auto it = chain_cache_.find(cache_key); it != chain_cache_.end()) {
-      // A hit skips only the signature arithmetic. Time validity and the
-      // revocation oracle are re-checked against THIS call's `at`; if any
-      // check fails we fall through to the full walk so the caller gets
-      // exactly the error the uncached path would have produced.
-      bool still_good = true;
-      for (const Certificate& cert : it->second.path) {
-        if (!cert.valid_at(at) ||
-            (revocation_ && revocation_(cert.issuer(), cert.serial()))) {
-          still_good = false;
-          break;
-        }
+  if (auto it = chain_cache_.find(cache_key); it != chain_cache_.end()) {
+    // A hit skips only the signature arithmetic. Time validity and the
+    // revocation oracle are re-checked against THIS call's `at`; if any
+    // check fails we fall through to the full walk so the caller gets
+    // exactly the error the uncached path would have produced.
+    bool still_good = true;
+    for (const Certificate& cert : it->second.path) {
+      if (!cert.valid_at(at) ||
+          (revocation_ && revocation_(cert.issuer(), cert.serial()))) {
+        still_good = false;
+        break;
       }
-      if (still_good) {
-        it->second.last_used = ++cache_tick_;
-        cache_hits.increment();
-        return it->second.path;
-      }
+    }
+    if (still_good) {
+      it->second.last_used = ++cache_tick_;
+      cache_hits.increment();
+      return it->second.path;
     }
   }
   cache_misses.increment();
@@ -129,7 +99,6 @@ Result<std::vector<Certificate>> TrustStore::verify_chain(
       if (!(current == *anchor)) path.push_back(*anchor);
 
       // Memoize the success (failures are never cached).
-      std::lock_guard lock(cache_mu_);
       if (chain_cache_.size() >= kChainCacheCapacity &&
           !chain_cache_.contains(cache_key)) {
         auto oldest = chain_cache_.begin();

@@ -12,6 +12,9 @@
 // whole cache is dropped when the anchor set or the revocation oracle
 // changes. See docs/PERFORMANCE.md for the invalidation rules.
 //
+// Thread safety: none of its own. A store belongs to one broker (or one
+// client) and is used by the thread that owns it (docs/ARCHITECTURE.md).
+//
 // The web-of-trust ("key introducer") acceptance used by the transitive
 // trust model lives in src/sig/trust.hpp and builds on this store.
 #pragma once
@@ -19,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -30,12 +32,6 @@ namespace e2e::crypto {
 
 class TrustStore {
  public:
-  TrustStore() = default;
-  // Copyable despite the cache mutex (brokers hold stores by value). Copies
-  // share nothing; the cache comes along as plain data.
-  TrustStore(const TrustStore& o);
-  TrustStore& operator=(const TrustStore& o);
-
   /// Trust `cert` as a root (must be self-signed with a valid signature;
   /// returns false and ignores it otherwise). Invalidates the chain cache.
   bool add_anchor(const Certificate& cert);
@@ -62,7 +58,7 @@ class TrustStore {
 
   static constexpr std::size_t kChainCacheCapacity = 256;
   /// Cached successful verifications (tests and capacity checks).
-  std::size_t chain_cache_size() const;
+  std::size_t chain_cache_size() const { return chain_cache_.size(); }
 
  private:
   struct ChainCacheEntry {
@@ -70,13 +66,12 @@ class TrustStore {
     std::uint64_t last_used = 0;
   };
 
-  void invalidate_chain_cache();
+  void invalidate_chain_cache() { chain_cache_.clear(); }
 
   std::map<std::string, Certificate> anchors_;  // keyed by DN text
   RevocationCheck revocation_;
-  // verify_chain() is const, so the memo table is mutable state guarded by
-  // its own mutex; keys are SHA-256 over the presented certificate bytes.
-  mutable std::mutex cache_mu_;
+  // verify_chain() is const, so the memo table is mutable state; keys are
+  // SHA-256 over the presented certificate bytes.
   mutable std::map<Digest, ChainCacheEntry> chain_cache_;
   mutable std::uint64_t cache_tick_ = 0;
 };

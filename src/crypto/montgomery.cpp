@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "obs/instruments.hpp"
@@ -478,16 +477,16 @@ std::shared_ptr<const MontgomeryContext> MontgomeryContext::shared(
     std::shared_ptr<const MontgomeryContext> context;
     std::uint64_t last_used = 0;
   };
-  static std::mutex mu;
-  static std::map<BigUInt, Entry> cache;
-  static std::uint64_t tick = 0;
+  // One cache per thread, so no lock: two threads of one process that run
+  // RSA (a daemon's loop and a client beside it) each keep their own.
+  thread_local std::map<BigUInt, Entry> cache;
+  thread_local std::uint64_t tick = 0;
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& hits = registry.counter(
       obs::kCryptoMontCtxLookupsTotal, {{"result", "hit"}});
   static obs::Counter& misses = registry.counter(
       obs::kCryptoMontCtxLookupsTotal, {{"result", "miss"}});
 
-  std::lock_guard lock(mu);
   ++tick;
   if (auto it = cache.find(m); it != cache.end()) {
     it->second.last_used = tick;

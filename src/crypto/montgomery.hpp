@@ -25,11 +25,10 @@
 // independent chains of dependent multiplies: the two CRT halves of a
 // signature.
 //
-// Contexts are immutable after construction and safe to share across
-// threads. `shared()` hands out contexts from a bounded process-wide cache
-// keyed by modulus value, so every verify against the same key — and every
-// Miller-Rabin round against the same prime candidate — reuses one context
-// instead of recomputing R^2. Differential tests pin the whole kernel
+// Contexts are immutable after construction. `shared()` hands out contexts
+// from a bounded per-thread cache keyed by modulus value, so every verify
+// against the same key — and every Miller-Rabin round against the same
+// prime candidate — reuses one context instead of recomputing R^2. Differential tests pin the whole kernel
 // against BigUInt::modexp_reference (tests/crypto_montgomery_test.cpp).
 #pragma once
 
@@ -75,8 +74,9 @@ class MontgomeryContext {
   /// REDC(a * a) via the dedicated squaring path.
   BigUInt sqr(const BigUInt& a_mont) const;
 
-  /// Find-or-create a context in the process-wide bounded cache (LRU over
-  /// kSharedCacheCapacity moduli; hit/miss counters in the obs registry).
+  /// Find-or-create a context in the calling thread's bounded cache (LRU
+  /// over kSharedCacheCapacity moduli; hit/miss counters in the obs
+  /// registry).
   static std::shared_ptr<const MontgomeryContext> shared(const BigUInt& m);
   static constexpr std::size_t kSharedCacheCapacity = 64;
 

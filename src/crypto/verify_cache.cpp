@@ -5,7 +5,7 @@
 namespace e2e::crypto {
 
 VerifyCache& VerifyCache::global() {
-  static VerifyCache cache;
+  thread_local VerifyCache cache;
   return cache;
 }
 
@@ -18,7 +18,6 @@ std::optional<bool> VerifyCache::lookup(const Digest& key) {
   static obs::Counter& misses = registry.counter(
       obs::kCryptoVerifyCacheLookupsTotal, {{"result", "miss"}});
 
-  std::lock_guard lock(mu_);
   if (capacity_ == 0) {
     misses.increment();
     return std::nullopt;
@@ -34,7 +33,6 @@ std::optional<bool> VerifyCache::lookup(const Digest& key) {
 }
 
 void VerifyCache::insert(const Digest& key, bool valid) {
-  std::lock_guard lock(mu_);
   if (capacity_ == 0) return;
   if (auto it = map_.find(key); it != map_.end()) {
     it->second->second = valid;
@@ -50,24 +48,12 @@ void VerifyCache::insert(const Digest& key, bool valid) {
 }
 
 void VerifyCache::set_capacity(std::size_t capacity) {
-  std::lock_guard lock(mu_);
   capacity_ = capacity;
   lru_.clear();
   map_.clear();
 }
 
-std::size_t VerifyCache::capacity() const {
-  std::lock_guard lock(mu_);
-  return capacity_;
-}
-
-std::size_t VerifyCache::size() const {
-  std::lock_guard lock(mu_);
-  return map_.size();
-}
-
 void VerifyCache::clear() {
-  std::lock_guard lock(mu_);
   lru_.clear();
   map_.clear();
 }

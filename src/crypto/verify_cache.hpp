@@ -8,15 +8,17 @@
 // a cached "valid" can never be replayed for a different key, message or
 // signature (tests/crypto_cache_test.cpp pins this down).
 //
-// The cache is a process-wide, mutex-guarded LRU bounded at kDefaultCapacity
-// entries. Hit/miss counts surface as e2e_crypto_verify_cache_lookups_total
-// (see docs/OBSERVABILITY.md). set_capacity(0) disables caching — the
-// micro benches use this to measure the uncached path.
+// The cache is an LRU bounded at kDefaultCapacity entries, one per thread:
+// global() is thread_local, so each thread that verifies (the thread that
+// owns a world, or a client thread beside it) warms its own cache and no
+// two threads share one. Hit/miss counts of every thread surface as
+// e2e_crypto_verify_cache_lookups_total (see docs/OBSERVABILITY.md).
+// set_capacity(0) disables the calling thread's cache — the micro benches
+// use this to measure the uncached path.
 #pragma once
 
 #include <cstddef>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -28,7 +30,7 @@ class VerifyCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  /// The process-wide instance used by crypto::verify().
+  /// The calling thread's instance, used by crypto::verify().
   static VerifyCache& global();
 
   explicit VerifyCache(std::size_t capacity = kDefaultCapacity);
@@ -42,8 +44,8 @@ class VerifyCache {
 
   /// Resize; 0 disables the cache entirely. Always clears current entries.
   void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-  std::size_t size() const;
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return map_.size(); }
   void clear();
 
  private:
@@ -57,7 +59,6 @@ class VerifyCache {
   };
   using LruList = std::list<std::pair<Digest, bool>>;
 
-  mutable std::mutex mu_;
   std::size_t capacity_;
   LruList lru_;  // front = most recent
   std::unordered_map<Digest, LruList::iterator, DigestHash> map_;

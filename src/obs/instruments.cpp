@@ -42,9 +42,9 @@ std::vector<MetricInfo> build_catalog() {
       {kBbWalBytesTotal, MetricType::kCounter, "bytes", {},
        "Bytes written to broker write-ahead-log files"},
       {kBbWalFsyncsTotal, MetricType::kCounter, kOne, {},
-       "fsync calls issued by the WAL group-commit leader"},
+       "fsync calls issued by WAL commits"},
       {kBbWalGroupCommitRecords, MetricType::kHistogram, kOne, {},
-       "Records made durable per fsync (group-commit coalescing factor)"},
+       "Records made durable per fsync (the group each commit covered)"},
       {kBbWalRecordsTotal, MetricType::kCounter, kOne, {"kind"},
        "WAL records appended (a purge's release_batch is one record)"},
       {kBbWalSnapshotsTotal, MetricType::kCounter, kOne, {},

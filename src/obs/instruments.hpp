@@ -169,9 +169,9 @@ inline constexpr char kBbAdmissionUs[] = "e2e_bb_admission_us";
 inline constexpr char kBbWalRecordsTotal[] = "e2e_bb_wal_records_total";
 /// Bytes written to WAL files (records only; truncation rewrites excluded).
 inline constexpr char kBbWalBytesTotal[] = "e2e_bb_wal_bytes_total";
-/// fsync calls issued by the group-commit leader.
+/// fsync calls issued by WAL commits.
 inline constexpr char kBbWalFsyncsTotal[] = "e2e_bb_wal_fsyncs_total";
-/// Records made durable per fsync (group-commit coalescing factor).
+/// Records made durable per fsync (the group each commit covered).
 inline constexpr char kBbWalGroupCommitRecords[] =
     "e2e_bb_wal_group_commit_records";
 /// Snapshots written (each truncates the covered WAL prefix).

@@ -7,7 +7,6 @@
 // certificate."
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -32,23 +31,22 @@ class GroupServer {
   }
 
   /// Validate the assertion "`member` belongs to `group`". `lookups()`
-  /// counts server contacts for the benchmarks. Safe to call from
-  /// concurrent readers (membership mutation is setup-time only).
+  /// counts server contacts for the benchmarks. Like the policy server
+  /// that calls it, a group server is used by the thread that owns its
+  /// world (docs/ARCHITECTURE.md).
   bool validate(const std::string& group,
                 const crypto::DistinguishedName& member) const {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
+    ++lookups_;
     const auto it = groups_.find(group);
     return it != groups_.end() && it->second.contains(member.to_string());
   }
 
-  std::size_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
+  std::size_t lookups() const { return lookups_; }
 
  private:
   std::string name_;
   std::map<std::string, std::set<std::string>> groups_;
-  mutable std::atomic<std::size_t> lookups_{0};
+  mutable std::size_t lookups_ = 0;
 };
 
 }  // namespace e2e::policy

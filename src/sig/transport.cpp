@@ -48,29 +48,17 @@ Result<obs::TraceContext> decode_trace_context(BytesView bytes) {
 
 void Fabric::set_latency(const std::string& a, const std::string& b,
                          SimDuration one_way) {
-  std::lock_guard lock(mutex_);
   latencies_[key(a, b)] = one_way;
 }
 
-void Fabric::set_default_latency(SimDuration one_way) {
-  std::lock_guard lock(mutex_);
-  default_latency_ = one_way;
-}
-
-SimDuration Fabric::one_way_unlocked(const std::string& a,
-                                     const std::string& b) const {
+SimDuration Fabric::one_way(const std::string& a, const std::string& b) const {
   if (a == b) return 0;
   const auto it = latencies_.find(key(a, b));
   return it == latencies_.end() ? default_latency_ : it->second;
 }
 
-SimDuration Fabric::one_way(const std::string& a, const std::string& b) const {
-  std::lock_guard lock(mutex_);
-  return one_way_unlocked(a, b);
-}
-
-void Fabric::count_unlocked(const std::string& from, const std::string& to,
-                            std::size_t bytes) {
+void Fabric::count(const std::string& from, const std::string& to,
+                   std::size_t bytes) {
   Stats& pair_stats = per_pair_[key(from, to)];
   pair_stats.messages++;
   pair_stats.bytes += bytes;
@@ -83,73 +71,44 @@ void Fabric::record_message(const std::string& from, const std::string& to,
   auto& registry = obs::MetricsRegistry::global();
   registry.counter(obs::kSigFabricMessagesTotal).increment();
   registry.counter(obs::kSigFabricBytesTotal).increment(bytes);
-  std::lock_guard lock(mutex_);
-  count_unlocked(from, to, bytes);
-}
-
-Fabric::Stats Fabric::total() const {
-  std::lock_guard lock(mutex_);
-  return total_;
+  count(from, to, bytes);
 }
 
 Fabric::Stats Fabric::between(const std::string& a,
                               const std::string& b) const {
-  std::lock_guard lock(mutex_);
   const auto it = per_pair_.find(key(a, b));
   return it == per_pair_.end() ? Stats{} : it->second;
 }
 
 void Fabric::reset_counters() {
-  std::lock_guard lock(mutex_);
   per_pair_.clear();
   total_ = Stats{};
 }
 
-void Fabric::seed_faults(std::uint64_t seed) {
-  std::lock_guard lock(mutex_);
-  fault_rng_ = Rng(seed);
-}
-
-void Fabric::set_default_fault_profile(const FaultProfile& profile) {
-  std::lock_guard lock(mutex_);
-  default_profile_ = profile;
-}
-
 void Fabric::set_fault_profile(const std::string& from, const std::string& to,
                                const FaultProfile& profile) {
-  std::lock_guard lock(mutex_);
   profiles_[{from, to}] = profile;
 }
 
-const FaultProfile& Fabric::profile_unlocked(const std::string& from,
-                                             const std::string& to) const {
+const FaultProfile& Fabric::fault_profile(const std::string& from,
+                                          const std::string& to) const {
   const auto it = profiles_.find({from, to});
   return it == profiles_.end() ? default_profile_ : it->second;
 }
 
-FaultProfile Fabric::fault_profile(const std::string& from,
-                                   const std::string& to) const {
-  std::lock_guard lock(mutex_);
-  return profile_unlocked(from, to);
-}
-
 void Fabric::partition(const std::string& a, const std::string& b) {
-  std::lock_guard lock(mutex_);
   partitions_.insert(key(a, b));
 }
 
 void Fabric::heal(const std::string& a, const std::string& b) {
-  std::lock_guard lock(mutex_);
   partitions_.erase(key(a, b));
 }
 
 bool Fabric::partitioned(const std::string& a, const std::string& b) const {
-  std::lock_guard lock(mutex_);
   return partitions_.contains(key(a, b));
 }
 
 void Fabric::set_down(const std::string& name, bool down) {
-  std::lock_guard lock(mutex_);
   if (down) {
     down_.insert(name);
   } else {
@@ -157,13 +116,7 @@ void Fabric::set_down(const std::string& name, bool down) {
   }
 }
 
-bool Fabric::is_down(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  return down_.contains(name);
-}
-
 void Fabric::clear_faults() {
-  std::lock_guard lock(mutex_);
   default_profile_ = FaultProfile{};
   profiles_.clear();
   partitions_.clear();
@@ -192,43 +145,40 @@ Delivery Fabric::transmit(const std::string& from, const std::string& to,
   Delivery d;
   const char* loss_kind = nullptr;
   bool delayed = false;
-  {
-    std::lock_guard lock(mutex_);
-    count_unlocked(from, to, payload.size());
-    if (down_.contains(to) || down_.contains(from)) {
-      d.outcome = Delivery::Outcome::kPeerDown;
-      loss_kind = "down";
-    } else if (partitions_.contains(key(from, to))) {
-      d.outcome = Delivery::Outcome::kPartitioned;
-      loss_kind = "partition";
+  count(from, to, payload.size());
+  if (down_.contains(to) || down_.contains(from)) {
+    d.outcome = Delivery::Outcome::kPeerDown;
+    loss_kind = "down";
+  } else if (partitions_.contains(key(from, to))) {
+    d.outcome = Delivery::Outcome::kPartitioned;
+    loss_kind = "partition";
+  } else {
+    const FaultProfile& profile = fault_profile(from, to);
+    if (profile.drop > 0 && fault_rng_.next_bool(profile.drop)) {
+      d.outcome = Delivery::Outcome::kDropped;
+      loss_kind = "drop";
     } else {
-      const FaultProfile& profile = profile_unlocked(from, to);
-      if (profile.drop > 0 && fault_rng_.next_bool(profile.drop)) {
-        d.outcome = Delivery::Outcome::kDropped;
-        loss_kind = "drop";
-      } else {
-        d.payload.assign(payload.begin(), payload.end());
-        d.latency = one_way_unlocked(from, to);
-        if (profile.jitter > 0 && fault_rng_.next_bool(profile.jitter)) {
-          delayed = true;
-          d.latency += static_cast<SimDuration>(fault_rng_.next_below(
-              static_cast<std::uint64_t>(
-                  std::max<SimDuration>(profile.max_jitter, 1))));
+      d.payload.assign(payload.begin(), payload.end());
+      d.latency = one_way(from, to);
+      if (profile.jitter > 0 && fault_rng_.next_bool(profile.jitter)) {
+        delayed = true;
+        d.latency += static_cast<SimDuration>(fault_rng_.next_below(
+            static_cast<std::uint64_t>(
+                std::max<SimDuration>(profile.max_jitter, 1))));
+      }
+      if (profile.corrupt > 0 && !d.payload.empty() &&
+          fault_rng_.next_bool(profile.corrupt)) {
+        d.corrupted = true;
+        const std::size_t flips = 1 + fault_rng_.next_below(3);
+        for (std::size_t i = 0; i < flips; ++i) {
+          const std::size_t pos = fault_rng_.next_below(d.payload.size());
+          const std::uint8_t bit =
+              static_cast<std::uint8_t>(1u << fault_rng_.next_below(8));
+          d.payload[pos] ^= bit;
         }
-        if (profile.corrupt > 0 && !d.payload.empty() &&
-            fault_rng_.next_bool(profile.corrupt)) {
-          d.corrupted = true;
-          const std::size_t flips = 1 + fault_rng_.next_below(3);
-          for (std::size_t i = 0; i < flips; ++i) {
-            const std::size_t pos = fault_rng_.next_below(d.payload.size());
-            const std::uint8_t bit =
-                static_cast<std::uint8_t>(1u << fault_rng_.next_below(8));
-            d.payload[pos] ^= bit;
-          }
-        }
-        if (profile.duplicate > 0 && fault_rng_.next_bool(profile.duplicate)) {
-          d.duplicated = true;
-        }
+      }
+      if (profile.duplicate > 0 && fault_rng_.next_bool(profile.duplicate)) {
+        d.duplicated = true;
       }
     }
   }

@@ -15,14 +15,12 @@
 // one_way(from, to). Fault decisions come from a private RNG seeded via
 // seed_faults(), so a run is replayable from its seed.
 //
-// Thread safety: one mutex guards latencies, counters and all fault state,
-// so callers on several threads may transmit while others mutate
-// latencies.
+// Thread safety: none of its own. A Fabric belongs to one world and is
+// driven by the thread that owns that world (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -116,7 +114,6 @@ class Transport {
   virtual SimDuration processing_delay() const = 0;
 
   /// Account one message without transmitting (modeled side channels).
-  /// Thread-safe.
   virtual void record_message(const std::string& from, const std::string& to,
                               std::size_t bytes) = 0;
 
@@ -137,7 +134,7 @@ class Fabric : public Transport {
   /// Symmetric one-way latency between two parties.
   void set_latency(const std::string& a, const std::string& b,
                    SimDuration one_way);
-  void set_default_latency(SimDuration one_way);
+  void set_default_latency(SimDuration one_way) { default_latency_ = one_way; }
 
   SimDuration one_way(const std::string& a,
                       const std::string& b) const override;
@@ -148,11 +145,10 @@ class Fabric : public Transport {
   void set_processing_delay(SimDuration d) { processing_delay_ = d; }
   SimDuration processing_delay() const override { return processing_delay_; }
 
-  /// Thread-safe.
   void record_message(const std::string& from, const std::string& to,
                       std::size_t bytes) override;
   /// Message/byte accounting since the last reset.
-  Stats total() const;
+  Stats total() const { return total_; }
   Stats between(const std::string& a, const std::string& b) const;
   void reset_counters();
 
@@ -160,16 +156,18 @@ class Fabric : public Transport {
 
   /// Seed the private fault RNG; fault decisions never consume any other
   /// RNG, so clean-path runs are unaffected by the seed.
-  void seed_faults(std::uint64_t seed);
+  void seed_faults(std::uint64_t seed) { fault_rng_ = Rng(seed); }
 
   /// Profile applied to every link without a per-link override.
-  void set_default_fault_profile(const FaultProfile& profile);
+  void set_default_fault_profile(const FaultProfile& profile) {
+    default_profile_ = profile;
+  }
 
   /// Directional override for messages from `from` to `to`.
   void set_fault_profile(const std::string& from, const std::string& to,
                          const FaultProfile& profile);
-  FaultProfile fault_profile(const std::string& from,
-                             const std::string& to) const;
+  const FaultProfile& fault_profile(const std::string& from,
+                                    const std::string& to) const;
 
   /// Explicit link partition (symmetric): transmissions between the two
   /// parties fail with Delivery::Outcome::kPartitioned until healed.
@@ -180,7 +178,7 @@ class Fabric : public Transport {
   /// Broker crash toggle: while down, nothing is delivered to — or sent
   /// by — `name`.
   void set_down(const std::string& name, bool down);
-  bool is_down(const std::string& name) const;
+  bool is_down(const std::string& name) const { return down_.contains(name); }
 
   /// Drop all fault state (profiles, partitions, crashes). The fault RNG
   /// keeps its position; re-seed for a fresh replayable sequence.
@@ -206,14 +204,9 @@ class Fabric : public Transport {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   }
 
-  SimDuration one_way_unlocked(const std::string& a,
-                               const std::string& b) const;
-  void count_unlocked(const std::string& from, const std::string& to,
-                      std::size_t bytes);
-  const FaultProfile& profile_unlocked(const std::string& from,
-                                       const std::string& to) const;
+  void count(const std::string& from, const std::string& to,
+             std::size_t bytes);
 
-  mutable std::mutex mutex_;
   std::map<std::pair<std::string, std::string>, SimDuration> latencies_;
   std::map<std::pair<std::string, std::string>, Stats> per_pair_;
   Stats total_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 namespace e2e::bb {
 namespace {
 
@@ -217,6 +221,111 @@ TEST(Broker, PurgeExpiredCountsAsReleased) {
   EXPECT_EQ(c.released, 1u);
   EXPECT_EQ(c.granted - c.released, f.broker.reservation_count());
   EXPECT_EQ(f.broker.reservation_count(), 1u);
+}
+
+TEST(Broker, MixedTrafficLeavesZeroResidual) {
+  // Four callers' mixes interleaved round by round: held singles, bursts
+  // released together, per-flow tunnel allocations and headroom reads.
+  // Capacity is never oversubscribed, the counters agree with what the
+  // callers saw, and once everything is released the broker and both
+  // tunnels are whole again.
+  BrokerFixture f;
+  const char* alice = "CN=Alice,O=DomainA,C=US";
+  std::vector<Tunnel*> tunnels;
+  for (int t = 0; t < 2; ++t) {
+    ResSpec agg = f.spec(20e6, {0, seconds(600)});
+    agg.is_tunnel = true;
+    const auto tid = f.broker.register_tunnel(agg);
+    ASSERT_TRUE(tid.ok());
+    Tunnel* tunnel = f.broker.find_tunnel(*tid);
+    ASSERT_TRUE(tunnel->authorize(alice).ok());
+    tunnels.push_back(tunnel);
+  }
+
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 40;
+  std::uint64_t requests = 0;
+  std::uint64_t granted = 0;
+  std::vector<std::vector<ReservationId>> held(kCallers);
+  auto commit = [&](double rate,
+                    TimeInterval iv) -> std::optional<ReservationId> {
+    ++requests;
+    auto id = f.broker.commit(f.spec(rate, iv), "");
+    if (!id.ok()) return std::nullopt;
+    ++granted;
+    return *id;
+  };
+  for (int i = 0; i < kRounds; ++i) {
+    for (int t = 0; t < kCallers; ++t) {
+      const std::string tag =
+          "w" + std::to_string(t) + "-" + std::to_string(i);
+      std::vector<ReservationId>& mine = held[t];
+      switch (i % 4) {
+        case 0: {  // single commit (kept for a while, then released)
+          const SimTime start = seconds((t * kRounds + i) % 40);
+          if (auto id = commit(4e6, {start, start + seconds(25)})) {
+            mine.push_back(*id);
+          }
+          break;
+        }
+        case 1: {  // five commits held together, then released
+          std::vector<ReservationId> burst;
+          for (int j = 0; j < 5; ++j) {
+            const SimTime start = seconds((t * 11 + i * 3 + j) % 45);
+            if (auto id = commit(3e6, {start, start + seconds(15)})) {
+              burst.push_back(*id);
+            }
+          }
+          for (const auto& id : burst) ASSERT_TRUE(f.broker.release(id).ok());
+          break;
+        }
+        case 2: {  // per-flow allocations across both tunnels
+          for (int j = 0; j < 4; ++j) {
+            Tunnel* tunnel = tunnels[static_cast<std::size_t>(j) % 2];
+            const std::string sub_id = tag + "-" + std::to_string(j);
+            if (tunnel->allocate(sub_id, alice, {0, seconds(60)}, 1e6).ok()) {
+              ASSERT_TRUE(tunnel->release(sub_id).ok());
+            }
+          }
+          break;
+        }
+        default: {  // headroom reads between the writes
+          (void)f.broker.headroom({seconds(i % 40), seconds(i % 40 + 10)});
+          for (const Tunnel* tunnel : tunnels) {
+            (void)tunnel->headroom({0, seconds(60)});
+          }
+          break;
+        }
+      }
+      if (mine.size() > 3) {
+        ASSERT_TRUE(f.broker.release(mine.front()).ok());
+        mine.erase(mine.begin());
+      }
+    }
+    for (SimTime t = 0; t <= seconds(80); t += seconds(1)) {
+      ASSERT_LE(f.broker.committed_at(t), 100e6 + 1e-3) << t;
+    }
+    const auto c = f.broker.counters();
+    ASSERT_EQ(c.granted - c.released, f.broker.reservation_count());
+  }
+  for (const auto& mine : held) {
+    for (const auto& id : mine) ASSERT_TRUE(f.broker.release(id).ok());
+  }
+
+  // Zero residual: every grant released, broker and tunnel pools whole.
+  EXPECT_EQ(f.broker.reservation_count(), 0u);
+  for (SimTime t = 0; t <= seconds(80); t += seconds(1)) {
+    ASSERT_EQ(f.broker.committed_at(t), 0.0) << t;
+  }
+  for (const Tunnel* tunnel : tunnels) {
+    EXPECT_EQ(tunnel->active_allocations(), 0u);
+    EXPECT_DOUBLE_EQ(tunnel->headroom({0, seconds(60)}), 20e6);
+  }
+  const auto c = f.broker.counters();
+  EXPECT_EQ(c.requests, requests);
+  EXPECT_EQ(c.granted, granted);
+  EXPECT_EQ(c.granted, c.released);
+  EXPECT_GT(granted, 0u);
 }
 
 TEST(ResSpec, EncodeDecodeRoundTrip) {

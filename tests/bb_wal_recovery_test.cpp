@@ -18,7 +18,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bb/bandwidth_broker.hpp"
@@ -26,6 +25,7 @@
 #include "bb/snapshot.hpp"
 #include "bb/wal.hpp"
 #include "obs/audit.hpp"
+#include "obs/instruments.hpp"
 
 namespace e2e::bb {
 namespace {
@@ -597,41 +597,101 @@ TEST(WalRecovery, CommitFailureLatchesTheLogAndUnwindsCallers) {
   }
 }
 
-TEST(WalRecovery, TruncateDuringConcurrentCommitsLosesNothing) {
-  // Checkpoints run against a LIVE broker: snapshot_and_truncate rewrites
-  // the log while group-commit leaders are writing to it. The truncation
-  // must wait out any in-flight sync — an acked record may never vanish
-  // into the pre-rename inode.
-  RecoveryFixture f("trunc_race");
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25;
-  std::vector<std::vector<ReservationId>> granted(kThreads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&f, &granted, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const SimTime start = seconds(t * 1000 + i);
-        auto r = f.live.commit(f.spec(1e5, {start, start + seconds(300)}), "");
-        ASSERT_TRUE(r.ok()) << r.error().to_text();
-        granted[t].push_back(*r);
-      }
-    });
+TEST(WalRecovery, OneCommitCoversEveryEarlierAppend) {
+  // The group is whatever was appended since the last commit: N appends
+  // followed by commit(last) write and fsync all N at once, and a later
+  // commit of an LSN already covered costs nothing.
+  const std::string path = ::testing::TempDir() + "bb_wal_group.wal";
+  std::remove(path.c_str());
+  auto opened = WriteAheadLog::open(path);
+  ASSERT_TRUE(opened.ok()) << opened.error().to_text();
+  WriteAheadLog& wal = **opened;
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& fsyncs = registry.counter(obs::kBbWalFsyncsTotal);
+  obs::Histogram& group = registry.histogram(obs::kBbWalGroupCommitRecords);
+  const std::uint64_t fsyncs_before = fsyncs.value();
+  const std::uint64_t groups_before = group.count();
+  const double records_before = group.sum();
+
+  constexpr std::uint64_t kAppends = 5;
+  std::vector<std::uint64_t> lsns;
+  for (std::uint64_t i = 0; i < kAppends; ++i) {
+    lsns.push_back(wal.append("DomainB", wal_kind::kDelegationSerial,
+                              {{"serial", std::to_string(100 + i)}}));
   }
-  for (int s = 0; s < 8; ++s) {
-    const auto dropped = snapshot_and_truncate(f.live, *f.wal, f.snap_path);
-    ASSERT_TRUE(dropped.ok()) << dropped.error().to_text();
+  // Appended but not committed: nothing is on disk yet.
+  auto read = WriteAheadLog::read_file(path);
+  ASSERT_TRUE(read.ok()) << read.error().to_text();
+  EXPECT_TRUE(read->records.empty());
+
+  ASSERT_TRUE(wal.commit(lsns.back()).ok());
+  EXPECT_EQ(fsyncs.value() - fsyncs_before, 1u);
+  EXPECT_EQ(group.count() - groups_before, 1u);
+  EXPECT_DOUBLE_EQ(group.sum() - records_before,
+                   static_cast<double>(kAppends));
+  read = WriteAheadLog::read_file(path);
+  ASSERT_TRUE(read.ok()) << read.error().to_text();
+  ASSERT_EQ(read->records.size(), kAppends);
+  for (std::size_t i = 0; i < kAppends; ++i) {
+    EXPECT_EQ(read->records[i].seq, lsns[i]);
   }
-  for (auto& w : workers) w.join();
+
+  // Already durable: no second write, no second fsync.
+  ASSERT_TRUE(wal.commit(lsns.front()).ok());
+  EXPECT_EQ(fsyncs.value() - fsyncs_before, 1u);
+  EXPECT_EQ(group.count() - groups_before, 1u);
+}
+
+TEST(WalRecovery, TruncateWithBufferedAppendsLosesNothing) {
+  // A checkpoint truncates the log up to what its snapshot covers. Records
+  // appended after the snapshot but not yet committed sit in the buffer
+  // when the truncation runs; it writes them out before it rewrites the
+  // file, so they survive both the rewrite and recovery.
+  RecoveryFixture f("trunc_buffered");
+  std::vector<ReservationId> granted;
+  for (int i = 0; i < 6; ++i) {
+    const SimTime start = seconds(i * 100);
+    auto r = f.live.commit(f.spec(1e6, {start, start + seconds(300)}), "");
+    ASSERT_TRUE(r.ok()) << r.error().to_text();
+    granted.push_back(*r);
+  }
+  ASSERT_TRUE(write_snapshot(f.live, f.wal.get(), f.snap_path).ok());
+  const std::uint64_t covered = f.wal->next_seq() - 1;
+
+  // Two delegation serials appended but not committed.
+  const std::uint64_t serial = f.live.next_certificate_serial_value();
+  const std::uint64_t first = f.wal->append(
+      "DomainB", wal_kind::kDelegationSerial,
+      {{"serial", std::to_string(serial)}});
+  const std::uint64_t last = f.wal->append(
+      "DomainB", wal_kind::kDelegationSerial,
+      {{"serial", std::to_string(serial + 1)}});
+  const auto dropped = f.wal->truncate_through(covered);
+  ASSERT_TRUE(dropped.ok()) << dropped.error().to_text();
+  EXPECT_EQ(*dropped, granted.size());
+
+  // Both buffered records are on disk after the rewrite...
+  const auto read = WriteAheadLog::read_file(f.wal_path);
+  ASSERT_TRUE(read.ok()) << read.error().to_text();
+  ASSERT_EQ(read->records.size(), 2u);
+  EXPECT_EQ(read->records.front().seq, first);
+  EXPECT_EQ(read->records.back().seq, last);
+  // ...their commit has nothing left to do, and the log keeps accepting
+  // grants.
+  ASSERT_TRUE(f.wal->commit(last).ok());
+  auto late = f.live.commit(f.spec(1e6, {0, seconds(30)}), "");
+  ASSERT_TRUE(late.ok()) << late.error().to_text();
+  granted.push_back(*late);
+
   f.crash();
   const auto report = f.recover();
   ASSERT_TRUE(report.ok()) << report.error().to_text();
   EXPECT_EQ(report->failed, 0u);
-  for (const auto& ids : granted) {
-    for (const ReservationId& id : ids) {
-      EXPECT_NE(f.fresh.find(id), nullptr) << "acked grant " << id << " lost";
-    }
+  EXPECT_TRUE(report->snapshot_loaded);
+  for (const ReservationId& id : granted) {
+    EXPECT_NE(f.fresh.find(id), nullptr) << "acked grant " << id << " lost";
   }
-  expect_equivalent(f.live, f.fresh);
+  EXPECT_EQ(f.fresh.next_certificate_serial_value(), serial + 2);
 }
 
 }  // namespace
