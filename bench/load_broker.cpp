@@ -30,6 +30,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -293,6 +295,15 @@ struct WalSample {
   double p99_us = 0;
 };
 
+/// Removes its directory, with everything in it, on scope exit.
+struct TempDir {
+  std::string path;
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+};
+
 /// Phase D: the Phase-B commit workload under each durability mode.
 WalSample bench_wal(const std::string& mode, std::size_t live,
                     std::size_t ops) {
@@ -300,8 +311,16 @@ WalSample bench_wal(const std::string& mode, std::size_t live,
   s.mode = mode;
   BrokerHarness h;
   std::unique_ptr<WriteAheadLog> wal;
-  const std::string path = "/tmp/e2e_load_broker_" + mode + ".wal";
-  std::remove(path.c_str());
+  // A private directory per run, so concurrent runs never share a log.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "e2e_load_broker_XXXXXX")
+          .string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return s;
+  }
+  const TempDir cleanup{dir};
+  const std::string path = dir + "/" + mode + ".wal";
   if (mode != "off") {
     auto opened = WriteAheadLog::open(
         path, mode == "nosync" ? WriteAheadLog::SyncMode::kNone
@@ -334,7 +353,6 @@ WalSample bench_wal(const std::string& mode, std::size_t live,
   s.p99_us = percentile(latencies, 0.99);
   h.broker.attach_wal(nullptr);
   wal.reset();
-  std::remove(path.c_str());
   return s;
 }
 

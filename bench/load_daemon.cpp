@@ -291,6 +291,7 @@ int main(int argc, char** argv) {
     std::ofstream out(json_out);
     out << "{\n"
         << " \"bench\": \"load_daemon\",\n"
+        << " \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << " \"connections\": " << connections << ",\n"
         << " \"batches\": " << batches << ",\n"
         << " \"serial\": {\"rars_per_sec\": " << serial.rars_per_sec

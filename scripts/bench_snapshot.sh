@@ -3,6 +3,10 @@
 # signalling-latency bench and write their results to the repo root as
 #   BENCH_crypto.json  (google-benchmark JSON for bench/micro_crypto, three
 #                       repetitions, plus a host block)
+#   BENCH_protocol.json (google-benchmark JSON for bench/micro_protocol:
+#                       RAR encode/decode, layer signing, end-to-end
+#                       reserve over 2/4/8 domains; three repetitions plus
+#                       a host block)
 #   BENCH_fig3.json    (fig3 stdout table + metrics snapshot, wrapped)
 #   BENCH_obs.json     (google-benchmark JSON for bench/micro_obs: hot-path
 #                       overhead traced vs detached + primitive costs — plus
@@ -21,7 +25,7 @@
 #                       RARs/s serial vs pipelined, with a core-aware
 #                       pipeline-speedup gate)
 # so successive PRs can diff the numbers. A bench whose own gate fails does
-# not stop the snapshot: all five files are written, and the script then
+# not stop the snapshot: all six files are written, and the script then
 # exits non-zero naming every step that failed.
 #
 # Usage: ./scripts/bench_snapshot.sh           (full run)
@@ -32,7 +36,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . >/dev/null
-cmake --build build -j --target micro_crypto micro_obs \
+cmake --build build -j --target micro_crypto micro_protocol micro_obs \
   fig3_signalling_latency load_broker daemon_latency load_daemon >/dev/null
 
 min_time=""
@@ -50,6 +54,20 @@ trap 'rm -rf "$workdir"' EXIT
   --benchmark_out="$workdir/micro_crypto.json" --benchmark_out_format=json \
   ${min_time:+"$min_time"} >/dev/null
 python3 - "$workdir/micro_crypto.json" > BENCH_crypto.json <<'EOF'
+import json, sys
+sys.path.insert(0, "scripts")
+from host_block import host_block
+doc = json.load(open(sys.argv[1]))
+doc["host"] = host_block()
+json.dump(doc, sys.stdout, indent=1)
+sys.stdout.write("\n")
+EOF
+
+# micro_protocol: the same three repetitions and host block.
+./build/bench/micro_protocol --benchmark_repetitions=3 \
+  --benchmark_out="$workdir/micro_protocol.json" --benchmark_out_format=json \
+  ${min_time:+"$min_time"} >/dev/null
+python3 - "$workdir/micro_protocol.json" > BENCH_protocol.json <<'EOF'
 import json, sys
 sys.path.insert(0, "scripts")
 from host_block import host_block
@@ -163,7 +181,7 @@ with open("BENCH_obs.json", "w") as out:
     out.write("\n")
 EOF
 
-echo "bench_snapshot: wrote BENCH_crypto.json, BENCH_fig3.json, BENCH_obs.json, BENCH_admission.json and BENCH_daemon.json"
+echo "bench_snapshot: wrote BENCH_crypto.json, BENCH_protocol.json, BENCH_fig3.json, BENCH_obs.json, BENCH_admission.json and BENCH_daemon.json"
 if (( ${#failed[@]} > 0 )); then
   printf 'bench_snapshot: FAILED: %s\n' "${failed[@]}" >&2
   exit 1

@@ -25,10 +25,19 @@ BandwidthBroker::BandwidthBroker(BrokerConfig config,
                                  policy::PolicyServer policy_server,
                                  crypto::CertificateAuthority& ca, Rng& rng,
                                  TimeInterval cert_validity)
+    : BandwidthBroker(config, std::move(policy_server), ca,
+                      crypto::generate_keypair(rng, config.key_bits),
+                      cert_validity) {}
+
+BandwidthBroker::BandwidthBroker(BrokerConfig config,
+                                 policy::PolicyServer policy_server,
+                                 crypto::CertificateAuthority& ca,
+                                 crypto::KeyPair keys,
+                                 TimeInterval cert_validity)
     : config_(std::move(config)),
       dn_(crypto::DistinguishedName::make("BB-" + config_.domain,
                                           config_.domain)),
-      keys_(crypto::generate_keypair(rng, config_.key_bits)),
+      keys_(std::move(keys)),
       certificate_(ca.issue(dn_, keys_.pub, cert_validity)),
       policy_server_(std::move(policy_server)),
       local_pool_(config_.capacity_bits_per_s, config_.domain) {

@@ -51,6 +51,10 @@ class BandwidthBroker {
   BandwidthBroker(BrokerConfig config, policy::PolicyServer policy_server,
                   crypto::CertificateAuthority& ca, Rng& rng,
                   TimeInterval cert_validity);
+  /// Same, with a key pair made elsewhere; `ca` certifies `keys.pub`.
+  BandwidthBroker(BrokerConfig config, policy::PolicyServer policy_server,
+                  crypto::CertificateAuthority& ca, crypto::KeyPair keys,
+                  TimeInterval cert_validity);
 
   // --- Identity and trust -------------------------------------------------
   const std::string& domain() const { return config_.domain; }

@@ -26,6 +26,9 @@ namespace e2e::tlv {
 
 using Tag = std::uint16_t;
 
+/// Bytes before an element's value: the u16 tag and the u32 length.
+inline constexpr std::size_t kHeaderSize = 6;
+
 /// Incremental writer. Scalar put_* helpers encode the value as the TLV
 /// payload; `open`/`close` create nested containers.
 class Writer {

@@ -55,11 +55,11 @@ std::vector<std::string> Certificate::capabilities() const {
 }
 
 namespace {
-void encode_tbs_into(tlv::Writer& w, std::uint64_t serial,
-                     const DistinguishedName& issuer,
-                     const DistinguishedName& subject,
-                     const TimeInterval& validity, const PublicKey& key,
-                     const std::vector<Extension>& extensions) {
+Bytes encode_tbs(std::uint64_t serial, const DistinguishedName& issuer,
+                 const DistinguishedName& subject, const TimeInterval& validity,
+                 const PublicKey& key,
+                 const std::vector<Extension>& extensions) {
+  tlv::Writer w;
   w.open(kTagTbs);
   w.put_u64(kTagSerial, serial);
   w.put_string(kTagIssuer, issuer.to_string());
@@ -75,34 +75,55 @@ void encode_tbs_into(tlv::Writer& w, std::uint64_t serial,
     w.close();
   }
   w.close();
+  return w.take();
+}
+
+/// `tbs` followed by the signature TLV: the wire form of a certificate.
+Bytes with_signature(Bytes tbs, BytesView signature) {
+  tlv::Writer w;
+  w.put_bytes(kTagSignature, signature);
+  append(tbs, w.take());
+  return tbs;
+}
+
+/// Encoding of a default-constructed certificate (blank fields, empty
+/// signature) and the size of its TBS prefix.
+struct BlankEncoding {
+  Bytes bytes;
+  std::size_t tbs_size = 0;
+};
+const BlankEncoding& blank_encoding() {
+  static const BlankEncoding blank = [] {
+    Bytes tbs = Certificate().tbs_encode_reference();
+    const std::size_t tbs_size = tbs.size();
+    return BlankEncoding{with_signature(std::move(tbs), {}), tbs_size};
+  }();
+  return blank;
 }
 }  // namespace
 
-Bytes Certificate::tbs_encode() const {
+BytesView Certificate::tbs_encode() const {
   auto& registry = obs::MetricsRegistry::global();
-  if (!tbs_cache_.empty()) {
+  if (!encoded_.empty()) {
     static obs::Counter& hits = registry.counter(
         obs::kCryptoTbsCacheLookupsTotal, {{"result", "hit"}});
     hits.increment();
-    return tbs_cache_;
+    return BytesView(encoded_).first(tbs_size_);
   }
   static obs::Counter& misses = registry.counter(
       obs::kCryptoTbsCacheLookupsTotal, {{"result", "miss"}});
   misses.increment();
-  tlv::Writer w;
-  encode_tbs_into(w, serial_, issuer_, subject_, validity_, subject_key_,
-                  extensions_);
-  return w.take();
+  const BlankEncoding& blank = blank_encoding();
+  return BytesView(blank.bytes).first(blank.tbs_size);
 }
 
-Bytes Certificate::encode() const {
-  // The wire format is the TBS TLV followed by the signature TLV, so the
-  // cached TBS bytes can be reused verbatim.
-  Bytes out = tbs_encode();
-  tlv::Writer w;
-  w.put_bytes(kTagSignature, signature_);
-  append(out, w.take());
-  return out;
+const Bytes& Certificate::encode() const {
+  return encoded_.empty() ? blank_encoding().bytes : encoded_;
+}
+
+Bytes Certificate::tbs_encode_reference() const {
+  return encode_tbs(serial_, issuer_, subject_, validity_, subject_key_,
+                    extensions_);
 }
 
 Result<Certificate> Certificate::decode(BytesView data) {
@@ -155,19 +176,18 @@ Result<Certificate> Certificate::decode(BytesView data) {
     cert.extensions_.push_back(std::move(ext));
   }
 
-  auto signature = top.read_bytes(kTagSignature);
+  auto signature = top.expect(kTagSignature);
   if (!signature) return signature.error();
-  cert.signature_ = *signature;
+  cert.signature_.assign(signature->value.begin(), signature->value.end());
   if (!top.at_end()) {
     return make_error(ErrorCode::kBadMessage, "Certificate: trailing bytes");
   }
-  // Precompute the TBS bytes while the object is still private to this
-  // frame; every later tbs_encode()/encode()/verify_signature() reads the
-  // cache without re-serializing.
-  tlv::Writer w;
-  encode_tbs_into(w, cert.serial_, cert.issuer_, cert.subject_,
-                  cert.validity_, cert.subject_key_, cert.extensions_);
-  cert.tbs_cache_ = w.take();
+  // Keep the bytes as received: the signature is checked over exactly the
+  // TBS the issuer signed, and encode() hands them back unchanged.
+  cert.encoded_.assign(data.begin(), data.end());
+  cert.tbs_size_ = static_cast<std::size_t>(signature->value.data() -
+                                            data.data()) -
+                   tlv::kHeaderSize;
   return cert;
 }
 
@@ -184,11 +204,11 @@ Certificate Certificate::Builder::sign_with(
   cert.validity_ = validity;
   cert.subject_key_ = subject_key;
   cert.extensions_ = extensions;
-  tlv::Writer w;
-  encode_tbs_into(w, cert.serial_, cert.issuer_, cert.subject_,
-                  cert.validity_, cert.subject_key_, cert.extensions_);
-  cert.tbs_cache_ = w.take();
-  cert.signature_ = sign(issuer_key, cert.tbs_cache_);
+  Bytes tbs = encode_tbs(serial, issuer, subject, validity, subject_key,
+                        extensions);
+  cert.signature_ = sign(issuer_key, tbs);
+  cert.tbs_size_ = tbs.size();
+  cert.encoded_ = with_signature(std::move(tbs), cert.signature_);
   return cert;
 }
 

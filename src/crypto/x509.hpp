@@ -64,15 +64,16 @@ class Certificate {
   bool valid_at(SimTime t) const { return validity_.contains(t); }
   bool is_self_signed() const { return issuer_ == subject_; }
 
-  /// Canonical to-be-signed bytes (everything except the signature).
-  /// Certificates produced by decode() or Builder::sign_with() carry the
-  /// encoding precomputed, so per-hop re-verification never re-serializes.
-  Bytes tbs_encode() const;
-  /// Full canonical encoding including the signature (the wire format is
-  /// the TBS TLV followed by the signature TLV, so this reuses the cached
-  /// TBS bytes).
-  Bytes encode() const;
+  /// To-be-signed bytes (everything except the signature): a view of the
+  /// bytes this certificate was decoded from or signed into, so per-hop
+  /// re-verification never re-serializes.
+  BytesView tbs_encode() const;
+  /// Full encoding: the TBS TLV followed by the signature TLV.
+  const Bytes& encode() const;
   static Result<Certificate> decode(BytesView data);
+  /// The TBS bytes rebuilt from the parsed fields (the canonical encoding);
+  /// differential oracle for tbs_encode().
+  Bytes tbs_encode_reference() const;
 
   /// Check the issuer signature over the TBS bytes.
   bool verify_signature(const PublicKey& issuer_key) const;
@@ -104,10 +105,11 @@ class Certificate {
   PublicKey subject_key_;
   std::vector<Extension> extensions_;
   Bytes signature_;
-  // Filled eagerly by decode()/Builder::sign_with(), after which the object
-  // is immutable — tbs_encode() const only ever reads it (thread-safe
-  // without locks). Empty for default-constructed certificates.
-  Bytes tbs_cache_;
+  // The bytes decode() read or Builder::sign_with() produced: the TBS TLV
+  // (the first tbs_size_ bytes), then the signature TLV. Empty for a
+  // default-constructed certificate, which encodes its blank fields.
+  Bytes encoded_;
+  std::size_t tbs_size_ = 0;
 };
 
 }  // namespace e2e::crypto

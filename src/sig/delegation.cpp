@@ -169,7 +169,7 @@ bool check_possession(const crypto::PublicKey& holder_key, BytesView nonce,
 }
 
 Result<std::vector<crypto::Certificate>> decode_chain(
-    std::span<const Bytes> encoded) {
+    std::span<const BytesView> encoded) {
   std::vector<crypto::Certificate> out;
   out.reserve(encoded.size());
   for (std::size_t i = 0; i < encoded.size(); ++i) {

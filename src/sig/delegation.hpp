@@ -87,6 +87,6 @@ bool check_possession(const crypto::PublicKey& holder_key, BytesView nonce,
 /// Decode a wire list of encoded certificates into a chain, preserving
 /// order; fails on the first undecodable entry.
 Result<std::vector<crypto::Certificate>> decode_chain(
-    std::span<const Bytes> encoded);
+    std::span<const BytesView> encoded);
 
 }  // namespace e2e::sig

@@ -35,6 +35,14 @@ void HopByHopEngine::add_domain(bb::BandwidthBroker& broker,
   Node node;
   node.broker = &broker;
   node.options = std::move(options);
+  // Proof of possession (§6.5 checklist): the broker demonstrates knowledge
+  // of the private key that capability chains delegated to it bind to. A
+  // broker's keys never change, so it proves this once, here.
+  Bytes nonce(16);
+  Rng nonce_rng(0x706f7373);
+  for (auto& b : nonce) b = static_cast<std::uint8_t>(nonce_rng.next_u64());
+  node.proves_key_possession =
+      check_possession(broker.public_key(), nonce, broker.sign(nonce));
   nodes_.emplace(broker.domain(), std::move(node));
 }
 
@@ -157,7 +165,7 @@ HopByHopEngine::validate_capabilities(
     Node& node, const VerifiedRar& vr,
     const Result<std::vector<crypto::Certificate>>& chain, SimTime at) const {
   std::vector<policy::ValidatedCapability> out;
-  if (vr.capability_certs.empty()) return out;
+  if (vr.capability_certs.empty() || !node.proves_key_possession) return out;
   out.reserve(1);  // one validated chain per RAR
   if (!chain.ok()) {
     log::warn("sig[" + node.broker->domain() + "]")
@@ -185,15 +193,6 @@ HopByHopEngine::validate_capabilities(
   if (!result.ok()) {
     log::warn("sig[" + node.broker->domain() + "]")
         << "capability chain rejected: " << result.error().to_text();
-    return out;
-  }
-  // Proof of possession: the broker demonstrates knowledge of the private
-  // key the final chain link binds the capability to (§6.5 checklist).
-  Bytes nonce(16);
-  Rng nonce_rng(static_cast<std::uint64_t>(at) ^ 0x706f7373);
-  for (auto& b : nonce) b = static_cast<std::uint8_t>(nonce_rng.next_u64());
-  const Bytes proof = node.broker->sign(nonce);
-  if (!check_possession(node.broker->public_key(), nonce, proof)) {
     return out;
   }
   out.push_back(result->to_validated());
@@ -408,10 +407,9 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
   // 1. Verify the request: transitive-trust verification for inter-BB
   //    messages, direct user authentication at the source.
   obs::SpanScope verify_scope = hop.stage("verify");
-  const std::uint64_t verify_cache_hits_before =
-      registry
-          .counter(obs::kCryptoVerifyCacheLookupsTotal, {{"result", "hit"}})
-          .value();
+  static obs::Counter& verify_cache_hits = registry.counter(
+      obs::kCryptoVerifyCacheLookupsTotal, {{"result", "hit"}});
+  const std::uint64_t verify_cache_hits_before = verify_cache_hits.value();
   Result<VerifiedRar> verified = [&]() -> Result<VerifiedRar> {
     if (at_source) {
       const auto user_it =
@@ -438,9 +436,7 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
   // Signature-verify verdict, with whether the verification cache served
   // it (counter delta — the engine is single-threaded per request).
   const bool verify_cache_hit =
-      registry
-          .counter(obs::kCryptoVerifyCacheLookupsTotal, {{"result", "hit"}})
-          .value() > verify_cache_hits_before;
+      verify_cache_hits.value() > verify_cache_hits_before;
   {
     obs::CurrentSpan audit_scope(hop.ref(verify_scope));
     obs::AuditLog::global().append(
@@ -594,7 +590,6 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
                                    domain));
   }
 
-  RarMessage forwarded = msg;
   BrokerLayer layer;
   layer.upstream_certificate =
       at_source ? vr.user_certificate.encode()
@@ -618,11 +613,12 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
          {"subject", next_node->broker->dn().to_string()},
          {"serial", std::to_string(delegated.serial())}});
   }
-  forwarded.append_broker_layer(std::move(layer),
-                                [&broker](BytesView tbs) {
-                                  return broker.sign(tbs);
-                                });
-  Forward forward{*next, forwarded.encode(), *handle};
+  Forward forward{*next,
+                  msg.encode_with_layer(std::move(layer),
+                                        [&broker](BytesView tbs) {
+                                          return broker.sign(tbs);
+                                        }),
+                  *handle};
   hop.cursor += forward_cost;
   forward_scope.finish();
   return Decision{RarReply(), nullptr, std::move(forward)};

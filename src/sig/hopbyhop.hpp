@@ -186,6 +186,10 @@ class HopByHopEngine {
     std::map<std::string, std::function<bool(std::uint64_t)>>
         cas_revocation;  // community -> revocation oracle
     std::map<std::string, crypto::Certificate> local_users;  // DN -> cert
+    /// Whether the broker proved, at add_domain(), that it holds the
+    /// private key of its public key; without that proof no capability
+    /// chain delegated to it validates.
+    bool proves_key_possession = false;
     /// This domain's own trace recorder (nullptr = no local recording).
     obs::TraceRecorder* recorder = nullptr;
   };
@@ -262,8 +266,9 @@ class HopByHopEngine {
 
   /// Validate the capability chain carried by a verified RAR at `node`,
   /// given `chain`, the decoding of vr.capability_certs; returns the
-  /// validated capabilities usable by the policy engine (empty if no chain
-  /// or no trusted CAS for the community).
+  /// validated capabilities usable by the policy engine (empty if no chain,
+  /// no trusted CAS for the community, or the broker failed its proof of
+  /// key possession).
   std::vector<policy::ValidatedCapability> validate_capabilities(
       Node& node, const VerifiedRar& vr,
       const Result<std::vector<crypto::Certificate>>& chain,

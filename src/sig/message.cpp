@@ -50,6 +50,28 @@ void write_broker_fields(tlv::Writer& w, const BrokerLayer& b) {
   w.put_string(kTagSignerDn, b.signer_dn);
 }
 
+void put_header(Bytes& out, tlv::Tag tag, std::size_t length) {
+  tlv::put_be16(out, tag);
+  tlv::put_be32(out, static_cast<std::uint32_t>(length));
+}
+
+/// Append a container holding `fields` and then the signature element.
+/// Returns the offset in `out` where the signature element starts.
+std::size_t put_signed_container(Bytes& out, tlv::Tag tag, BytesView fields,
+                                 BytesView signature) {
+  put_header(out, tag, fields.size() + tlv::kHeaderSize + signature.size());
+  append(out, fields);
+  const std::size_t fields_end = out.size();
+  put_header(out, kTagSignature, signature.size());
+  append(out, signature);
+  return fields_end;
+}
+
+/// Offset of `inner`, a view into `outer`, from the start of `outer`.
+std::size_t offset_in(BytesView outer, BytesView inner) {
+  return static_cast<std::size_t>(inner.data() - outer.data());
+}
+
 }  // namespace
 
 RarMessage RarMessage::create_user_request(
@@ -59,33 +81,68 @@ RarMessage RarMessage::create_user_request(
   msg.user_.res_spec = std::move(res_spec);
   msg.user_.source_bb_dn = std::move(source_bb_dn);
   msg.user_.capability_certs = std::move(capability_certs);
-  msg.user_.signature = crypto::sign(user_key, msg.user_tbs());
+  tlv::Writer w;
+  write_user_fields(w, msg.user_);
+  const Bytes fields = w.take();
+  msg.user_.signature = crypto::sign(user_key, fields);
+  msg.user_fields_end_ = put_signed_container(msg.wire_, kTagUserLayer, fields,
+                                              msg.user_.signature);
   return msg;
+}
+
+RarMessage::LayerBounds RarMessage::append_layer(Bytes& wire,
+                                                 BrokerLayer& layer,
+                                                 const Signer& signer) {
+  tlv::Writer w;
+  write_broker_fields(w, layer);
+  const Bytes fields = w.take();
+  Bytes tbs;
+  tbs.reserve(tlv::kHeaderSize + wire.size() + fields.size());
+  put_header(tbs, kTagPrefix, wire.size());
+  append(tbs, wire);
+  append(tbs, fields);
+  layer.signature = signer(tbs);
+  LayerBounds bounds;
+  bounds.start = wire.size();
+  bounds.fields_end =
+      put_signed_container(wire, kTagBrokerLayer, fields, layer.signature);
+  return bounds;
 }
 
 void RarMessage::append_broker_layer(BrokerLayer layer,
                                      const crypto::PrivateKey& broker_key) {
-  brokers_.push_back(std::move(layer));
-  brokers_.back().signature =
-      crypto::sign(broker_key, broker_tbs(brokers_.size() - 1));
+  append_broker_layer(std::move(layer), [&broker_key](BytesView tbs) {
+    return crypto::sign(broker_key, tbs);
+  });
 }
 
 void RarMessage::append_broker_layer(BrokerLayer layer, const Signer& signer) {
+  bounds_.push_back(append_layer(wire_, layer, signer));
   brokers_.push_back(std::move(layer));
-  brokers_.back().signature = signer(broker_tbs(brokers_.size() - 1));
 }
 
-Bytes RarMessage::user_tbs() const {
-  tlv::Writer w;
-  write_user_fields(w, user_);
-  return w.take();
+Bytes RarMessage::encode_with_layer(BrokerLayer layer,
+                                    const Signer& signer) const {
+  Bytes wire = wire_;
+  append_layer(wire, layer, signer);
+  return wire;
+}
+
+BytesView RarMessage::user_tbs() const {
+  if (wire_.empty()) return {};
+  return BytesView(wire_).subspan(tlv::kHeaderSize,
+                                  user_fields_end_ - tlv::kHeaderSize);
 }
 
 Bytes RarMessage::broker_tbs(std::size_t index) const {
-  tlv::Writer w;
-  w.put_bytes(kTagPrefix, encode_prefix(index));
-  write_broker_fields(w, brokers_.at(index));
-  return w.take();
+  const LayerBounds& bounds = bounds_.at(index);
+  const auto fields_begin = wire_.begin() + bounds.start + tlv::kHeaderSize;
+  Bytes tbs;
+  tbs.reserve(bounds.fields_end);  // header + prefix + fields
+  put_header(tbs, kTagPrefix, bounds.start);
+  tbs.insert(tbs.end(), wire_.begin(), wire_.begin() + bounds.start);
+  tbs.insert(tbs.end(), fields_begin, wire_.begin() + bounds.fields_end);
+  return tbs;
 }
 
 bool RarMessage::verify_user_signature(const crypto::PublicKey& key) const {
@@ -97,7 +154,20 @@ bool RarMessage::verify_broker_signature(std::size_t index,
   return crypto::verify(key, broker_tbs(index), brokers_.at(index).signature);
 }
 
-Bytes RarMessage::encode_prefix(std::size_t broker_count) const {
+Bytes RarMessage::user_tbs_reference() const {
+  tlv::Writer w;
+  write_user_fields(w, user_);
+  return w.take();
+}
+
+Bytes RarMessage::broker_tbs_reference(std::size_t index) const {
+  tlv::Writer w;
+  w.put_bytes(kTagPrefix, encode_prefix_reference(index));
+  write_broker_fields(w, brokers_.at(index));
+  return w.take();
+}
+
+Bytes RarMessage::encode_prefix_reference(std::size_t broker_count) const {
   tlv::Writer w;
   w.open(kTagUserLayer);
   write_user_fields(w, user_);
@@ -112,48 +182,55 @@ Bytes RarMessage::encode_prefix(std::size_t broker_count) const {
   return w.take();
 }
 
-Bytes RarMessage::encode() const { return encode_prefix(brokers_.size()); }
+Bytes RarMessage::encode_reference() const {
+  return encode_prefix_reference(brokers_.size());
+}
 
 Result<RarMessage> RarMessage::decode(BytesView data) {
   tlv::Reader r(data);
   RarMessage msg;
 
-  auto user_reader = r.read_nested(kTagUserLayer);
-  if (!user_reader) return user_reader.error();
-  auto spec_bytes = user_reader->read_bytes(kTagResSpec);
+  auto user_elem = r.expect(kTagUserLayer);
+  if (!user_elem) return user_elem.error();
+  tlv::Reader user_reader(user_elem->value);
+  auto spec_bytes = user_reader.read_bytes(kTagResSpec);
   if (!spec_bytes) return spec_bytes.error();
   auto spec = bb::ResSpec::decode(*spec_bytes);
   if (!spec) return spec.error();
   msg.user_.res_spec = std::move(*spec);
-  auto source_dn = user_reader->read_string(kTagSourceBbDn);
+  auto source_dn = user_reader.read_string(kTagSourceBbDn);
   if (!source_dn) return source_dn.error();
   msg.user_.source_bb_dn = std::move(*source_dn);
-  while (auto cap = user_reader->try_next(kTagCapCert)) {
+  while (auto cap = user_reader.try_next(kTagCapCert)) {
     msg.user_.capability_certs.emplace_back(cap->value.begin(),
                                             cap->value.end());
   }
-  auto user_sig = user_reader->read_bytes(kTagSignature);
+  auto user_sig = user_reader.expect(kTagSignature);
   if (!user_sig) return user_sig.error();
-  msg.user_.signature = std::move(*user_sig);
-  if (!user_reader->at_end()) {
+  msg.user_.signature.assign(user_sig->value.begin(), user_sig->value.end());
+  msg.user_fields_end_ = offset_in(data, user_sig->value) - tlv::kHeaderSize;
+  if (!user_reader.at_end()) {
     return make_error(ErrorCode::kBadMessage, "RAR: trailing user bytes");
   }
 
   while (!r.at_end()) {
-    auto layer_reader = r.read_nested(kTagBrokerLayer);
-    if (!layer_reader) return layer_reader.error();
+    auto layer_elem = r.expect(kTagBrokerLayer);
+    if (!layer_elem) return layer_elem.error();
+    tlv::Reader layer_reader(layer_elem->value);
     BrokerLayer layer;
-    auto up = layer_reader->read_bytes(kTagUpstreamCert);
+    LayerBounds bounds;
+    bounds.start = offset_in(data, layer_elem->value) - tlv::kHeaderSize;
+    auto up = layer_reader.read_bytes(kTagUpstreamCert);
     if (!up) return up.error();
     layer.upstream_certificate = std::move(*up);
-    auto down = layer_reader->read_string(kTagDownstreamDn);
+    auto down = layer_reader.read_string(kTagDownstreamDn);
     if (!down) return down.error();
     layer.downstream_dn = std::move(*down);
-    while (auto cap = layer_reader->try_next(kTagCapCert)) {
+    while (auto cap = layer_reader.try_next(kTagCapCert)) {
       layer.capability_certs.emplace_back(cap->value.begin(),
                                           cap->value.end());
     }
-    while (auto aug_elem = layer_reader->try_next(kTagAugmentation)) {
+    while (auto aug_elem = layer_reader.try_next(kTagAugmentation)) {
       tlv::Reader aug_reader(aug_elem->value);
       policy::Augmentation aug;
       auto name = aug_reader.read_string(kTagAugName);
@@ -164,17 +241,20 @@ Result<RarMessage> RarMessage::decode(BytesView data) {
       aug.value = std::move(*value);
       layer.augmentations.push_back(std::move(aug));
     }
-    auto signer = layer_reader->read_string(kTagSignerDn);
+    auto signer = layer_reader.read_string(kTagSignerDn);
     if (!signer) return signer.error();
     layer.signer_dn = std::move(*signer);
-    auto sig = layer_reader->read_bytes(kTagSignature);
+    auto sig = layer_reader.expect(kTagSignature);
     if (!sig) return sig.error();
-    layer.signature = std::move(*sig);
-    if (!layer_reader->at_end()) {
+    layer.signature.assign(sig->value.begin(), sig->value.end());
+    bounds.fields_end = offset_in(data, sig->value) - tlv::kHeaderSize;
+    if (!layer_reader.at_end()) {
       return make_error(ErrorCode::kBadMessage, "RAR: trailing layer bytes");
     }
     msg.brokers_.push_back(std::move(layer));
+    msg.bounds_.push_back(bounds);
   }
+  msg.wire_.assign(data.begin(), data.end());
   return msg;
 }
 

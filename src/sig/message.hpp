@@ -12,9 +12,12 @@
 // assert the authenticity of the information and allow for tracking the
 // path taken by a request as it moves from BB to BB."
 //
-// Each layer's to-be-signed bytes are the canonical encoding of everything
-// underneath it plus the fields the layer adds, so any tampering at any
-// depth breaks an outer signature.
+// Each layer's to-be-signed bytes are the encoding of everything underneath
+// it plus the fields the layer adds, so any tampering at any depth breaks an
+// outer signature. A message keeps the bytes it was decoded from (or built
+// into) and the offsets of its layers: signing and verifying slice those
+// bytes, and forwarding appends one layer container to them, so no hop
+// re-serializes the layers beneath it.
 #pragma once
 
 #include <functional>
@@ -62,6 +65,7 @@ struct BrokerLayer {
 
 class RarMessage {
  public:
+  /// A message with no layers; it encodes to nothing.
   RarMessage() = default;
 
   /// Build and sign the innermost user layer.
@@ -78,15 +82,19 @@ class RarMessage {
   /// key encapsulated).
   using Signer = std::function<Bytes(BytesView)>;
   void append_broker_layer(BrokerLayer layer, const Signer& signer);
+  /// The encoding append_broker_layer() would leave, without changing this
+  /// message: what a broker forwards to the next hop.
+  Bytes encode_with_layer(BrokerLayer layer, const Signer& signer) const;
 
   const UserLayer& user_layer() const { return user_; }
   const std::vector<BrokerLayer>& broker_layers() const { return brokers_; }
   std::size_t depth() const { return brokers_.size(); }
 
-  /// To-be-signed bytes of the user layer.
-  Bytes user_tbs() const;
-  /// To-be-signed bytes of broker layer `index` (its fields plus the full
-  /// encoding of everything beneath it).
+  /// To-be-signed bytes of the user layer: its fields as they sit on the
+  /// wire (a view into this message).
+  BytesView user_tbs() const;
+  /// To-be-signed bytes of broker layer `index`: a prefix header, the wire
+  /// bytes of every layer beneath it, then its own fields.
   Bytes broker_tbs(std::size_t index) const;
 
   /// Verify the user-layer signature against `key`.
@@ -95,20 +103,43 @@ class RarMessage {
   bool verify_broker_signature(std::size_t index,
                                const crypto::PublicKey& key) const;
 
-  /// Canonical encoding of the full message (all layers with signatures).
-  Bytes encode() const;
+  /// The full message (all layers with signatures) as received or built.
+  const Bytes& encode() const { return wire_; }
   static Result<RarMessage> decode(BytesView data);
 
   /// Total bytes on the wire — grows with each hop; used by the protocol
   /// benchmarks.
-  std::size_t wire_size() const { return encode().size(); }
+  std::size_t wire_size() const { return wire_.size(); }
+
+  // Struct re-encoders: the same bytes rebuilt from the parsed layers.
+  // Differential oracles for the kept-bytes accessors above.
+  Bytes user_tbs_reference() const;
+  Bytes broker_tbs_reference(std::size_t index) const;
+  Bytes encode_reference() const;
 
  private:
-  /// Encoding of the user layer plus broker layers [0, count).
-  Bytes encode_prefix(std::size_t broker_count) const;
+  /// Where broker layer k sits in wire_: its container starts at `start`,
+  /// its fields run from the container header to `fields_end`, and its
+  /// signature element follows.
+  struct LayerBounds {
+    std::size_t start = 0;
+    std::size_t fields_end = 0;
+  };
+
+  /// Sign `layer` over `header ‖ wire ‖ fields` and append its container
+  /// to `wire`.
+  static LayerBounds append_layer(Bytes& wire, BrokerLayer& layer,
+                                  const Signer& signer);
+  /// Encoding of the user layer plus broker layers [0, count), rebuilt
+  /// from the structs.
+  Bytes encode_prefix_reference(std::size_t broker_count) const;
 
   UserLayer user_;
   std::vector<BrokerLayer> brokers_;
+  Bytes wire_;
+  /// The user layer's fields are wire_[tlv::kHeaderSize, user_fields_end_).
+  std::size_t user_fields_end_ = 0;
+  std::vector<LayerBounds> bounds_;  // parallel to brokers_
 };
 
 /// Reply travelling back upstream: either an approval carrying the

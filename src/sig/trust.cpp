@@ -12,10 +12,11 @@ Error auth_error(std::string msg) {
   return make_error(ErrorCode::kAuthenticationFailed, std::move(msg));
 }
 
-/// Collect user-supplied and per-layer capability certificates plus
-/// augmentations into `out`, innermost first.
+/// Collect views of the user-supplied and per-layer capability
+/// certificates plus the augmentations into `out`, innermost first.
 void collect_payload(const RarMessage& msg, VerifiedRar& out) {
-  out.capability_certs = msg.user_layer().capability_certs;
+  out.capability_certs.assign(msg.user_layer().capability_certs.begin(),
+                              msg.user_layer().capability_certs.end());
   for (const auto& layer : msg.broker_layers()) {
     for (const auto& cap : layer.capability_certs) {
       out.capability_certs.push_back(cap);

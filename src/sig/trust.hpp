@@ -47,8 +47,9 @@ struct VerifiedRar {
   /// Augmentations from every broker layer, in path order.
   std::vector<policy::Augmentation> augmentations;
   /// All encoded capability certificates, innermost (user-supplied) first,
-  /// then per-hop delegations — the "Capability List" of Fig. 7.
-  std::vector<Bytes> capability_certs;
+  /// then per-hop delegations — the "Capability List" of Fig. 7. Views into
+  /// the verified message, valid while it lives.
+  std::vector<BytesView> capability_certs;
 };
 
 /// Verify a received RAR at a bandwidth broker.

@@ -13,6 +13,8 @@
 namespace e2e::crypto {
 namespace {
 
+Bytes to_vector(BytesView v) { return Bytes(v.begin(), v.end()); }
+
 obs::Counter& counter(const char* name, const char* result) {
   return obs::MetricsRegistry::global().counter(name, {{"result", result}});
 }
@@ -229,15 +231,15 @@ TEST(CryptoCacheTbs, DecodedCertificateReusesTbsBytes) {
       ca.issue(DistinguishedName::make("Bob", "B"), kp.pub, {0, hours(1)});
 
   const std::uint64_t h0 = hits.value();
-  const Bytes first = cert.tbs_encode();
-  const Bytes second = cert.tbs_encode();
+  const Bytes first = to_vector(cert.tbs_encode());
+  const Bytes second = to_vector(cert.tbs_encode());
   EXPECT_EQ(first, second);
   EXPECT_GE(hits.value(), h0 + 2);  // sign_with pre-filled the cache
 
   // Round-trip through the wire keeps the cache and the bytes identical.
   const auto decoded = Certificate::decode(cert.encode());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->tbs_encode(), first);
+  EXPECT_EQ(to_vector(decoded->tbs_encode()), first);
   EXPECT_EQ(decoded->encode(), cert.encode());
 }
 
@@ -245,7 +247,7 @@ TEST(CryptoCacheTbs, DefaultConstructedCertificateStillEncodes) {
   obs::Counter& misses = counter(obs::kCryptoTbsCacheLookupsTotal, "miss");
   const std::uint64_t m0 = misses.value();
   const Certificate blank;
-  const Bytes tbs = blank.tbs_encode();
+  const Bytes tbs = to_vector(blank.tbs_encode());
   EXPECT_FALSE(tbs.empty());  // an empty TBS TLV still has framing bytes
   EXPECT_EQ(misses.value(), m0 + 1);
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/ca.hpp"
+#include "dn_respelling.hpp"
 
 namespace e2e::crypto {
 namespace {
@@ -79,6 +82,38 @@ TEST(X509, DecodeRejectsTamperedTbs) {
   if (dec.ok()) {
     EXPECT_FALSE(dec->verify_signature(fx().ca.public_key()));
   }
+}
+
+TEST(X509, KeptBytesEqualTheReferenceEncoding) {
+  // Builder::sign_with() and decode() both keep the bytes; for every
+  // certificate either produces, they are the canonical re-encoding.
+  const Certificate issued = fx().ca.issue(
+      fx().user_dn, fx().user_keys.pub, {0, hours(24)},
+      {Extension{kExtCapabilityFlag, false, ""},
+       Extension{kExtValidForRar, true, "Valid for Reservation in C"}});
+  const auto decoded = Certificate::decode(issued.encode());
+  ASSERT_TRUE(decoded.ok());
+  for (const Certificate* cert :
+       {&issued, &*decoded, &fx().ca.root_certificate()}) {
+    const BytesView tbs = cert->tbs_encode();
+    EXPECT_EQ(Bytes(tbs.begin(), tbs.end()), cert->tbs_encode_reference());
+    EXPECT_TRUE(std::equal(tbs.begin(), tbs.end(), cert->encode().begin()));
+  }
+  EXPECT_EQ(decoded->encode(), issued.encode());
+}
+
+TEST(X509, RespelledDnDecodesButNoLongerVerifies) {
+  // The issuer signed "CN=ESnet CA,O=ESnet,..."; the re-spelled text parses
+  // to the same DN, but the signature covers the bytes as received.
+  const Certificate cert = fx().ca.issue(fx().user_dn, fx().user_keys.pub,
+                                         {0, hours(24)});
+  const auto respelled = Certificate::decode(testing::respell_issuer(
+      cert.encode(), testing::respelled(cert.issuer())));
+  ASSERT_TRUE(respelled.ok());
+  EXPECT_EQ(respelled->issuer(), cert.issuer());
+  EXPECT_EQ(respelled->tbs_encode_reference(), cert.tbs_encode_reference());
+  EXPECT_FALSE(respelled->verify_signature(fx().ca.public_key()));
+  EXPECT_FALSE(*respelled == cert);
 }
 
 TEST(X509, CapabilitiesParsing) {

@@ -231,7 +231,7 @@ TEST(Delegation, ProofOfPossession) {
 TEST(Delegation, DecodeChainRoundTrip) {
   DelegationFixture f;
   const auto chain = f.build_chain();
-  std::vector<Bytes> encoded;
+  std::vector<BytesView> encoded;
   for (const auto& cert : chain) encoded.push_back(cert.encode());
   const auto decoded = decode_chain(encoded);
   ASSERT_TRUE(decoded.ok());
@@ -239,7 +239,8 @@ TEST(Delegation, DecodeChainRoundTrip) {
   for (std::size_t i = 0; i < chain.size(); ++i) {
     EXPECT_EQ((*decoded)[i], chain[i]);
   }
-  encoded[1] = to_bytes("garbage");
+  const Bytes garbage = to_bytes("garbage");
+  encoded[1] = garbage;
   EXPECT_FALSE(decode_chain(encoded).ok());
 }
 

@@ -190,6 +190,67 @@ TEST(HopByHop, CapabilityBackedPolicyAtDestination) {
   EXPECT_EQ(denied->reply.denial.origin, "DomainC");
 }
 
+TEST(HopByHop, BrokerWithoutItsPrivateKeyValidatesNoCapability) {
+  // A one-domain path whose policy grants only on an ESnet capability. The
+  // broker proves once, at add_domain(), that it holds the private key its
+  // capability chains bind to; a broker whose private key does not match
+  // its certificate's key fails that proof and validates no capability.
+  auto reserve_with_capability = [](bool matching_key) {
+    Rng rng(4242);
+    crypto::CertificateAuthority ca(
+        crypto::DistinguishedName::make("CA-DomainA", "DomainA"), rng,
+        testing::kWorldValidity, 256);
+    policy::CommunityAuthorizationServer cas("ESnet", rng,
+                                             testing::kWorldValidity, 256);
+    crypto::KeyPair keys = crypto::generate_keypair(rng, 256);
+    const crypto::KeyPair other = crypto::generate_keypair(rng, 256);
+    if (!matching_key) keys.priv = other.priv;
+    bb::BandwidthBroker broker(
+        bb::BrokerConfig{"DomainA", 622e6, 256},
+        policy::PolicyServer(
+            "DomainA", policy::Policy::compile(
+                           "If Issued_by(Capability) = ESnet Return GRANT\n"
+                           "Return DENY")
+                           .value()),
+        ca, keys, testing::kWorldValidity);
+    EXPECT_EQ(broker.certificate().subject_public_key(), keys.pub);
+    Fabric fabric;
+    HopByHopEngine engine(fabric, rng);
+    engine.add_domain(broker);
+    engine.trust_community("DomainA", "ESnet", cas.public_key());
+
+    const auto alice = crypto::DistinguishedName::make("Alice", "DomainA");
+    const crypto::KeyPair identity = crypto::generate_keypair(rng, 256);
+    const crypto::KeyPair proxy = crypto::generate_keypair(rng, 256);
+    UserCredentials creds;
+    creds.identity_certificate =
+        ca.issue(alice, identity.pub, testing::kWorldValidity);
+    creds.identity_key = identity.priv;
+    creds.capability_certificate =
+        cas.grid_login(alice, proxy.pub, testing::kWorldValidity);
+    creds.proxy_key = proxy.priv;
+    engine.register_local_user("DomainA", creds.identity_certificate);
+
+    bb::ResSpec spec;
+    spec.user = alice.to_string();
+    spec.source_domain = "DomainA";
+    spec.destination_domain = "DomainA";
+    spec.rate_bits_per_s = 1e6;
+    spec.burst_bits = 30000;
+    spec.interval = {0, seconds(600)};
+    const auto msg = engine.build_user_request(creds, spec, 0);
+    EXPECT_TRUE(msg.ok());
+    const auto outcome = engine.reserve(*msg, seconds(1));
+    EXPECT_TRUE(outcome.ok());
+    return outcome->reply;
+  };
+  EXPECT_TRUE(reserve_with_capability(true).granted);
+  const RarReply denied = reserve_with_capability(false);
+  EXPECT_FALSE(denied.granted);
+  EXPECT_EQ(denied.denial.code, ErrorCode::kPolicyDenied);
+  EXPECT_EQ(denied.denial.origin, "DomainA");
+}
+
 TEST(HopByHop, GroupBackedPolicyAtIntermediate) {
   ChainWorldConfig config;
   // Intermediate admits only Atlas members (Fig. 6 policy B, first branch).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace e2e::sig {
 namespace {
 
@@ -139,7 +141,7 @@ TEST(RarMessage, DecodeRejectsGarbage) {
 
 TEST(RarMessage, TbsIsDeterministic) {
   RarMessage msg = sample_user_message();
-  EXPECT_EQ(msg.user_tbs(), msg.user_tbs());
+  EXPECT_TRUE(std::ranges::equal(msg.user_tbs(), msg.user_tbs()));
   msg.append_broker_layer(sample_layer_a(), keys().bb_a.priv);
   EXPECT_EQ(msg.broker_tbs(0), msg.broker_tbs(0));
 }
