@@ -10,9 +10,11 @@
 #   BENCH_fig3.json    (fig3 stdout table + metrics snapshot, wrapped)
 #   BENCH_obs.json     (google-benchmark JSON for bench/micro_obs: hot-path
 #                       overhead traced vs detached + primitive costs — plus
-#                       a "scrape_overhead" key folded in from
-#                       bench/daemon_latency: daemon RPC p50/p99 with and
-#                       without a concurrent admin-plane scraper)
+#                       "scrape_overhead" and "metrics_render" keys folded
+#                       in from bench/daemon_latency: daemon RPC p50/p99
+#                       with and without a concurrent admin-plane scraper,
+#                       and what one /metrics render costs the loop; and a
+#                       host block)
 #   BENCH_admission.json (bench/load_broker: RARs/sec + p50/p99 for the
 #                       timeline pool vs the reference scan, the broker,
 #                       and the WAL overhead sweep (off/nosync/fsync);
@@ -23,7 +25,7 @@
 #                       overhead of the bbd stack, docs/DAEMON.md — plus a
 #                       "load" key folded in from bench/load_daemon: fleet
 #                       RARs/s serial vs pipelined, with a core-aware
-#                       pipeline-speedup gate)
+#                       pipeline-speedup gate; and a host block)
 # so successive PRs can diff the numbers. A bench whose own gate fails does
 # not stop the snapshot: all six files are written, and the script then
 # exits non-zero naming every step that failed.
@@ -151,11 +153,14 @@ EOF
     --json-out "$OLDPWD/build/load_daemon.json" > load_daemon.stdout.txt) || {
       cat "$workdir/load_daemon.stdout.txt"; failed+=("load_daemon"); }
 python3 - <<'PY'
-import json
+import json, sys
+sys.path.insert(0, "scripts")
+from host_block import host_block
 daemon = json.load(open("BENCH_daemon.json"))
 load = json.load(open("build/load_daemon.json"))
 daemon["load"] = {k: v for k, v in load.items() if k != "bench"}
 daemon["load"]["source"] = "bench/load_daemon"
+daemon["host"] = host_block()
 with open("BENCH_daemon.json", "w") as out:
     json.dump(daemon, out, indent=1)
     out.write("\n")
@@ -166,7 +171,9 @@ rm -f build/load_daemon.json
 # observability snapshot carries both costs of the telemetry layer: the
 # in-process hot path (micro_obs) and the live daemon plane under scrape.
 python3 - <<'EOF'
-import json
+import json, sys
+sys.path.insert(0, "scripts")
+from host_block import host_block
 obs = json.load(open("BENCH_obs.json"))
 daemon = json.load(open("BENCH_daemon.json"))
 obs["scrape_overhead"] = {
@@ -176,6 +183,9 @@ obs["scrape_overhead"] = {
     "daemon_unix_scraped": daemon["daemon_unix_scraped"],
     **daemon["scrape_overhead"],
 }
+obs["metrics_render"] = {"source": "bench/daemon_latency",
+                         **daemon["metrics_render"]}
+obs["host"] = host_block()
 with open("BENCH_obs.json", "w") as out:
     json.dump(obs, out, indent=1)
     out.write("\n")

@@ -9,8 +9,10 @@
 #                                     appear in docs/OBSERVABILITY.md; and
 #                                     the one-owner-thread contract: no
 #                                     mutex, atomic or condition variable
-#                                     in src/bb, src/sig, src/crypto or
-#                                     src/policy)
+#                                     in src/bb, src/sig, src/crypto,
+#                                     src/policy, src/kit,
+#                                     src/net/bbd_service.* or src/obs
+#                                     outside metrics.* and audit.*)
 #        ./scripts/tier1.sh --soak   (seeded fault-injection soak suite under
 #                                     ASan/UBSan, 3 fixed seeds, plus the
 #                                     retry/exchange/failure-injection and
@@ -42,11 +44,12 @@
 #                                     conformance suite, default build then
 #                                     ASan/UBSan, then net_stream_test
 #                                     and daemon_admin_test again under
-#                                     TSan (admin thread vs the loop), and
-#                                     the in-process daemon cases of
-#                                     net_daemon_test.cpp once more under
-#                                     TSan (loop and client threads that
-#                                     both sign and verify);
+#                                     TSan (in-process client threads vs
+#                                     the daemon loop), and the in-process
+#                                     daemon cases of net_daemon_test.cpp
+#                                     once more under TSan (loop and
+#                                     client threads that both sign and
+#                                     verify);
 #                                     the scrape-
 #                                     conformance gate — a live bbd with
 #                                     --admin scraped over /metrics, /statz
@@ -193,11 +196,12 @@ if [[ "${1:-}" == "--daemon" ]]; then
   ./build-asan/tests/daemon_admin_test
   echo "tier1 --daemon: stream/soak/admin suites OK (asan)"
 
-  # And under ThreadSanitizer: requests execute on the loop
-  # thread, so what is left to race is the admin thread (/healthz,
-  # /statz, /tracez, metrics refresh) against the loop, plus the
-  # pipelined client fleet against the daemon in one process. The stream
-  # suites and the admin-plane conformance suite run here.
+  # And under ThreadSanitizer: requests and the admin plane both execute
+  # on the one loop thread, so there is no admin thread to race. What is
+  # left is in-process client threads (the tests' own, the pipelined
+  # fleet) against the loop, through the state they still share: the
+  # process-global metrics registry, the audit log and logging. The
+  # stream suites and the admin-plane conformance suite run here.
   cmake --preset tsan >/dev/null
   cmake --build build-tsan -j --target net_stream_test daemon_admin_test \
     >/dev/null
@@ -393,27 +397,37 @@ print(f"tier1: docs lint OK ({len(names)} e2e_* series all documented)")
 EOF
 
 # One-owner-thread contract (docs/ARCHITECTURE.md): one thread owns a
-# world, so the library core that a world is made of carries no locks,
-# atomics or condition variables. Shared state that two threads can still
-# reach (the metrics registry, obs/, bbd's admin-plane guards) lives
-# outside these directories.
+# world, and one loop thread serves a bbd, so the library core a world is
+# made of, the world kit, the daemon service and the observability code
+# the loop alone drives carry no locks, atomics or condition variables.
+# What other threads in one process still reach lives outside this set:
+# the process-global metrics registry (obs/metrics.*), the audit log
+# (obs/audit.*), logging, and StreamServer's wake-pipe entry points.
 python3 - <<'EOF'
 import pathlib, re, sys
 pattern = re.compile(
     r"std::mutex|std::atomic|condition_variable|<mutex>|<atomic>")
+paths = []
+for top in ("src/bb", "src/sig", "src/crypto", "src/policy", "src/kit",
+            "src/obs"):
+    paths += sorted(pathlib.Path(top).rglob("*"))
+paths += sorted(pathlib.Path("src/net").glob("bbd_service.*"))
+shared = {"metrics", "audit"}  # src/obs files other threads still reach
 hits = []
-for top in ("src/bb", "src/sig", "src/crypto", "src/policy"):
-    for path in sorted(pathlib.Path(top).rglob("*")):
-        if path.suffix not in (".hpp", ".cpp"):
-            continue
-        for no, line in enumerate(path.read_text().splitlines(), 1):
-            if pattern.search(line):
-                hits.append(f"{path}:{no}: {line.strip()}")
+for path in paths:
+    if path.suffix not in (".hpp", ".cpp"):
+        continue
+    if path.parent == pathlib.Path("src/obs") and path.stem in shared:
+        continue
+    for no, line in enumerate(path.read_text().splitlines(), 1):
+        if pattern.search(line):
+            hits.append(f"{path}:{no}: {line.strip()}")
 if hits:
-    sys.exit("FAIL: thread-safety machinery in the one-owner-thread core "
+    sys.exit("FAIL: thread-safety machinery in one-owner-thread code "
              "(docs/ARCHITECTURE.md):\n  " + "\n  ".join(hits))
 print("tier1: owner-thread lint OK (no mutex/atomic/condition_variable in "
-      "src/bb, src/sig, src/crypto, src/policy)")
+      "src/bb, src/sig, src/crypto, src/policy, src/kit, "
+      "src/net/bbd_service.*, src/obs except metrics.* and audit.*)")
 EOF
 
 ctest --test-dir build --output-on-failure -j "$(nproc)"

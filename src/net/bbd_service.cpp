@@ -95,15 +95,16 @@ Status BbdService::start() {
   }
   StreamServer::Options server_options;
   server_options.listen_on = options_.listen_on;
+  server_options.raw_listen_on = options_.admin_on;
   server_options.idle_timeout = options_.idle_timeout;
   server_options.max_write_queue_bytes = options_.max_write_queue_bytes;
   server_options.force_poll = options_.force_poll;
   StreamServer::Callbacks callbacks;
-  callbacks.on_open = [this](StreamServer::ConnId id, const Endpoint& via) {
-    on_open(id, via);
-  };
   callbacks.on_frame = [this](StreamServer::ConnId id, Bytes frame) {
     on_frame(id, std::move(frame));
+  };
+  callbacks.on_data = [this](StreamServer::ConnId id, BytesView data) {
+    on_admin_data(id, data);
   };
   callbacks.on_close = [this](StreamServer::ConnId id, const Status& reason) {
     on_close(id, reason);
@@ -111,10 +112,7 @@ Status BbdService::start() {
   server_ = std::make_unique<StreamServer>(std::move(server_options),
                                            std::move(callbacks));
   if (auto started = server_->start(); !started.ok()) return started;
-  if (!options_.admin_on.empty()) {
-    if (auto admin = start_admin(); !admin.ok()) return admin;
-  }
-  loop_live_.store(true, std::memory_order_release);
+  if (!options_.admin_on.empty()) start_admin();
   loop_ = std::thread([this] {
     server_->run();
     finalize_shutdown();
@@ -122,25 +120,17 @@ Status BbdService::start() {
   return Status::ok_status();
 }
 
-Status BbdService::start_admin() {
+void BbdService::start_admin() {
   auto& registry = obs::MetricsRegistry::global();
   obs::AdminPlane::Providers providers;
   providers.health = [this] {
+    // The loop answering is what "live" means: this runs on it.
     obs::AdminPlane::Health health;
-    health.live = loop_live_.load(std::memory_order_acquire);
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool has_world = false;
-    {
-      // Pointer lock only: readiness must answer even while the loop
-      // holds world_mutex_ for a long-running RPC.
-      std::lock_guard lock(world_ptr_mutex_);
-      has_world = world_ != nullptr;
-    }
-    health.ready = health.live && has_world && !draining;
+    health.live = true;
+    const bool draining = server_->draining();
+    health.ready = world_ != nullptr && !draining;
     if (!health.ready) {
-      health.detail = !health.live  ? "rpc loop not running"
-                      : draining    ? "draining"
-                                    : "no world configured";
+      health.detail = draining ? "draining" : "no world configured";
     }
     return health;
   };
@@ -161,38 +151,10 @@ Status BbdService::start_admin() {
   };
   admin_plane_ = std::make_unique<obs::AdminPlane>(registry,
                                                    std::move(providers));
-
-  StreamServer::Options admin_options;
-  admin_options.listen_on = options_.admin_on;
-  admin_options.raw_stream = true;
-  admin_options.force_poll = options_.force_poll;
-  // A scraper that connects and never finishes its request is shed.
-  admin_options.idle_timeout = std::chrono::seconds(10);
-  StreamServer::Callbacks admin_callbacks;
-  admin_callbacks.on_open = [this](StreamServer::ConnId id,
-                                   const Endpoint& via) {
-    (void)via;
-    admin_buffers_[id];
-  };
-  admin_callbacks.on_data = [this](StreamServer::ConnId id, BytesView data) {
-    on_admin_data(id, data);
-  };
-  admin_callbacks.on_close = [this](StreamServer::ConnId id,
-                                    const Status& reason) {
-    (void)reason;
-    admin_buffers_.erase(id);
-  };
-  admin_server_ = std::make_unique<StreamServer>(std::move(admin_options),
-                                                 std::move(admin_callbacks));
-  if (auto started = admin_server_->start(); !started.ok()) return started;
-  admin_loop_ = std::thread([this] { admin_server_->run(); });
-  return Status::ok_status();
 }
 
 void BbdService::on_admin_data(StreamServer::ConnId id, BytesView data) {
-  auto it = admin_buffers_.find(id);
-  if (it == admin_buffers_.end()) return;
-  std::string& buffer = it->second;
+  std::string& buffer = admin_buffers_[id];
   buffer.append(reinterpret_cast<const char*>(data.data()), data.size());
   if (!obs::http_head_complete(buffer)) {
     if (buffer.size() > kMaxAdminRequestBytes) {
@@ -200,47 +162,40 @@ void BbdService::on_admin_data(StreamServer::ConnId id, BytesView data) {
       overflow.status = 400;
       overflow.body = "request head too large\n";
       const std::string wire = obs::render_http_response(overflow);
-      (void)admin_server_->send_raw(
+      (void)server_->send_raw(
           id, BytesView(reinterpret_cast<const std::uint8_t*>(wire.data()),
                         wire.size()));
-      admin_server_->close_after_flush(id);
+      server_->close_after_flush(id);
     }
     return;
   }
   const obs::AdminResponse response =
       admin_plane_->handle(obs::parse_http_request(buffer));
   const std::string wire = obs::render_http_response(response);
-  (void)admin_server_->send_raw(
+  (void)server_->send_raw(
       id, BytesView(reinterpret_cast<const std::uint8_t*>(wire.data()),
                     wire.size()));
-  admin_server_->close_after_flush(id);
+  server_->close_after_flush(id);
 }
 
 std::string BbdService::build_statz() const {
   std::string out = "{\"connections\":[";
   std::uint64_t conn_count = 0;
-  if (server_ != nullptr) {
-    bool first = true;
-    for (const StreamServer::ConnectionStats& conn :
-         server_->connection_stats()) {
-      if (!first) out += ",";
-      first = false;
-      ++conn_count;
-      out += "{\"id\":" + std::to_string(conn.id);
-      out += ",\"transport\":\"" + obs::chain_json_escape(conn.transport) +
-             "\"";
-      out += ",\"bytes_rx\":" + std::to_string(conn.bytes_rx);
-      out += ",\"bytes_tx\":" + std::to_string(conn.bytes_tx);
-      out += ",\"frames_rx\":" + std::to_string(conn.frames_rx);
-      out += ",\"frames_tx\":" + std::to_string(conn.frames_tx);
-      out += ",\"queued_bytes\":" + std::to_string(conn.queued_bytes);
-      std::uint64_t window = 1;
-      if (const ConnPtr state = find_conn(conn.id); state != nullptr) {
-        window = state->window.load(std::memory_order_relaxed);
-      }
-      out += ",\"window\":" + std::to_string(window);
-      out += "}";
-    }
+  for (const StreamServer::ConnectionStats& conn :
+       server_->connection_stats()) {
+    if (conn_count++ > 0) out += ",";
+    out += "{\"id\":" + std::to_string(conn.id);
+    out += ",\"transport\":\"" + obs::chain_json_escape(conn.transport) +
+           "\"";
+    out += ",\"bytes_rx\":" + std::to_string(conn.bytes_rx);
+    out += ",\"bytes_tx\":" + std::to_string(conn.bytes_tx);
+    out += ",\"frames_rx\":" + std::to_string(conn.frames_rx);
+    out += ",\"frames_tx\":" + std::to_string(conn.frames_tx);
+    out += ",\"queued_bytes\":" + std::to_string(conn.queued_bytes);
+    const auto state = conns_.find(conn.id);
+    out += ",\"window\":" +
+           std::to_string(state != conns_.end() ? state->second.window : 1);
+    out += "}";
   }
   out += "],\"totals\":{";
   out += "\"connections\":" + std::to_string(conn_count);
@@ -249,7 +204,6 @@ std::string BbdService::build_statz() const {
 }
 
 std::string BbdService::build_tracez() const {
-  std::lock_guard lock(world_mutex_);
   if (world_ == nullptr) return "{\"traces\":[]}";
   obs::SpanCollector collector;
   world_->collect(collector);
@@ -257,14 +211,9 @@ std::string BbdService::build_tracez() const {
 }
 
 void BbdService::finalize_shutdown() {
-  loop_live_.store(false, std::memory_order_release);
   // run() has closed every connection, so each on_close orphan release
   // already ran on the loop: the audit record and the metrics snapshot
   // below observe a fully settled world.
-  if (admin_server_ != nullptr) {
-    admin_server_->stop();
-    if (admin_loop_.joinable()) admin_loop_.join();
-  }
   // Audit first, snapshot second: the snapshot then covers the shutdown
   // record's own counter bump and is truly final.
   obs::AuditLog::global().append(
@@ -290,82 +239,55 @@ void BbdService::stop() {
 }
 
 void BbdService::shutdown_gracefully() {
-  // Readiness flips before the drain begins: a load balancer probing
-  // /readyz stops routing while the last responses flush.
-  draining_.store(true, std::memory_order_release);
+  // /readyz reads the server's drain flag, so readiness flips before the
+  // drain begins: a load balancer probing it stops routing while the last
+  // responses flush.
   if (server_ != nullptr) server_->shutdown_gracefully();
 }
 
 std::vector<Endpoint> BbdService::bound_endpoints() const {
-  return server_ != nullptr ? server_->bound_endpoints()
-                            : std::vector<Endpoint>{};
+  if (server_ == nullptr) return {};
+  std::vector<Endpoint> bound = server_->bound_endpoints();
+  bound.resize(options_.listen_on.size());
+  return bound;
 }
 
 std::vector<Endpoint> BbdService::admin_endpoints() const {
-  return admin_server_ != nullptr ? admin_server_->bound_endpoints()
-                                  : std::vector<Endpoint>{};
+  if (server_ == nullptr) return {};
+  std::vector<Endpoint> bound = server_->bound_endpoints();
+  bound.erase(bound.begin(), bound.begin() + static_cast<std::ptrdiff_t>(
+                                                 options_.listen_on.size()));
+  return bound;
 }
 
 const char* BbdService::poller_name() const {
   return server_ != nullptr ? server_->poller_name() : "unstarted";
 }
 
-// Callers synchronize: start() runs before any thread exists, and the
-// kConfigure path already holds world_mutex_ (taken around handle()).
 Status BbdService::rebuild_world(kit::ChainWorldConfig config) {
   config.durability_dir = options_.durability_dir;
   config.recover_on_open = options_.recover && !options_.durability_dir.empty();
   users_.clear();
-  // The old world must release its WALs before the new one reopens them,
-  // so drop it first and publish the replacement after construction
-  // succeeds.
-  {
-    std::lock_guard ptr_lock(world_ptr_mutex_);
-    world_.reset();
-  }
-  std::unique_ptr<kit::ChainWorld> rebuilt;
+  // The old world must release its WALs before the new one reopens them.
+  world_.reset();
   try {
-    rebuilt = std::make_unique<kit::ChainWorld>(config);
+    world_ = std::make_unique<kit::ChainWorld>(config);
   } catch (const std::exception& e) {
     return make_error(ErrorCode::kInternal, "world construction failed",
                       e.what());
   }
-  std::lock_guard ptr_lock(world_ptr_mutex_);
-  world_ = std::move(rebuilt);
   return Status::ok_status();
-}
-
-BbdService::ConnPtr BbdService::find_conn(StreamServer::ConnId id) const {
-  std::lock_guard lock(conns_mutex_);
-  const auto it = conns_.find(id);
-  return it != conns_.end() ? it->second : nullptr;
-}
-
-void BbdService::on_open(StreamServer::ConnId id, const Endpoint& via) {
-  (void)via;
-  auto conn = std::make_shared<ConnState>();
-  conn->handshake = std::make_unique<sig::HandshakeResponder>(
-      identity_.daemon_endpoint(), kHandshakeTime, handshake_rng_);
-  std::lock_guard lock(conns_mutex_);
-  conns_.emplace(id, std::move(conn));
 }
 
 void BbdService::on_close(StreamServer::ConnId id, const Status& reason) {
   (void)reason;
-  ConnPtr conn;
-  {
-    std::lock_guard lock(conns_mutex_);
-    const auto it = conns_.find(id);
-    if (it == conns_.end()) return;
-    conn = std::move(it->second);
-    conns_.erase(it);
-  }
+  admin_buffers_.erase(id);
+  auto node = conns_.extract(id);
   // Requests execute inline on the loop, so every request of this
   // connection has run by now: the grants list is final, and orphan
   // release happens exactly once, after the connection's last grant.
-  if (conn->release_on_disconnect) {
-    std::lock_guard lock(world_mutex_);
-    release_orphans(*conn);
+  if (!node.empty() && node.mapped().release_on_disconnect) {
+    release_orphans(node.mapped());
   }
 }
 
@@ -385,10 +307,6 @@ void BbdService::release_orphans(ConnState& conn) {
 
 bool BbdService::on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
                                     const Bytes& frame) {
-  if (conn.handshake == nullptr) {
-    server_->close_after_flush(id);
-    return false;
-  }
   if (!conn.hello_consumed) {
     // First frame must be the ClientHello.
     auto server_hello = conn.handshake->on_client_hello(frame);
@@ -413,22 +331,30 @@ bool BbdService::on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
 }
 
 void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
-  const ConnPtr conn = find_conn(id);
-  if (conn == nullptr) return;
-  if (!conn->established) {
-    (void)on_handshake_frame(id, *conn, frame);
+  auto it = conns_.find(id);
+  if (it == conns_.end()) {
+    // The connection's first frame: its handshake starts here.
+    it = conns_.emplace(id, ConnState{}).first;
+    it->second.handshake = std::make_unique<sig::HandshakeResponder>(
+        identity_.daemon_endpoint(), kHandshakeTime, handshake_rng_);
+  }
+  // send() and close_after_flush() below may close the connection, and
+  // on_close then erases `conn`: nothing touches it after either call.
+  ConnState& conn = it->second;
+  if (!conn.established) {
+    (void)on_handshake_frame(id, conn, frame);
     return;
   }
-  if (conn->dead) return;
+  if (conn.dead) return;
   // Established: every frame is a sealed record carrying one request.
   auto record = sig::decode_record(frame);
   Result<Bytes> payload = record.ok()
-                              ? conn->handshake->session().open(record.value())
+                              ? conn.handshake->session().open(record.value())
                               : Result<Bytes>(record.error());
   if (!payload.ok()) {
     // Protocol corruption: frames that follow on this connection are
     // ignored until the close completes.
-    conn->dead = true;
+    conn.dead = true;
     server_->close_after_flush(id);
     return;
   }
@@ -439,13 +365,7 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
     response = BbdResponse::failure(0, request.error());
   } else {
     const auto rpc_start = std::chrono::steady_clock::now();
-    {
-      // One exclusive section for world/engine/users: the signalling
-      // engines mutate unsynchronized per-tunnel and per-node state, and
-      // /tracez reads them from the admin thread.
-      std::lock_guard lock(world_mutex_);
-      response = handle(id, *conn, request.value());
-    }
+    response = handle(id, conn, request.value());
     if (admin_plane_ != nullptr) {
       const auto elapsed_us =
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -459,7 +379,7 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
         request.value().op == BbdOp::kShutdown && response.ok;
   }
   const Bytes wire =
-      sig::encode_record(conn->handshake->session().seal(response.encode()));
+      sig::encode_record(conn.handshake->session().seal(response.encode()));
   (void)server_->send(id, BytesView(wire.data(), wire.size()));
   if (shutdown_after_reply) shutdown_gracefully();
 }
@@ -490,10 +410,10 @@ BbdResponse BbdService::handle(StreamServer::ConnId id, ConnState& conn,
         // an unchanged wire.
         const std::uint64_t asked = req.u64a == 0 ? 1 : req.u64a;
         const std::uint64_t granted = std::min(asked, kMaxPipelineWindow);
-        conn.window.store(granted, std::memory_order_release);
+        conn.window = granted;
         res.u64a = granted;
       } else {
-        conn.window.store(1, std::memory_order_release);
+        conn.window = 1;
       }
       return res;
     }

@@ -8,35 +8,24 @@
 // RarReply crosses the wire as its canonical encoding, a multi-process run
 // produces byte-identical protocol output to the in-memory one.
 //
-// Threading: the service runs on two threads.
-//   1. The StreamServer loop thread owns sockets and frames and runs
-//      every request inline, one at a time, in arrival order: handshake
-//      stages, then per established frame unseal, decode, execute under
-//      world_mutex_, seal and send(). A connection's requests therefore
-//      run in FIFO order and its sealed sequence numbers advance on one
-//      thread; on_close runs after the connection's last request, so
-//      orphan release sees its final grants list. What bounds a peer
-//      that floods requests and never reads is the server's per-
-//      connection write-queue bound (Options::max_write_queue_bytes).
-//   2. The admin plane thread (only with Options::admin_on) renders
-//      introspection documents.
-// Locks guard what the admin thread reads while the loop runs:
-//   - world_mutex_   serializes world/engine/users mutation (the engines
-//     are not internally synchronized), taken by the loop per request
-//     and by /tracez;
-//   - world_ptr_mutex_ guards only the world_ pointer itself, so /healthz
-//     observes the world without queueing behind a long-running RPC;
-//   - conns_mutex_   guards the connection-state map (loop inserts and
-//     erases; /statz reads the per-connection pipeline windows).
-// Per-connection state is loop-owned, except the atomic pipeline window
-// that /statz reads.
+// Threading: one thread serves the daemon. The StreamServer loop owns
+// sockets and frames and runs every request inline, one at a time, in
+// arrival order: handshake stages, then per established frame unseal,
+// decode, execute, seal and send(). A connection's requests therefore run
+// in FIFO order and its sealed sequence numbers advance on one thread;
+// on_close runs after the connection's last request, so orphan release
+// sees its final grants list. What bounds a peer that floods requests and
+// never reads is the server's per-connection write-queue bound
+// (Options::max_write_queue_bytes). The admin plane (Options::admin_on)
+// is served by the same loop from raw listeners, between requests, so
+// every introspection document reads the world, the connection table and
+// the wall-clock windows with no lock. stop() and shutdown_gracefully()
+// are the only calls another thread (or a signal handler) may make.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -89,10 +78,9 @@ class BbdService {
     std::size_t max_write_queue_bytes = 4u << 20;
     bool force_poll = false;
     /// Optional plaintext admin/telemetry listeners (docs/DAEMON.md "Live
-    /// operations"): a second StreamServer in raw mode serving the
+    /// operations"): raw listeners on the request loop serving the
     /// obs::AdminPlane HTTP routes. Empty (the default) disables the
-    /// whole plane — no extra thread, no extra series, byte-identical
-    /// outputs.
+    /// whole plane — no extra series, byte-identical outputs.
     std::vector<Endpoint> admin_on;
     /// When non-empty, a final metrics snapshot (registry JSON) is
     /// written here as the daemon drains, after the audit "shutdown"
@@ -108,7 +96,8 @@ class BbdService {
   BbdService& operator=(const BbdService&) = delete;
 
   /// Build the startup world (recovering prior state when configured),
-  /// bind the listeners, and run the event loop on a background thread.
+  /// bind the listeners, and run the event loop on a background thread
+  /// (the one thread the service starts).
   Status start();
 
   /// Block until the loop exits (stop, graceful shutdown, or kShutdown).
@@ -138,15 +127,12 @@ class BbdService {
     /// connection asked for it (kHello flag bit 0).
     std::vector<std::pair<std::string, Bytes>> grants;
     /// Negotiated pipeline window (kHello); 1 = the serial contract.
-    /// Atomic because /statz reads it from the admin thread.
-    std::atomic<std::uint64_t> window{1};
+    std::uint64_t window = 1;
     /// Protocol error observed: frames that follow are ignored until the
     /// close completes.
     bool dead = false;
   };
-  using ConnPtr = std::shared_ptr<ConnState>;
 
-  void on_open(StreamServer::ConnId id, const Endpoint& via);
   void on_frame(StreamServer::ConnId id, Bytes frame);
   void on_close(StreamServer::ConnId id, const Status& reason);
 
@@ -158,18 +144,15 @@ class BbdService {
                      const BbdRequest& request);
   Status rebuild_world(kit::ChainWorldConfig config);
   void release_orphans(ConnState& conn);
-  /// conns_ lookup under conns_mutex_.
-  ConnPtr find_conn(StreamServer::ConnId id) const;
 
-  /// Admin plane (options_.admin_on non-empty only). The admin server
-  /// runs raw HTTP on its own thread; see the threading note above for
-  /// which lock each provider takes.
-  Status start_admin();
+  /// Admin plane (options_.admin_on non-empty only): raw HTTP connections
+  /// on the request loop.
+  void start_admin();
   void on_admin_data(StreamServer::ConnId id, BytesView data);
   std::string build_statz() const;
   std::string build_tracez() const;
-  /// Runs on the loop thread after run() returns: stop the admin plane,
-  /// append the audit "shutdown" record, write the final snapshot.
+  /// Runs on the loop thread after run() returns: append the audit
+  /// "shutdown" record, write the final snapshot.
   void finalize_shutdown();
 
   Options options_;
@@ -178,34 +161,17 @@ class BbdService {
   std::unique_ptr<StreamServer> server_;
   std::thread loop_;
   std::map<std::string, kit::WorldUser> users_;
-
-  /// Serializes every world/engine/users mutation (requests on the loop,
-  /// /tracez on the admin thread). The signalling engines are not
-  /// internally synchronized.
-  mutable std::mutex world_mutex_;
-  /// Guards only the world_ pointer (swap on kConfigure vs the admin
-  /// thread's /healthz read); never held across engine work.
-  mutable std::mutex world_ptr_mutex_;
   std::unique_ptr<kit::ChainWorld> world_;
 
-  /// Connection-state map: loop thread writes, /statz reads.
-  mutable std::mutex conns_mutex_;
-  std::map<StreamServer::ConnId, ConnPtr> conns_;
+  /// RPC connection state, created by the connection's first frame.
+  std::map<StreamServer::ConnId, ConnState> conns_;
 
-  std::atomic<bool> loop_live_{false};
-  /// Set the moment a graceful drain is requested; /readyz flips to
-  /// not-ready immediately, before the last responses flush.
-  std::atomic<bool> draining_{false};
-
-  std::unique_ptr<StreamServer> admin_server_;
-  std::thread admin_loop_;
   std::unique_ptr<obs::AdminPlane> admin_plane_;
-  /// Per-connection request bytes (admin loop thread only).
+  /// Per-connection request bytes of admin connections.
   std::map<StreamServer::ConnId, std::string> admin_buffers_;
 
   /// Wall-clock telemetry over the RPC stream: latency distribution and
   /// SLO burn over the last minute, published at admin snapshot refresh.
-  /// Internally synchronized (the loop records, the admin thread reads).
   obs::WallClockFn wall_clock_;
   obs::WindowedHistogram rpc_latency_;
   obs::BurnRateTracker rpc_burn_;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "obs/instruments.hpp"
@@ -195,7 +196,11 @@ Status StreamServer::start() {
   if (auto s = set_nonblocking(wake_write_fd_); !s.ok()) return s;
   if (auto s = poller_->add(wake_read_fd_, false); !s.ok()) return s;
 
-  for (const Endpoint& endpoint : options_.listen_on) {
+  // listeners_ holds listen_on's endpoints, then raw_listen_on's.
+  std::vector<Endpoint> endpoints = options_.listen_on;
+  endpoints.insert(endpoints.end(), options_.raw_listen_on.begin(),
+                   options_.raw_listen_on.end());
+  for (const Endpoint& endpoint : endpoints) {
     auto listener = Listener::listen(endpoint);
     if (!listener.ok()) return listener.error();
     if (auto s = set_nonblocking(listener.value().fd()); !s.ok()) return s;
@@ -233,6 +238,10 @@ void StreamServer::shutdown_gracefully() {
   }
 }
 
+bool StreamServer::draining() const {
+  return drain_requested_.load(std::memory_order_acquire);
+}
+
 void StreamServer::require_loop_thread(const char* api) const {
   if (!loop_live_.load(std::memory_order_acquire)) return;
   if (loop_thread_.load(std::memory_order_relaxed) ==
@@ -254,25 +263,31 @@ void StreamServer::drain_wake_pipe() {
   }
 }
 
+std::chrono::milliseconds StreamServer::idle_limit(
+    const Connection& conn) const {
+  return conn.raw ? kRawIdleTimeout : options_.idle_timeout;
+}
+
 int StreamServer::next_timeout_ms() const {
-  if (options_.idle_timeout.count() <= 0) return -1;
-  if (connections_.empty()) return -1;
   const auto now = std::chrono::steady_clock::now();
-  auto soonest = options_.idle_timeout;
+  std::optional<std::chrono::milliseconds> soonest;
   for (const auto& [id, conn] : connections_) {
+    const auto limit = idle_limit(conn);
+    if (limit.count() <= 0) continue;
     const auto idle = std::chrono::duration_cast<std::chrono::milliseconds>(
         now - conn.last_activity);
-    soonest = std::min(soonest, options_.idle_timeout - idle);
+    soonest = std::min(soonest.value_or(limit), limit - idle);
   }
-  return static_cast<int>(std::max<std::int64_t>(soonest.count(), 0));
+  if (!soonest) return -1;
+  return static_cast<int>(std::max<std::int64_t>(soonest->count(), 0));
 }
 
 void StreamServer::sweep_idle() {
-  if (options_.idle_timeout.count() <= 0) return;
   const auto now = std::chrono::steady_clock::now();
   std::vector<ConnId> expired;
   for (const auto& [id, conn] : connections_) {
-    if (now - conn.last_activity >= options_.idle_timeout) {
+    const auto limit = idle_limit(conn);
+    if (limit.count() > 0 && now - conn.last_activity >= limit) {
       expired.push_back(id);
     }
   }
@@ -292,16 +307,17 @@ void StreamServer::run() {
     if (stop_requested_.load(std::memory_order_acquire)) break;
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
-      // Stop accepting; existing connections get to drain their writes.
-      for (Listener& listener : listeners_) {
-        poller_->remove(listener.fd());
-        listener.close();
+      // Stop accepting framed connections; existing ones get to drain
+      // their writes. Raw listeners keep answering until run() returns.
+      for (std::size_t i = 0; i < options_.listen_on.size(); ++i) {
+        poller_->remove(listeners_[i].fd());
+        listener_by_fd_.erase(listeners_[i].fd());
+        listeners_[i].close();
       }
-      listener_by_fd_.clear();
     }
     if (draining_) {
       sweep_draining();
-      if (connections_.empty()) break;
+      if (connections_.size() == raw_connections_) break;
     }
 
     auto events = poller_->wait(next_timeout_ms());
@@ -349,6 +365,7 @@ void StreamServer::run() {
 void StreamServer::sweep_draining() {
   std::vector<ConnId> idle_now;
   for (auto& [id, conn] : connections_) {
+    if (conn.raw) continue;
     if (conn.write_queue.empty()) {
       idle_now.push_back(id);
     } else {
@@ -361,7 +378,7 @@ void StreamServer::sweep_draining() {
 void StreamServer::accept_ready(int listener_fd) {
   const std::size_t index = listener_by_fd_.at(listener_fd);
   Listener& listener = listeners_[index];
-  auto& registry = obs::MetricsRegistry::global();
+  const bool raw = index >= options_.listen_on.size();
   while (true) {
     const int fd = ::accept(listener_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -384,23 +401,19 @@ void StreamServer::accept_ready(int listener_fd) {
     Connection conn;
     conn.fd = fd;
     conn.via = listener.local_endpoint();
+    conn.raw = raw;
     conn.last_activity = std::chrono::steady_clock::now();
-    conn.stats = std::make_shared<ConnCounters>();
-    conn.stats->transport = listener.local_endpoint().transport_label();
-    {
-      std::lock_guard lock(stats_mutex_);
-      stats_[id] = conn.stats;
-    }
     connections_.emplace(id, std::move(conn));
     conn_by_fd_[fd] = id;
-    if (!options_.raw_stream) {
-      registry
+    if (raw) {
+      ++raw_connections_;
+    } else {
+      obs::MetricsRegistry::global()
           .counter(
               obs::kNetConnsAcceptedTotal,
               {{"transport", listener.local_endpoint().transport_label()}})
           .increment();
-      registry.gauge(obs::kNetConnsActive)
-          .set(static_cast<double>(connections_.size()));
+      publish_conns_gauge();
     }
     if (callbacks_.on_open) callbacks_.on_open(id, listener.local_endpoint());
   }
@@ -425,7 +438,7 @@ void StreamServer::read_ready(ConnId id) {
   }
   if (n == 0) {
     close_connection(id,
-                     !options_.raw_stream && conn.decoder.mid_frame()
+                     !conn.raw && conn.decoder.mid_frame()
                          ? Status(make_error(ErrorCode::kUnavailable,
                                              "peer disconnected "
                                              "mid-message"))
@@ -433,9 +446,8 @@ void StreamServer::read_ready(ConnId id) {
     return;
   }
   count_stream_bytes("rx", static_cast<std::size_t>(n));
-  conn.stats->bytes_rx.fetch_add(static_cast<std::uint64_t>(n),
-                                 std::memory_order_relaxed);
-  if (options_.raw_stream) {
+  conn.bytes_rx += static_cast<std::uint64_t>(n);
+  if (conn.raw) {
     if (callbacks_.on_data) {
       callbacks_.on_data(id, BytesView(chunk, static_cast<std::size_t>(n)));
     }
@@ -450,7 +462,7 @@ void StreamServer::read_ready(ConnId id) {
     obs::MetricsRegistry::global()
         .counter(obs::kNetFramesTotal, {{"dir", "rx"}})
         .increment();
-    conn.stats->frames_rx.fetch_add(1, std::memory_order_relaxed);
+    ++conn.frames_rx;
     if (callbacks_.on_frame) callbacks_.on_frame(id, std::move(*frame));
     // The callback may have closed the connection (protocol error, or a
     // response that overran the write-queue bound).
@@ -482,19 +494,16 @@ bool StreamServer::flush_writes(ConnId id) {
       return false;
     }
     count_stream_bytes("tx", static_cast<std::size_t>(n));
-    conn.stats->bytes_tx.fetch_add(static_cast<std::uint64_t>(n),
-                                   std::memory_order_relaxed);
+    conn.bytes_tx += static_cast<std::uint64_t>(n);
     conn.front_offset += static_cast<std::size_t>(n);
     conn.queued_bytes -= static_cast<std::size_t>(n);
-    total_queued_bytes_ -= static_cast<std::size_t>(n);
-    conn.stats->queued_bytes.store(conn.queued_bytes,
-                                   std::memory_order_relaxed);
+    if (!conn.raw) total_queued_bytes_ -= static_cast<std::size_t>(n);
     if (conn.front_offset == front.size()) {
       conn.write_queue.pop_front();
       conn.front_offset = 0;
     }
   }
-  if (!options_.raw_stream) publish_write_queue_gauge();
+  if (!conn.raw) publish_write_queue_gauge();
   if (conn.want_write) {
     conn.want_write = false;
     (void)poller_->modify(conn.fd, false);
@@ -521,7 +530,7 @@ Status StreamServer::send(ConnId id, BytesView payload) {
   obs::MetricsRegistry::global()
       .counter(obs::kNetFramesTotal, {{"dir", "tx"}})
       .increment();
-  it->second.stats->frames_tx.fetch_add(1, std::memory_order_relaxed);
+  ++it->second.frames_tx;
   return enqueue_bytes(id, encode_frame(payload));
 }
 
@@ -538,11 +547,9 @@ Status StreamServer::enqueue_bytes(ConnId id, Bytes wire_bytes) {
   Connection& conn = connections_.at(id);
   const bool was_empty = conn.write_queue.empty();
   conn.queued_bytes += wire_bytes.size();
-  total_queued_bytes_ += wire_bytes.size();
-  conn.stats->queued_bytes.store(conn.queued_bytes,
-                                 std::memory_order_relaxed);
+  if (!conn.raw) total_queued_bytes_ += wire_bytes.size();
   conn.write_queue.push_back(std::move(wire_bytes));
-  if (!options_.raw_stream) publish_write_queue_gauge();
+  if (!conn.raw) publish_write_queue_gauge();
   if (conn.queued_bytes > options_.max_write_queue_bytes) {
     // Slow consumer: shedding beats unbounded buffering.
     obs::MetricsRegistry::global()
@@ -581,22 +588,27 @@ void StreamServer::close_connection(ConnId id, const Status& reason) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
   const int fd = it->second.fd;
-  total_queued_bytes_ -= it->second.queued_bytes;
+  const bool raw = it->second.raw;
   poller_->remove(fd);
   ::close(fd);
   conn_by_fd_.erase(fd);
-  connections_.erase(it);
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.erase(id);
+  if (raw) {
+    --raw_connections_;
+  } else {
+    total_queued_bytes_ -= it->second.queued_bytes;
   }
-  if (!options_.raw_stream) {
-    obs::MetricsRegistry::global()
-        .gauge(obs::kNetConnsActive)
-        .set(static_cast<double>(connections_.size()));
+  connections_.erase(it);
+  if (!raw) {
+    publish_conns_gauge();
     publish_write_queue_gauge();
   }
   if (callbacks_.on_close) callbacks_.on_close(id, reason);
+}
+
+void StreamServer::publish_conns_gauge() {
+  obs::MetricsRegistry::global()
+      .gauge(obs::kNetConnsActive)
+      .set(static_cast<double>(connections_.size() - raw_connections_));
 }
 
 void StreamServer::publish_write_queue_gauge() {
@@ -607,19 +619,15 @@ void StreamServer::publish_write_queue_gauge() {
 
 std::vector<StreamServer::ConnectionStats> StreamServer::connection_stats()
     const {
+  require_loop_thread("connection_stats");
   std::vector<ConnectionStats> out;
-  std::lock_guard lock(stats_mutex_);
-  out.reserve(stats_.size());
-  for (const auto& [id, counters] : stats_) {
-    ConnectionStats s;
-    s.id = id;
-    s.transport = counters->transport;
-    s.bytes_rx = counters->bytes_rx.load(std::memory_order_relaxed);
-    s.bytes_tx = counters->bytes_tx.load(std::memory_order_relaxed);
-    s.frames_rx = counters->frames_rx.load(std::memory_order_relaxed);
-    s.frames_tx = counters->frames_tx.load(std::memory_order_relaxed);
-    s.queued_bytes = counters->queued_bytes.load(std::memory_order_relaxed);
-    out.push_back(std::move(s));
+  out.reserve(connections_.size() - raw_connections_);
+  for (const auto& [id, conn] : connections_) {
+    if (conn.raw) continue;
+    out.push_back(ConnectionStats{id, conn.via.transport_label(),
+                                  conn.bytes_rx, conn.bytes_tx,
+                                  conn.frames_rx, conn.frames_tx,
+                                  conn.queued_bytes});
   }
   return out;
 }

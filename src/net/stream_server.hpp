@@ -7,15 +7,22 @@
 // where available and falls back to poll() — set Options::force_poll to
 // exercise the fallback on any platform.
 //
+// Two listener kinds share the one loop and its one poller. A connection
+// accepted on Options::listen_on is framed (on_frame/send()); one accepted
+// on Options::raw_listen_on is a raw byte stream (on_data/send_raw()) —
+// bbd serves its admin plane's HTTP there. Raw connections are shed after
+// kRawIdleTimeout of silence, stay out of the connection, frame and
+// write-queue series, and are not listed by connection_stats().
+//
 // Contract with the application (bbd_service.hpp):
 //  - callbacks run on the loop thread, one at a time, never concurrently;
-//  - send()/close_after_flush() may only be called from the loop thread
-//    (i.e. from inside a callback). This is enforced: while run() is
-//    live, calling them from any other thread aborts the process — the
-//    check is always on, not assert()-gated, because every CI preset
-//    builds RelWithDebInfo (NDEBUG);
-//  - stop()/shutdown_gracefully()/connection_stats() are the thread-safe
-//    entry points (the first two wake the loop through a pipe);
+//  - send()/send_raw()/close_after_flush()/connection_stats() may only be
+//    called from the loop thread (i.e. from inside a callback). This is
+//    enforced: while run() is live, calling them from any other thread
+//    aborts the process — the check is always on, not assert()-gated,
+//    because every CI preset builds RelWithDebInfo (NDEBUG);
+//  - stop()/shutdown_gracefully() are the thread-safe entry points: they
+//    wake the loop through a pipe;
 //  - a frame passed to send() is either fully written or the connection is
 //    closed; there is no partial-message state an application can observe.
 //
@@ -29,11 +36,12 @@
 // reading until the bound is hit is a slow consumer and its connection is
 // closed — a daemon must shed such clients, not buffer without limit.
 //
-// Shutdown: shutdown_gracefully() stops accepting, lets every connection
-// drain its pending writes, then closes them and returns from run().
-// Callbacks queue their responses before the loop iterates again, so the
-// write queues are all a drain waits on. stop() closes everything
-// immediately.
+// Shutdown: shutdown_gracefully() stops accepting framed connections, lets
+// every framed connection drain its pending writes, then closes them and
+// returns from run(). Raw listeners keep serving until run() returns, so
+// a readiness probe sees the drain (draining()). Callbacks queue their
+// responses before the loop iterates again, so the write queues are all a
+// drain waits on. stop() closes everything immediately.
 #pragma once
 
 #include <atomic>
@@ -43,7 +51,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,38 +97,39 @@ class StreamServer {
     /// Slow-consumer bound on queued unwritten bytes per connection.
     std::size_t max_write_queue_bytes = 4u << 20;
     bool force_poll = false;
-    /// Raw byte-stream mode (the admin plane's HTTP listener): no frame
+    /// Raw byte-stream listeners (the admin plane's HTTP): no frame
     /// decoding — on_data delivers bytes as they arrive, send_raw()
-    /// writes without a length prefix. A raw server also skips the
+    /// writes without a length prefix. Their connections skip the
     /// net-plane gauges and frame counters (kNetConnsActive,
-    /// kNetWriteQueueBytes, kNetFramesTotal, kNetConnsAcceptedTotal) so
-    /// two servers in one process never fight over shared series; byte
-    /// counters still accumulate (counters merge safely).
-    bool raw_stream = false;
+    /// kNetWriteQueueBytes, kNetFramesTotal, kNetConnsAcceptedTotal);
+    /// byte counters still accumulate.
+    std::vector<Endpoint> raw_listen_on;
   };
+
+  /// Silence after which a raw connection is shed, whatever idle_timeout
+  /// says: a scraper that connects and never finishes its request.
+  static constexpr std::chrono::milliseconds kRawIdleTimeout{10000};
 
   struct Callbacks {
     /// A connection was accepted via the given listening endpoint.
     std::function<void(ConnId, const Endpoint& via)> on_open;
-    /// One complete frame arrived (framed mode only).
+    /// One complete frame arrived (framed connections only).
     std::function<void(ConnId, Bytes frame)> on_frame;
-    /// A chunk of bytes arrived (raw_stream mode only).
+    /// A chunk of bytes arrived (raw connections only).
     std::function<void(ConnId, BytesView data)> on_data;
     /// The connection is gone (peer close, error, idle timeout, shed).
     /// `reason` is ok for an orderly peer close.
     std::function<void(ConnId, const Status& reason)> on_close;
   };
 
-  /// Point-in-time view of one live connection, for /statz. Counts come
-  /// from relaxed atomics the loop thread updates — individually exact,
-  /// mutually unordered.
+  /// Point-in-time view of one live framed connection, for /statz.
   struct ConnectionStats {
     ConnId id = 0;
     std::string transport;        // "tcp" | "unix"
     std::uint64_t bytes_rx = 0;   // stream bytes received
     std::uint64_t bytes_tx = 0;   // stream bytes written to the socket
-    std::uint64_t frames_rx = 0;  // frames decoded (0 in raw mode)
-    std::uint64_t frames_tx = 0;  // frames queued (0 in raw mode)
+    std::uint64_t frames_rx = 0;  // frames decoded
+    std::uint64_t frames_tx = 0;  // frames queued
     std::uint64_t queued_bytes = 0;  // unwritten bytes in flight
   };
 
@@ -133,7 +141,8 @@ class StreamServer {
   /// Bind and listen on every configured endpoint.
   Status start();
 
-  /// Bound addresses (ephemeral TCP ports resolved).
+  /// Bound addresses (ephemeral TCP ports resolved): listen_on's, then
+  /// raw_listen_on's, each in configuration order.
   std::vector<Endpoint> bound_endpoints() const;
 
   /// Run the event loop until stop() or graceful-shutdown completion.
@@ -146,41 +155,31 @@ class StreamServer {
   /// run().
   void shutdown_gracefully();
 
+  /// shutdown_gracefully() has been called.
+  bool draining() const;
+
   /// Queue one frame (loop thread only). Closes the connection and
   /// returns kUnavailable when the write queue bound is exceeded.
   Status send(ConnId id, BytesView payload);
 
-  /// Queue raw bytes with no length prefix (loop thread only; raw_stream
-  /// servers). Same backpressure contract as send().
+  /// Queue raw bytes with no length prefix (loop thread only; raw
+  /// connections). Same backpressure contract as send().
   Status send_raw(ConnId id, BytesView payload);
 
   /// Close once pending writes drain (loop thread only).
   void close_after_flush(ConnId id);
 
-  /// Snapshot of every live connection, sorted by id. Thread-safe (this
-  /// is the one introspection entry point foreign threads may call while
-  /// the loop runs).
+  /// Every live framed connection, sorted by id (loop thread only).
   std::vector<ConnectionStats> connection_stats() const;
 
   const char* poller_name() const;
 
  private:
-  /// Live counters shared between the loop thread (writer) and
-  /// connection_stats() (reader). The map entry is guarded by
-  /// stats_mutex_; the counts themselves are lock-free atomics so the
-  /// hot read/write paths never take that mutex.
-  struct ConnCounters {
-    std::string transport;
-    std::atomic<std::uint64_t> bytes_rx{0};
-    std::atomic<std::uint64_t> bytes_tx{0};
-    std::atomic<std::uint64_t> frames_rx{0};
-    std::atomic<std::uint64_t> frames_tx{0};
-    std::atomic<std::uint64_t> queued_bytes{0};
-  };
-
   struct Connection {
     int fd = -1;
     Endpoint via;
+    /// Accepted on a raw_listen_on endpoint.
+    bool raw = false;
     FrameDecoder decoder;
     std::deque<Bytes> write_queue;
     std::size_t queued_bytes = 0;
@@ -188,7 +187,10 @@ class StreamServer {
     std::chrono::steady_clock::time_point last_activity;
     bool closing_after_flush = false;
     bool want_write = false;
-    std::shared_ptr<ConnCounters> stats;
+    std::uint64_t bytes_rx = 0;
+    std::uint64_t bytes_tx = 0;
+    std::uint64_t frames_rx = 0;
+    std::uint64_t frames_tx = 0;
   };
 
   void accept_ready(int listener_fd);
@@ -205,10 +207,14 @@ class StreamServer {
   /// flush, backpressure accounting.
   Status enqueue_bytes(ConnId id, Bytes wire_bytes);
   void close_connection(ConnId id, const Status& reason);
+  /// Silence after which `conn` is shed; zero never sheds.
+  std::chrono::milliseconds idle_limit(const Connection& conn) const;
   void sweep_idle();
   int next_timeout_ms() const;
   void drain_wake_pipe();
-  /// Republish the total-unwritten-bytes gauge (framed servers only).
+  /// Republish the framed-connection gauges (kNetConnsActive,
+  /// kNetWriteQueueBytes).
+  void publish_conns_gauge();
   void publish_write_queue_gauge();
 
   Options options_;
@@ -219,7 +225,8 @@ class StreamServer {
   std::map<ConnId, Connection> connections_;
   std::map<int, ConnId> conn_by_fd_;
   ConnId next_conn_id_ = 1;
-  std::size_t total_queued_bytes_ = 0;  // across all connections
+  std::size_t raw_connections_ = 0;
+  std::size_t total_queued_bytes_ = 0;  // across framed connections
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
   std::atomic<bool> stop_requested_{false};
@@ -231,9 +238,6 @@ class StreamServer {
   /// flag is released so a reader that observes loop_live_ sees the id.
   std::atomic<bool> loop_live_{false};
   std::atomic<std::thread::id> loop_thread_{};
-
-  mutable std::mutex stats_mutex_;
-  std::map<ConnId, std::shared_ptr<ConnCounters>> stats_;
 };
 
 }  // namespace e2e::net

@@ -142,7 +142,6 @@ AdminPlane::AdminPlane(MetricsRegistry& registry, Providers providers,
       clock_(std::move(clock)) {}
 
 std::string AdminPlane::cached_snapshot(bool json) {
-  std::lock_guard lock(cache_mutex_);
   const std::uint64_t now = clock_();
   const bool fresh =
       cache_valid_ &&

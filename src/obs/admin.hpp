@@ -11,23 +11,22 @@
 // Routes (the wire format is contract-documented in OBSERVABILITY.md):
 //   GET /metrics       Prometheus text exposition (registry.to_text())
 //   GET /metrics.json  the registry's JSON snapshot (registry.to_json())
-//   GET /healthz       liveness: 200 "ok" while the loop serves
-//   GET /readyz        readiness: RPC loop live, world built, not draining
+//   GET /healthz       liveness: 200 "ok" — answering is being live
+//   GET /readyz        readiness: world built, not draining
 //   GET /statz         per-connection introspection JSON
 //   GET /tracez        recent reservation trace trees, collector-
 //                      compatible JSON (tools/tracedump --from-json)
 //
 // Scrape safety: /metrics and /metrics.json render through a cached
 // snapshot with a short TTL, so a scraper herd costs one registry walk
-// per TTL — hot-path increments never contend with more than that one
-// walk. Cache behavior is observable via
+// per TTL. In bbd that walk runs on the request loop, between requests.
+// Cache behavior is observable via
 // e2e_obs_snapshot_cache_total{result=hit|refresh}.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "obs/collector.hpp"
@@ -69,14 +68,13 @@ std::string tracez_json(const SpanCollector& collector,
 class AdminPlane {
  public:
   struct Health {
-    bool live = false;    // the serving loop is running
-    bool ready = false;   // loop live, world built, not draining
+    bool live = false;    // the serving loop answered
+    bool ready = false;   // world built, not draining
     std::string detail;   // short human-readable reason when not ready
   };
 
-  /// Data the hosting daemon plugs in. Every callback is invoked on the
-  /// admin transport's thread and must be internally synchronized against
-  /// the daemon's own threads.
+  /// Data the hosting daemon plugs in. Every callback runs on the thread
+  /// that calls handle() — in bbd, the request loop, between requests.
   struct Providers {
     std::function<Health()> health;
     std::function<std::string()> statz_json;
@@ -92,7 +90,7 @@ class AdminPlane {
                  std::chrono::milliseconds(250),
              WallClockFn clock = steady_wall_clock());
 
-  /// Route one request. Thread-safe.
+  /// Route one request. Not synchronized: one thread serves the plane.
   AdminResponse handle(const AdminRequest& request);
 
  private:
@@ -103,7 +101,6 @@ class AdminPlane {
   std::chrono::milliseconds snapshot_ttl_;
   WallClockFn clock_;
 
-  std::mutex cache_mutex_;
   std::uint64_t cached_at_ms_ = 0;
   bool cache_valid_ = false;
   std::string cached_text_;

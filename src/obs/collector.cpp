@@ -92,7 +92,6 @@ std::vector<CollectedSpan> stitch(std::vector<CollectedSpan> entries) {
 void SpanCollector::ingest(const std::string& domain,
                            const TraceRecorder& recorder) {
   std::vector<Span> spans = recorder.spans();
-  std::lock_guard lock(mutex_);
   for (Export& exp : exports_) {
     if (exp.domain == domain) {
       exp.spans = std::move(spans);
@@ -103,7 +102,6 @@ void SpanCollector::ingest(const std::string& domain,
 }
 
 std::vector<std::string> SpanCollector::trace_ids() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::string> ids;
   std::unordered_set<std::string_view> seen;
   for (const Export& exp : exports_) {
@@ -115,18 +113,16 @@ std::vector<std::string> SpanCollector::trace_ids() const {
 }
 
 std::size_t SpanCollector::span_count() const {
-  std::lock_guard lock(mutex_);
   std::size_t n = 0;
   for (const Export& exp : exports_) n += exp.spans.size();
   return n;
 }
 
 void SpanCollector::clear() {
-  std::lock_guard lock(mutex_);
   exports_.clear();
 }
 
-std::vector<CollectedSpan> SpanCollector::flatten_locked(
+std::vector<CollectedSpan> SpanCollector::flatten(
     const std::string& trace_id) const {
   std::vector<CollectedSpan> entries;
   for (const Export& exp : exports_) {
@@ -136,12 +132,6 @@ std::vector<CollectedSpan> SpanCollector::flatten_locked(
     }
   }
   return stitch(std::move(entries));
-}
-
-std::vector<CollectedSpan> SpanCollector::flatten(
-    const std::string& trace_id) const {
-  std::lock_guard lock(mutex_);
-  return flatten_locked(trace_id);
 }
 
 std::vector<CollectedSpan> SpanCollector::flatten_recorder(
@@ -155,8 +145,7 @@ std::vector<CollectedSpan> SpanCollector::flatten_recorder(
 }
 
 std::string SpanCollector::render_tree(const std::string& trace_id) const {
-  std::lock_guard lock(mutex_);
-  const std::vector<CollectedSpan> tree = flatten_locked(trace_id);
+  const std::vector<CollectedSpan> tree = flatten(trace_id);
   if (tree.empty()) return "(no spans for trace " + trace_id + ")\n";
   SimTime origin = tree.front().span.start;
   for (const CollectedSpan& node : tree) {

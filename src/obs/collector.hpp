@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -70,10 +69,6 @@ class SpanCollector {
     std::vector<Span> spans;
   };
 
-  std::vector<CollectedSpan> flatten_locked(
-      const std::string& trace_id) const;
-
-  mutable std::mutex mutex_;
   std::vector<Export> exports_;  // ingest order
 };
 

@@ -6,8 +6,8 @@
 // dimensionality, e.g. e2e_sig_hops_processed_total{domain="DomainB"}).
 //
 // Design constraints, in order:
-//  - thread-safe: the daemon's loop and admin threads and the concurrent
-//    admission benches increment from several threads;
+//  - thread-safe: the registry is process-global, and in-process client
+//    threads (tests, benches) increment it beside a daemon's loop;
 //  - stable instrument references: counter()/gauge()/histogram() return a
 //    reference that stays valid for the registry's lifetime, so hot paths
 //    resolve an instrument once and increment a cached pointer afterwards.

@@ -37,7 +37,7 @@ const std::string* Span::attribute(std::string_view key) const {
   return nullptr;
 }
 
-Span* TraceRecorder::find_locked(SpanId id) {
+Span* TraceRecorder::find(SpanId id) {
   // Ids are dense and ascending from first_id_; index directly.
   if (id < first_id_ || id - first_id_ >= spans_.size()) return nullptr;
   Span& span = spans_[id - first_id_];
@@ -47,7 +47,6 @@ Span* TraceRecorder::find_locked(SpanId id) {
 SpanId TraceRecorder::begin_span(const std::string& trace_id,
                                  const std::string& name, SpanId parent,
                                  SimTime start) {
-  std::lock_guard lock(mutex_);
   Span span;
   span.id = next_id_++;
   span.parent = parent;
@@ -57,11 +56,11 @@ SpanId TraceRecorder::begin_span(const std::string& trace_id,
   span.end = start;
   const SpanId id = span.id;
   spans_.push_back(std::move(span));
-  if (++live_ > evict_at_) evict_locked(trace_id);
+  if (++live_ > evict_at_) evict(trace_id);
   return id;
 }
 
-void TraceRecorder::evict_locked(const std::string& keep) {
+void TraceRecorder::evict(const std::string& keep) {
   // One pass frees about half the bound, so eviction costs amortised O(1)
   // per span. A trace's spans mostly sit next to each other, so both
   // loops touch the set only where the trace id changes. The trace being
@@ -104,26 +103,22 @@ void TraceRecorder::evict_locked(const std::string& keep) {
 }
 
 void TraceRecorder::end_span(SpanId id, SimTime end) {
-  std::lock_guard lock(mutex_);
-  if (Span* span = find_locked(id)) span->end = end;
+  if (Span* span = find(id)) span->end = end;
 }
 
 void TraceRecorder::annotate(SpanId id, const std::string& key,
                              const std::string& value) {
-  std::lock_guard lock(mutex_);
-  if (Span* span = find_locked(id)) span->attributes.emplace_back(key, value);
+  if (Span* span = find(id)) span->attributes.emplace_back(key, value);
 }
 
 void TraceRecorder::fail_span(SpanId id, const std::string& reason) {
-  std::lock_guard lock(mutex_);
-  if (Span* span = find_locked(id)) {
+  if (Span* span = find(id)) {
     span->failed = true;
     span->attributes.emplace_back("error", reason);
   }
 }
 
 std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
-  std::lock_guard lock(mutex_);
   std::vector<Span> out;
   for (const Span& span : spans_) {
     if (span.id != 0 && span.trace_id == trace_id) out.push_back(span);
@@ -132,7 +127,6 @@ std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
 }
 
 std::vector<Span> TraceRecorder::spans() const {
-  std::lock_guard lock(mutex_);
   std::vector<Span> out;
   out.reserve(live_);
   for (const Span& span : spans_) {
@@ -142,7 +136,6 @@ std::vector<Span> TraceRecorder::spans() const {
 }
 
 std::vector<std::string> TraceRecorder::trace_ids() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::string> ids;
   std::unordered_set<std::string_view> seen;
   for (const Span& span : spans_) {
@@ -154,12 +147,10 @@ std::vector<std::string> TraceRecorder::trace_ids() const {
 }
 
 std::size_t TraceRecorder::span_count() const {
-  std::lock_guard lock(mutex_);
   return live_;
 }
 
 void TraceRecorder::clear() {
-  std::lock_guard lock(mutex_);
   spans_.clear();
   live_ = 0;
   evict_at_ = kMaxSpans;

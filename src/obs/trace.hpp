@@ -15,12 +15,15 @@
 // spans it evicts its oldest whole traces (first-seen order), so a
 // long-running daemon keeps its most recent traces instead of growing
 // without limit.
+//
+// A recorder belongs to its world, and one thread owns a world
+// (docs/ARCHITECTURE.md): the recorder carries no lock. bbd renders
+// /tracez on the same loop that runs requests.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,7 +109,6 @@ class TraceRecorder {
   std::string to_json(const std::string& trace_id) const;
 
  private:
-  mutable std::mutex mutex_;
   /// Spans in id order: spans_[i] has id first_id_ + i. An evicted span
   /// with live spans in front of it stays as a tombstone (id 0) until it
   /// reaches the front.
@@ -117,10 +119,10 @@ class TraceRecorder {
   /// Live span count past which begin_span runs an eviction pass.
   std::size_t evict_at_ = kMaxSpans;
 
-  Span* find_locked(SpanId id);
+  Span* find(SpanId id);
   /// Evict every trace, except `keep`, that has a span among the oldest
   /// half of the live spans.
-  void evict_locked(const std::string& keep);
+  void evict(const std::string& keep);
 };
 
 /// RAII span guard that mirrors one logical span into up to two recorders:

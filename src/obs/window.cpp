@@ -36,7 +36,6 @@ WindowRate::WindowRate(std::chrono::milliseconds window, std::size_t slots)
 
 void WindowRate::record(std::uint64_t now_ms, double amount) {
   const std::uint64_t current = now_ms / slot_ms_;
-  std::lock_guard lock(mutex_);
   const std::size_t pos = current % slot_index_.size();
   if (slot_index_[pos] != current) {
     slot_index_[pos] = current;
@@ -52,7 +51,6 @@ double WindowRate::total(std::uint64_t now_ms) const {
   // ring's initial fill, so a slot claiming index 0 only counts while slot
   // 0 itself is within the window.
   const std::uint64_t oldest = current >= span ? current - span + 1 : 0;
-  std::lock_guard lock(mutex_);
   double sum = 0;
   for (std::size_t i = 0; i < slot_index_.size(); ++i) {
     if (slot_index_[i] >= oldest && slot_index_[i] <= current) {
@@ -90,7 +88,6 @@ void WindowedHistogram::observe(std::uint64_t now_ms, double value) {
   const auto bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  std::lock_guard lock(mutex_);
   Slot& slot = slots_[current % slots_.size()];
   if (!slot.live || slot.index != current) {
     slot.index = current;
@@ -111,7 +108,6 @@ Histogram::Snapshot WindowedHistogram::snapshot(std::uint64_t now_ms) const {
   Histogram::Snapshot merged;
   merged.bounds = bounds_;
   merged.counts.assign(bounds_.size() + 1, 0);
-  std::lock_guard lock(mutex_);
   for (const Slot& slot : slots_) {
     if (!slot.live || slot.index < oldest || slot.index > current) continue;
     for (std::size_t i = 0; i < slot.counts.size(); ++i) {
@@ -161,15 +157,11 @@ BurnRateTracker::Evaluation BurnRateTracker::publish(
       .gauge(kSloBurnRate, {{"objective", spec_.objective},
                             {"window", spec_.window_label()}})
       .set(eval.burn_rate);
-  {
-    std::lock_guard lock(edge_mutex_);
-    if (eval.alerting && !was_alerting_) {
-      registry
-          .counter(kSloBurnAlertsTotal, {{"objective", spec_.objective}})
-          .increment();
-    }
-    was_alerting_ = eval.alerting;
+  if (eval.alerting && !was_alerting_) {
+    registry.counter(kSloBurnAlertsTotal, {{"objective", spec_.objective}})
+        .increment();
   }
+  was_alerting_ = eval.alerting;
   return eval;
 }
 

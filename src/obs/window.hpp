@@ -17,15 +17,13 @@
 // Time is injected as plain milliseconds (WallClockFn) rather than read
 // from std::chrono internally, so tests drive rollover and decay
 // deterministically (tests/obs_window_test.cpp) and the daemon passes one
-// shared steady-clock source. All three classes are internally
-// synchronized: the daemon's loop thread records while the admin plane's
-// scrape thread reads.
+// shared steady-clock source. None of the three classes is synchronized:
+// bbd records and scrapes them on its one request loop.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -61,7 +59,6 @@ class WindowRate {
  private:
   std::chrono::milliseconds window_;
   std::uint64_t slot_ms_;
-  mutable std::mutex mutex_;
   // Ring keyed by absolute slot index (now_ms / slot_ms_); a ring entry is
   // live only while its absolute index is within the window.
   std::vector<std::uint64_t> slot_index_;
@@ -99,7 +96,6 @@ class WindowedHistogram {
   std::chrono::milliseconds window_;
   std::uint64_t slot_ms_;
   std::vector<double> bounds_;
-  mutable std::mutex mutex_;
   std::vector<Slot> slots_;
 };
 
@@ -149,7 +145,6 @@ class BurnRateTracker {
   BurnRateSpec spec_;
   WindowRate total_;
   WindowRate bad_;
-  std::mutex edge_mutex_;
   bool was_alerting_ = false;
 };
 

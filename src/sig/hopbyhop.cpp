@@ -430,8 +430,7 @@ HopByHopEngine::Decision HopByHopEngine::step(Node& node,
                         domain);
     }
     return verify_rar(msg, session_it->second.peer_certificate(),
-                      broker.dn(), broker.trust_store(),
-                      node.options.trust_policy, at);
+                      broker.dn(), node.options.trust_policy, at);
   }();
   // Signature-verify verdict, with whether the verification cache served
   // it (counter delta — the engine is single-threaded per request).

@@ -40,8 +40,7 @@ Result<crypto::DistinguishedName> user_dn_of(const bb::ResSpec& spec) {
 
 static Result<VerifiedRar> verify_rar_impl(
     const RarMessage& msg, const crypto::Certificate& channel_peer,
-    const crypto::DistinguishedName& self_dn,
-    const crypto::TrustStore& anchors, const TrustPolicy& policy,
+    const crypto::DistinguishedName& self_dn, const TrustPolicy& policy,
     SimTime at) {
   const auto& layers = msg.broker_layers();
   if (layers.empty()) {
@@ -75,11 +74,9 @@ static Result<VerifiedRar> verify_rar_impl(
 
   // 2. Walk inward. Layer k introduces the certificate of layer k-1's
   //    signer; acceptance is by introduction (web of trust) bounded by the
-  //    local depth policy, with anchoring recorded when available.
+  //    local depth policy.
   std::vector<PathElement> path_rev;  // destination-side first
-  path_rev.push_back(PathElement{
-      channel_peer.subject(), 0,
-      anchors.verify_chain(channel_peer, {}, at).ok()});
+  path_rev.push_back(PathElement{channel_peer.subject(), 0});
 
   for (std::size_t k = n - 1; k >= 1; --k) {
     const std::size_t depth = (n - 1) - (k - 1);
@@ -120,9 +117,7 @@ static Result<VerifiedRar> verify_rar_impl(
                         " but layer " + std::to_string(k) + " was signed by " +
                         layers[k].signer_dn);
     }
-    path_rev.push_back(PathElement{
-        introduced->subject(), depth,
-        anchors.verify_chain(*introduced, {}, at).ok()});
+    path_rev.push_back(PathElement{introduced->subject(), depth});
   }
 
   // 3. Innermost broker layer introduces the user's identity certificate.
@@ -211,10 +206,8 @@ Result<VerifiedRar> metered(Result<VerifiedRar> result) {
 Result<VerifiedRar> verify_rar(const RarMessage& msg,
                                const crypto::Certificate& channel_peer,
                                const crypto::DistinguishedName& self_dn,
-                               const crypto::TrustStore& anchors,
                                const TrustPolicy& policy, SimTime at) {
-  return metered(
-      verify_rar_impl(msg, channel_peer, self_dn, anchors, policy, at));
+  return metered(verify_rar_impl(msg, channel_peer, self_dn, policy, at));
 }
 
 Result<VerifiedRar> verify_user_request(

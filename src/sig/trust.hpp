@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "crypto/certstore.hpp"
+#include "crypto/x509.hpp"
 #include "sig/message.hpp"
 
 namespace e2e::sig {
@@ -30,9 +30,6 @@ struct PathElement {
   /// Introduction distance from the verifier: 0 = authenticated directly on
   /// the channel, k = introduced through k intermediaries.
   std::size_t introduction_depth = 0;
-  /// True if the element's certificate also chains to a local trust anchor
-  /// (stronger than pure introduction).
-  bool anchored = false;
 };
 
 /// Everything the destination's policy engine needs, extracted from a
@@ -56,15 +53,14 @@ struct VerifiedRar {
 ///
 /// `channel_peer` is the certificate of the upstream BB obtained from the
 /// mutually authenticated channel; the outermost layer must be signed by
-/// it. `self_dn` is this broker's DN (the outermost layer must be addressed
-/// to it). `anchors` supplies local trust anchors used to flag `anchored`
-/// path elements and to validate the user certificate's issuer when
-/// possible; pure web-of-trust introductions are accepted up to
+/// it; the channel handshake already chain-verified that certificate
+/// against local trust anchors. `self_dn` is this broker's DN (the
+/// outermost layer must be addressed to it). Every other key is accepted
+/// by web-of-trust introduction only, up to
 /// `policy.max_introduction_depth`.
 Result<VerifiedRar> verify_rar(const RarMessage& msg,
                                const crypto::Certificate& channel_peer,
                                const crypto::DistinguishedName& self_dn,
-                               const crypto::TrustStore& anchors,
                                const TrustPolicy& policy, SimTime at);
 
 /// Source-domain variant: the user's request arrives directly (depth 0);

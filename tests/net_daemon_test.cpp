@@ -6,13 +6,22 @@
 // sockets and the poll() fallback; byte-identity of daemon-produced grant
 // bytes against an identically-seeded in-memory world; peer-disconnect
 // error paths (mid-handshake, post-reserve orphan release); idle-timeout
-// sweeps; kShutdown graceful drain; the kConfigure domain count; and the
-// write-queue bound that sheds a flooding peer.
+// sweeps; kShutdown graceful drain; the kConfigure domain count; the
+// write-queue bound that sheds a flooding peer; and the admin plane served
+// by the request loop itself (no thread of its own, scrapes interleaved
+// with a pipelined window).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/json_reader.hpp"
 #include "common/rng.hpp"
 #include "kit/chain_world.hpp"
 #include "net/bbd_client.hpp"
@@ -37,6 +46,51 @@ BbdClient::Options client_options(const BbdService& service) {
   BbdClient::Options options;
   options.connect_to = service.bound_endpoints().front();
   return options;
+}
+
+struct HttpReply {
+  int status = 0;
+  std::string body;
+};
+
+/// One admin exchange: connect, GET, read to EOF (the plane closes the
+/// connection after every response).
+Result<HttpReply> admin_get(const Endpoint& endpoint,
+                            const std::string& path) {
+  auto socket = StreamSocket::connect(endpoint);
+  if (!socket.ok()) return socket.error();
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (auto sent = socket.value().send_raw(BytesView(
+          reinterpret_cast<const std::uint8_t*>(request.data()),
+          request.size()));
+      !sent.ok()) {
+    return sent.error();
+  }
+  std::string wire;
+  char chunk[16384];
+  while (true) {
+    const ssize_t n = ::read(socket.value().fd(), chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    wire.append(chunk, static_cast<std::size_t>(n));
+  }
+  const std::size_t head_end = wire.find("\r\n\r\n");
+  const std::size_t sp = wire.find(' ');
+  if (head_end == std::string::npos || sp == std::string::npos) {
+    return make_error(ErrorCode::kBadMessage, "malformed admin response");
+  }
+  return HttpReply{std::atoi(wire.c_str() + sp + 1),
+                   wire.substr(head_end + 4)};
+}
+
+std::size_t thread_count() {
+  std::size_t threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
+  }
+  return threads;
 }
 
 TEST(Daemon, PingOverTcp) {
@@ -340,6 +394,130 @@ TEST(Daemon, FloodingPeerIsShedByTheWriteQueueBound) {
   auto client = BbdClient::connect(client_options(service));
   ASSERT_TRUE(client.ok()) << client.error().to_text();
   EXPECT_TRUE(client.value().ping().ok());
+  service.stop();
+  service.wait();
+}
+
+// The admin plane is served by the request loop: start() adds exactly one
+// thread, the loop, even with admin listeners configured.
+TEST(Daemon, AdminPlaneAddsNoThread) {
+  BbdService::Options options = tcp_options();
+  options.admin_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
+  BbdService service(std::move(options));
+  const std::size_t before = thread_count();
+  ASSERT_TRUE(service.start().ok());
+  EXPECT_EQ(thread_count(), before + 1);
+  ASSERT_EQ(service.bound_endpoints().size(), 1u);
+  ASSERT_EQ(service.admin_endpoints().size(), 1u);
+  auto healthz = admin_get(service.admin_endpoints().front(), "/healthz");
+  ASSERT_TRUE(healthz.ok()) << healthz.error().to_text();
+  EXPECT_EQ(healthz.value().status, 200);
+  EXPECT_EQ(healthz.value().body, "ok\n");
+  service.stop();
+  service.wait();
+}
+
+// One connection pipelines reserves at window 8; between windows the same
+// thread scrapes every admin route. The loop serves both kinds of
+// connection, so each scrape sees the world exactly as the last window
+// left it.
+TEST(Daemon, AdminScrapesInterleaveWithAPipelinedWindow) {
+  BbdService::Options options = tcp_options();
+  options.admin_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
+  BbdService service(std::move(options));
+  ASSERT_TRUE(service.start().ok());
+  const Endpoint admin = service.admin_endpoints().front();
+  BbdClient::Options pipelined = client_options(service);
+  pipelined.pipeline_depth = 8;
+  auto client = BbdClient::connect(pipelined);
+  ASSERT_TRUE(client.ok()) << client.error().to_text();
+  ASSERT_TRUE(client.value().hello(/*release_on_disconnect=*/false).ok());
+  ASSERT_EQ(client.value().pipeline_window(), 8u);
+  ASSERT_TRUE(client.value().make_user("Erin", 0).ok());
+
+  std::uint64_t reserves = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<BbdClient::Call> calls;
+    for (int i = 0; i < 8; ++i) {
+      BbdRequest req;
+      req.op = BbdOp::kReserve;
+      req.stra = "Erin";
+      req.f64a = 1e6;
+      req.u64b = static_cast<std::uint64_t>(seconds(600));
+      req.f64b = static_cast<double>(seconds(1));
+      auto call = client.value().call_async(std::move(req));
+      ASSERT_TRUE(call.ok()) << call.error().to_text();
+      calls.push_back(call.value());
+    }
+    std::vector<Bytes> grants;
+    for (const BbdClient::Call& call : calls) {
+      auto res = client.value().wait(call);
+      ASSERT_TRUE(res.ok()) << res.error().to_text();
+      EXPECT_EQ(res.value().id, call.id);
+      auto reply = sig::RarReply::decode(res.value().bytes);
+      ASSERT_TRUE(reply.ok()) << reply.error().to_text();
+      EXPECT_TRUE(reply.value().granted);
+      grants.push_back(res.value().bytes);
+    }
+    reserves += calls.size();
+
+    auto metrics = admin_get(admin, "/metrics");
+    ASSERT_TRUE(metrics.ok()) << metrics.error().to_text();
+    EXPECT_EQ(metrics.value().status, 200);
+    EXPECT_NE(metrics.value().body.find(obs::kSigRarRequestsTotal),
+              std::string::npos);
+
+    auto statz = admin_get(admin, "/statz");
+    ASSERT_TRUE(statz.ok()) << statz.error().to_text();
+    ASSERT_EQ(statz.value().status, 200);
+    auto doc = json::parse(statz.value().body);
+    ASSERT_TRUE(doc.ok()) << doc.error().to_text();
+    const json::Value* rows = doc.value().find("connections");
+    const json::Value* totals = doc.value().find("totals");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_NE(totals, nullptr);
+    // The RPC connection is listed; the scraping connection is not.
+    ASSERT_EQ(rows->array.size(), 1u) << statz.value().body;
+    const json::Value* window = rows->array.front().find("window");
+    ASSERT_NE(window, nullptr);
+    EXPECT_EQ(window->number, 8);
+    const json::Value* total = totals->find("connections");
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(total->number, static_cast<double>(rows->array.size()));
+
+    auto tracez = admin_get(admin, "/tracez");
+    ASSERT_TRUE(tracez.ok()) << tracez.error().to_text();
+    EXPECT_EQ(tracez.value().status, 200);
+    const std::string last_trace =
+        "\"trace_id\":\"rar-" + std::to_string(reserves) + "\"";
+    EXPECT_NE(tracez.value().body.find(last_trace), std::string::npos)
+        << "the reserve that just completed is missing from /tracez";
+
+    auto healthz = admin_get(admin, "/healthz");
+    ASSERT_TRUE(healthz.ok());
+    EXPECT_EQ(healthz.value().status, 200);
+    auto readyz = admin_get(admin, "/readyz");
+    ASSERT_TRUE(readyz.ok());
+    EXPECT_EQ(readyz.value().status, 200);
+    EXPECT_EQ(readyz.value().body, "ready\n");
+
+    // Release the window, pipelined as well.
+    calls.clear();
+    for (Bytes& grant : grants) {
+      BbdRequest req;
+      req.op = BbdOp::kRelease;
+      req.stra = "hopbyhop";
+      req.bytes = std::move(grant);
+      auto call = client.value().call_async(std::move(req));
+      ASSERT_TRUE(call.ok()) << call.error().to_text();
+      calls.push_back(call.value());
+    }
+    for (const BbdClient::Call& call : calls) {
+      auto res = client.value().wait(call);
+      ASSERT_TRUE(res.ok()) << res.error().to_text();
+      EXPECT_EQ(res.value().id, call.id);
+    }
+  }
   service.stop();
   service.wait();
 }

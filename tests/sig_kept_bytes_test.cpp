@@ -82,7 +82,7 @@ Result<VerifiedRar> verify_at_destination(ChainWorld& world,
   if (!msg.ok()) return msg.error();
   bb::BandwidthBroker& self = world.broker(domains - 1);
   return verify_rar(*msg, world.broker(domains - 2).certificate(), self.dn(),
-                    self.trust_store(), TrustPolicy{}, seconds(1));
+                    TrustPolicy{}, seconds(1));
 }
 
 /// The wire the destination of a `domains`-long chain receives: the user's

@@ -6,9 +6,9 @@
 // TCP ports resolved), then serves until SIGINT/SIGTERM or a kShutdown
 // request.
 //
-// With --admin, a second plaintext listener serves the telemetry plane
-// (GET /metrics, /metrics.json, /healthz, /readyz, /statz, /tracez — see
-// docs/OBSERVABILITY.md) and prints one "admin on <endpoint>" line per
+// With --admin, a plaintext listener on the same event loop serves the
+// telemetry plane (GET /metrics, /metrics.json, /healthz, /readyz,
+// /statz, /tracez — see docs/OBSERVABILITY.md) and prints one "admin on <endpoint>" line per
 // bound admin listener. On graceful drain the daemon appends an audit
 // "shutdown" record and writes a final metrics snapshot to --metrics-out
 // (default bbd.metrics.json; pass an empty string to disable).
