@@ -110,8 +110,8 @@ class DaemonHarness {
   }
 
   /// Retry-connect until the child has built its world and listens.
-  /// `pipeline_depth` > 1 asks hello() (which the caller still issues) to
-  /// negotiate that pipeline window; 1 keeps the serial wire.
+  /// `pipeline_depth` is how many call_async() calls the client keeps in
+  /// flight; 1 keeps the serial wire.
   Result<net::BbdClient> connect(std::uint64_t pipeline_depth = 1) const {
     net::BbdClient::Options options;
     options.connect_to = net::Endpoint::parse("unix:" + socket_path_).value();

@@ -7,9 +7,10 @@
 // thread) drives mini-batches of tunnel-flow RARs against a forked bbd:
 //
 //   serial     every call is one synchronous round trip (pipeline_depth
-//              1, the pre-ISSUE-10 wire, byte-identical hello);
-//   pipelined  hello() negotiates a depth-D window and each batch keeps D
-//              sealed requests in flight per connection (call_async/wait).
+//              1, the serial wire);
+//   pipelined  the client opens with pipeline_depth D and each batch keeps
+//              D sealed requests in flight per connection
+//              (call_async/wait).
 //
 // Both modes run the identical operation sequence: per batch, D
 // kTunnelReserve flows into the connection's own established aggregate
@@ -102,9 +103,9 @@ struct FleetResult {
 /// One connection's share of the load: establish a private aggregate
 /// tunnel, then run `batches` mini-batches of `depth` reserve ops
 /// followed by their `depth` releases. Both modes issue the identical
-/// sequence through call_async/wait; `window` is what hello() negotiates
-/// — with window 1 every call_async pumps its predecessor to completion
-/// first, which is exactly the serial wire.
+/// sequence through call_async/wait; `window` is the client's
+/// pipeline_depth — with window 1 every call_async pumps its predecessor
+/// to completion first, which is exactly the serial wire.
 void run_connection(const bu::DaemonHarness& harness, std::size_t index,
                     std::uint64_t window, std::uint64_t depth,
                     std::size_t batches, std::atomic<bool>* failed,

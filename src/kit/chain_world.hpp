@@ -67,8 +67,6 @@ struct ChainWorldConfig {
   /// `<dir>/<domain>.snapshot`). Empty (the default) disables durability
   /// entirely — the world is byte-identical to one without this field.
   std::string durability_dir;
-  /// Sync mode for the per-domain WALs (fsync-before-ack by default).
-  bb::WriteAheadLog::SyncMode wal_sync_mode = bb::WriteAheadLog::SyncMode::kFsync;
   /// Replay each domain's snapshot + WAL tail into its fresh broker before
   /// reopening the log (the restarted-daemon path: a killed bbd comes back
   /// with every acked grant intact). Requires durability_dir; a world
@@ -182,8 +180,9 @@ class ChainWorld {
           min_next_seq = report.value().wal_next_seq;
           head_hash = report.value().wal_head;
         }
-        auto wal = bb::WriteAheadLog::open(wal_path(i), config.wal_sync_mode,
-                                           min_next_seq, head_hash);
+        auto wal = bb::WriteAheadLog::open(
+            wal_path(i), bb::WriteAheadLog::SyncMode::kFsync, min_next_seq,
+            head_hash);
         if (!wal.ok()) {
           throw std::runtime_error("world: wal open failed: " +
                                    wal.error().to_text());
@@ -340,6 +339,19 @@ class ChainWorld {
   void collect(obs::SpanCollector& collector) const {
     for (std::size_t i = 0; i < domain_tracers_.size(); ++i) {
       collector.ingest(names_[i], *domain_tracers_[i]);
+    }
+  }
+  /// collect() restricted to the `newest` traces the collector would list
+  /// last (obs::newest_trace_ids): what /tracez renders, without copying
+  /// every retained span.
+  void collect(obs::SpanCollector& collector, std::size_t newest) const {
+    std::vector<const obs::TraceRecorder*> recorders;
+    for (const auto& tracer : domain_tracers_) {
+      recorders.push_back(tracer.get());
+    }
+    const auto kept = obs::newest_trace_ids(recorders, newest);
+    for (std::size_t i = 0; i < domain_tracers_.size(); ++i) {
+      collector.ingest(names_[i], *domain_tracers_[i], kept);
     }
   }
   Rng& rng() { return rng_; }

@@ -101,7 +101,8 @@ Result<BbdClient::Call> BbdClient::call_async(BbdRequest request) {
   // A full window blocks on the OLDEST call's own deadline; when it
   // expires the slot is reclaimed by abandoning that call (its wait()
   // will report kTimeout from completed_).
-  while (pending_.size() >= std::max<std::uint64_t>(window_, 1)) {
+  while (pending_.size() >=
+         std::max<std::uint64_t>(options_.pipeline_depth, 1)) {
     if (const Status pumped = pump_oldest(); !pumped.ok()) {
       return pumped.error();
     }
@@ -171,22 +172,11 @@ Status BbdClient::ping() {
 }
 
 Status BbdClient::hello(bool release_on_disconnect) {
-  const bool want_pipeline = options_.pipeline_depth > 1;
   BbdRequest req;
   req.op = BbdOp::kHello;
-  req.flags =
-      (release_on_disconnect ? hello_flag::kReleaseOnDisconnect : 0u) |
-      (want_pipeline ? hello_flag::kPipeline : 0u);
-  if (want_pipeline) req.u64a = options_.pipeline_depth;
+  req.flags = release_on_disconnect ? hello_flag::kReleaseOnDisconnect : 0u;
   auto res = call(std::move(req));
-  if (!res.ok()) return Status(res.error());
-  if (want_pipeline) {
-    // The effective window is what the daemon granted; an old daemon
-    // echoes 0 and this client stays serial.
-    window_ = std::max<std::uint64_t>(
-        1, std::min(options_.pipeline_depth, res.value().u64a));
-  }
-  return Status::ok_status();
+  return res.ok() ? Status::ok_status() : Status(res.error());
 }
 
 Status BbdClient::configure(std::uint64_t domains, std::uint64_t seed,

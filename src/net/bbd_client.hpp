@@ -10,12 +10,11 @@
 //   - call() is the original synchronous round trip — byte-identical to
 //     the pre-pipelining client, which is what byte-identity with the
 //     in-memory run requires;
-//   - call_async()/wait() keep up to the negotiated window of sealed
+//   - call_async()/wait() keep up to Options::pipeline_depth sealed
 //     requests in flight and match responses by request id, however the
-//     daemon interleaves them. The window is negotiated in hello():
-//     Options::pipeline_depth > 1 sets the kPipeline hello flag, and the
-//     effective window is what the daemon grants (old daemons grant
-//     nothing and the client stays serial).
+//     daemon interleaves them. The window is the client's own number:
+//     nothing is negotiated, and the daemon, which executes a
+//     connection's requests in arrival order, enforces none.
 // Each in-flight call carries its own deadline (stamped at send time,
 // Options::call_timeout long). A timed-out call is abandoned: its id
 // moves to a tombstone set, wait() returns kTimeout, and the late
@@ -55,10 +54,8 @@ class BbdClient {
     /// calls each get their own deadline, stamped when the request is
     /// written.
     std::chrono::milliseconds call_timeout{30000};
-    /// Requested pipeline window. 1 (the default) keeps the client
-    /// strictly serial and byte-identical to the pre-pipelining wire;
-    /// > 1 makes hello() negotiate pipelining and allows that many
-    /// call_async() calls in flight at once.
+    /// Most call_async() calls in flight at once. 1 (the default) keeps
+    /// the client strictly serial.
     std::uint64_t pipeline_depth = 1;
   };
 
@@ -74,8 +71,8 @@ class BbdClient {
   };
 
   /// Seal and write one request without waiting for its response. When
-  /// the negotiated window is full, first pumps the socket until a slot
-  /// frees (the oldest in-flight call completes or times out). The
+  /// pipeline_depth calls are in flight, first pumps the socket until a
+  /// slot frees (the oldest in-flight call completes or times out). The
   /// returned handle is redeemed exactly once with wait().
   Result<Call> call_async(BbdRequest request);
 
@@ -91,10 +88,6 @@ class BbdClient {
 
   /// Calls currently in flight (sent, not yet completed or abandoned).
   std::size_t in_flight() const { return pending_.size(); }
-
-  /// Window granted by the daemon's hello response (1 until a pipelined
-  /// hello() succeeds).
-  std::uint64_t pipeline_window() const { return window_; }
 
   /// One sealed round trip. Assigns the request id; a response that does
   /// not echo it is a protocol error. An application-level failure
@@ -174,8 +167,6 @@ class BbdClient {
   StreamSocket socket_;
   sig::Session session_;
   std::uint64_t next_id_ = 1;
-  /// Negotiated in hello(); 1 = serial.
-  std::uint64_t window_ = 1;
   /// In-flight call id -> its deadline. std::map: iteration order is id
   /// order, so begin() is always the oldest call.
   std::map<std::uint64_t, std::chrono::steady_clock::time_point> pending_;

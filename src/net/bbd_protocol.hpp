@@ -16,6 +16,12 @@
 //   3. sealed records                   (sig::Session::seal, wire form
 //      channel_tag::kRecord) carrying one Request or Response each.
 //
+// A client may write further requests before earlier responses arrive.
+// The daemon executes a connection's requests one at a time in arrival
+// order and echoes each request's id in its response; how many a client
+// keeps in flight is the client's own choice
+// (BbdClient::Options::pipeline_depth) and is never negotiated.
+//
 // Requests and responses are flat TLV containers. Every field is encoded
 // on every message whatever the op — a few dozen fixed bytes of overhead
 // buys a single encode/decode path with no per-op schema to drift.
@@ -60,27 +66,12 @@ namespace hello_flag {
 /// Release grants made over this connection when it drops — the
 /// orphan-release contract.
 inline constexpr std::uint32_t kReleaseOnDisconnect = 1u << 0;
-/// Client requests response pipelining: it wants to keep request
-/// u64a > 1 sealed calls in flight on this connection and will match
-/// responses by id, not arrival order. The daemon answers with the
-/// window it will honor in response u64a (0 on daemons predating the
-/// feature — TLV encodes every field always, so an old daemon's hello
-/// response already carried u64a=0 and stays byte-identical). A client
-/// that does not set this bit gets the original strictly-serial
-/// contract, byte for byte.
-inline constexpr std::uint32_t kPipeline = 1u << 1;
 }  // namespace hello_flag
-
-/// Largest pipeline window the daemon will advertise in a kHello
-/// response; the effective window is min(requested, this).
-inline constexpr std::uint64_t kMaxPipelineWindow = 64;
 
 enum class BbdOp : std::uint32_t {
   kPing = 1,
   /// Set per-connection options (flags bit 0: release grants made over
-  /// this connection when it drops — the orphan-release contract;
-  /// flags bit 1: request pipelining, window wanted in u64a — see
-  /// hello_flag above). Response u64a = granted pipeline window.
+  /// this connection when it drops — the orphan-release contract).
   kHello = 2,
   /// (Re)build the daemon's world: u64a=domains, u64b=seed (0 keeps the
   /// config default), u64c=inter-domain latency (SimDuration), f64a=domain

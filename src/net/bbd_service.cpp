@@ -1,6 +1,5 @@
 #include "net/bbd_service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <utility>
@@ -98,7 +97,6 @@ Status BbdService::start() {
   server_options.raw_listen_on = options_.admin_on;
   server_options.idle_timeout = options_.idle_timeout;
   server_options.max_write_queue_bytes = options_.max_write_queue_bytes;
-  server_options.force_poll = options_.force_poll;
   StreamServer::Callbacks callbacks;
   callbacks.on_frame = [this](StreamServer::ConnId id, Bytes frame) {
     on_frame(id, std::move(frame));
@@ -192,9 +190,6 @@ std::string BbdService::build_statz() const {
     out += ",\"frames_rx\":" + std::to_string(conn.frames_rx);
     out += ",\"frames_tx\":" + std::to_string(conn.frames_tx);
     out += ",\"queued_bytes\":" + std::to_string(conn.queued_bytes);
-    const auto state = conns_.find(conn.id);
-    out += ",\"window\":" +
-           std::to_string(state != conns_.end() ? state->second.window : 1);
     out += "}";
   }
   out += "],\"totals\":{";
@@ -205,9 +200,10 @@ std::string BbdService::build_statz() const {
 
 std::string BbdService::build_tracez() const {
   if (world_ == nullptr) return "{\"traces\":[]}";
+  constexpr std::size_t kTraces = 16;
   obs::SpanCollector collector;
-  world_->collect(collector);
-  return obs::tracez_json(collector, 16);
+  world_->collect(collector, kTraces);
+  return obs::tracez_json(collector, kTraces);
 }
 
 void BbdService::finalize_shutdown() {
@@ -258,10 +254,6 @@ std::vector<Endpoint> BbdService::admin_endpoints() const {
   bound.erase(bound.begin(), bound.begin() + static_cast<std::ptrdiff_t>(
                                                  options_.listen_on.size()));
   return bound;
-}
-
-const char* BbdService::poller_name() const {
-  return server_ != nullptr ? server_->poller_name() : "unstarted";
 }
 
 Status BbdService::rebuild_world(kit::ChainWorldConfig config) {
@@ -394,29 +386,12 @@ BbdResponse BbdService::handle(StreamServer::ConnId id, ConnState& conn,
         req.id, Error{ErrorCode::kUnavailable, "no world configured", "bbd"});
   }
   switch (req.op) {
-    case BbdOp::kPing: {
-      BbdResponse res = BbdResponse::success(req.id);
-      res.stra = poller_name();
-      return res;
-    }
-    case BbdOp::kHello: {
+    case BbdOp::kPing:
+      return BbdResponse::success(req.id);
+    case BbdOp::kHello:
       conn.release_on_disconnect =
           (req.flags & hello_flag::kReleaseOnDisconnect) != 0;
-      BbdResponse res = BbdResponse::success(req.id);
-      if ((req.flags & hello_flag::kPipeline) != 0) {
-        // Pipelining requested: grant min(asked, cap), floor 1, and echo
-        // the granted window in u64a. Without the flag u64a stays 0 —
-        // the exact bytes an old daemon produced, so legacy clients see
-        // an unchanged wire.
-        const std::uint64_t asked = req.u64a == 0 ? 1 : req.u64a;
-        const std::uint64_t granted = std::min(asked, kMaxPipelineWindow);
-        conn.window = granted;
-        res.u64a = granted;
-      } else {
-        conn.window = 1;
-      }
-      return res;
-    }
+      return BbdResponse::success(req.id);
     case BbdOp::kConfigure: {
       kit::ChainWorldConfig config;
       if (req.u64a != 0) config.domains = req.u64a;

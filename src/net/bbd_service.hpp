@@ -76,7 +76,6 @@ class BbdService {
     bool recover = false;
     std::chrono::milliseconds idle_timeout{0};
     std::size_t max_write_queue_bytes = 4u << 20;
-    bool force_poll = false;
     /// Optional plaintext admin/telemetry listeners (docs/DAEMON.md "Live
     /// operations"): raw listeners on the request loop serving the
     /// obs::AdminPlane HTTP routes. Empty (the default) disables the
@@ -108,7 +107,6 @@ class BbdService {
   std::vector<Endpoint> bound_endpoints() const;
   /// Bound admin endpoints (empty when the admin plane is disabled).
   std::vector<Endpoint> admin_endpoints() const;
-  const char* poller_name() const;
 
  private:
   struct ConnState {
@@ -126,8 +124,6 @@ class BbdService {
     /// connection and not yet released — released on disconnect when the
     /// connection asked for it (kHello flag bit 0).
     std::vector<std::pair<std::string, Bytes>> grants;
-    /// Negotiated pipeline window (kHello); 1 = the serial contract.
-    std::uint64_t window = 1;
     /// Protocol error observed: frames that follow are ignored until the
     /// close completes.
     bool dead = false;

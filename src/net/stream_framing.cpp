@@ -26,9 +26,9 @@ Status FrameDecoder::feed(BytesView chunk) {
                                (std::size_t{buffer_[pos + 2]} << 8) |
                                std::size_t{buffer_[pos + 3]};
     if (length > kMaxFramePayload) {
-      obs::MetricsRegistry::global()
-          .counter(obs::kNetFramingErrorsTotal)
-          .increment();
+      static obs::Counter& errors =
+          obs::MetricsRegistry::global().counter(obs::kNetFramingErrorsTotal);
+      errors.increment();
       poison_ = make_error(ErrorCode::kBadMessage,
                            "frame length " + std::to_string(length) +
                                " exceeds cap " +

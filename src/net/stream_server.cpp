@@ -3,13 +3,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -35,134 +31,7 @@ Status set_nonblocking(int fd) {
   return Status::ok_status();
 }
 
-void count_stream_bytes(const char* dir, std::size_t n) {
-  obs::MetricsRegistry::global()
-      .counter(obs::kNetStreamBytesTotal, {{"dir", dir}})
-      .increment(n);
-}
-
-class PollPoller final : public Poller {
- public:
-  Status add(int fd, bool want_write) override {
-    want_write_[fd] = want_write;
-    return Status::ok_status();
-  }
-  Status modify(int fd, bool want_write) override {
-    want_write_[fd] = want_write;
-    return Status::ok_status();
-  }
-  void remove(int fd) override { want_write_.erase(fd); }
-
-  Result<std::vector<Event>> wait(int timeout_ms) override {
-    std::vector<pollfd> pfds;
-    pfds.reserve(want_write_.size());
-    for (const auto& [fd, want_write] : want_write_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = POLLIN;
-      if (want_write) p.events |= POLLOUT;
-      pfds.push_back(p);
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return std::vector<Event>{};
-      return make_error(ErrorCode::kInternal,
-                        std::string("poll(): ") + std::strerror(errno));
-    }
-    std::vector<Event> events;
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events.push_back(e);
-    }
-    return events;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  std::map<int, bool> want_write_;
-};
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  Status add(int fd, bool want_write) override {
-    return control(EPOLL_CTL_ADD, fd, want_write);
-  }
-  Status modify(int fd, bool want_write) override {
-    return control(EPOLL_CTL_MOD, fd, want_write);
-  }
-  void remove(int fd) override {
-    epoll_event ev{};
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  Result<std::vector<Event>> wait(int timeout_ms) override {
-    epoll_event evs[64];
-    const int ready = ::epoll_wait(epfd_, evs, 64, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return std::vector<Event>{};
-      return make_error(ErrorCode::kInternal,
-                        std::string("epoll_wait(): ") +
-                            std::strerror(errno));
-    }
-    std::vector<Event> events;
-    events.reserve(static_cast<std::size_t>(ready));
-    for (int i = 0; i < ready; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      e.readable =
-          (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.hangup = (evs[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      events.push_back(e);
-    }
-    return events;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  Status control(int op, int fd, bool want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
-      return make_error(ErrorCode::kInternal,
-                        std::string("epoll_ctl(): ") +
-                            std::strerror(errno));
-    }
-    return Status::ok_status();
-  }
-
-  int epfd_ = -1;
-};
-#endif  // __linux__
-
 }  // namespace
-
-std::unique_ptr<Poller> Poller::create(bool force_poll) {
-#ifdef __linux__
-  if (!force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) return epoll;
-  }
-#endif
-  (void)force_poll;
-  return std::make_unique<PollPoller>();
-}
 
 StreamServer::StreamServer(Options options, Callbacks callbacks)
     : options_(std::move(options)), callbacks_(std::move(callbacks)) {}
@@ -174,17 +43,34 @@ StreamServer::~StreamServer() {
   connections_.clear();
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  if (epfd_ >= 0) ::close(epfd_);
 }
 
-const char* StreamServer::poller_name() const {
-  return poller_ != nullptr ? poller_->name() : "unstarted";
+Status StreamServer::watch(int op, int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
+    return make_error(ErrorCode::kInternal,
+                      std::string("epoll_ctl(): ") + std::strerror(errno));
+  }
+  return Status::ok_status();
+}
+
+void StreamServer::unwatch(int fd) {
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 Status StreamServer::start() {
   if (options_.listen_on.empty()) {
     return make_error(ErrorCode::kInvalidArgument, "no listen endpoints");
   }
-  poller_ = Poller::create(options_.force_poll);
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) {
+    return make_error(ErrorCode::kInternal,
+                      std::string("epoll_create1(): ") +
+                          std::strerror(errno));
+  }
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     return make_error(ErrorCode::kInternal,
@@ -194,7 +80,9 @@ Status StreamServer::start() {
   wake_write_fd_ = pipe_fds[1];
   if (auto s = set_nonblocking(wake_read_fd_); !s.ok()) return s;
   if (auto s = set_nonblocking(wake_write_fd_); !s.ok()) return s;
-  if (auto s = poller_->add(wake_read_fd_, false); !s.ok()) return s;
+  if (auto s = watch(EPOLL_CTL_ADD, wake_read_fd_, false); !s.ok()) {
+    return s;
+  }
 
   // listeners_ holds listen_on's endpoints, then raw_listen_on's.
   std::vector<Endpoint> endpoints = options_.listen_on;
@@ -204,7 +92,8 @@ Status StreamServer::start() {
     auto listener = Listener::listen(endpoint);
     if (!listener.ok()) return listener.error();
     if (auto s = set_nonblocking(listener.value().fd()); !s.ok()) return s;
-    if (auto s = poller_->add(listener.value().fd(), false); !s.ok()) {
+    if (auto s = watch(EPOLL_CTL_ADD, listener.value().fd(), false);
+        !s.ok()) {
       return s;
     }
     listener_by_fd_[listener.value().fd()] = listeners_.size();
@@ -303,6 +192,8 @@ void StreamServer::sweep_idle() {
 void StreamServer::run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   loop_live_.store(true, std::memory_order_release);
+  constexpr int kMaxEvents = 64;
+  epoll_event events[kMaxEvents];
   while (true) {
     if (stop_requested_.load(std::memory_order_acquire)) break;
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
@@ -310,7 +201,7 @@ void StreamServer::run() {
       // Stop accepting framed connections; existing ones get to drain
       // their writes. Raw listeners keep answering until run() returns.
       for (std::size_t i = 0; i < options_.listen_on.size(); ++i) {
-        poller_->remove(listeners_[i].fd());
+        unwatch(listeners_[i].fd());
         listener_by_fd_.erase(listeners_[i].fd());
         listeners_[i].close();
       }
@@ -320,26 +211,30 @@ void StreamServer::run() {
       if (connections_.size() == raw_connections_) break;
     }
 
-    auto events = poller_->wait(next_timeout_ms());
-    if (!events.ok()) break;
-    for (const Poller::Event& event : events.value()) {
-      if (event.fd == wake_read_fd_) {
+    const int ready = ::epoll_wait(epfd_, events, kMaxEvents,
+                                   next_timeout_ms());
+    if (ready < 0 && errno != EINTR) break;
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      const std::uint32_t flags = events[i].events;
+      const bool readable = (flags & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
+      if (fd == wake_read_fd_) {
         drain_wake_pipe();
         continue;
       }
-      if (listener_by_fd_.contains(event.fd)) {
-        if (event.readable) accept_ready(event.fd);
+      if (listener_by_fd_.contains(fd)) {
+        if (readable) accept_ready(fd);
         continue;
       }
-      const auto it = conn_by_fd_.find(event.fd);
+      const auto it = conn_by_fd_.find(fd);
       if (it == conn_by_fd_.end()) continue;
       const ConnId id = it->second;
-      if (event.writable) {
+      if ((flags & EPOLLOUT) != 0) {
         if (!flush_writes(id)) continue;
       }
-      if (event.readable) {
+      if (readable) {
         read_ready(id);
-      } else if (event.hangup) {
+      } else if ((flags & (EPOLLHUP | EPOLLERR)) != 0) {
         close_connection(
             id, make_error(ErrorCode::kUnavailable, "peer hung up"));
       }
@@ -348,14 +243,14 @@ void StreamServer::run() {
   }
   loop_live_.store(false, std::memory_order_release);
 
-  // Loop exit: close whatever is left (stop(), or a poller failure).
+  // Loop exit: close whatever is left (stop(), or an epoll_wait failure).
   std::vector<ConnId> remaining;
   remaining.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) remaining.push_back(id);
   for (ConnId id : remaining) close_connection(id, Status::ok_status());
   for (Listener& listener : listeners_) {
     if (listener.valid()) {
-      poller_->remove(listener.fd());
+      unwatch(listener.fd());
       listener.close();
     }
   }
@@ -393,7 +288,7 @@ void StreamServer::accept_ready(int listener_fd) {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
-    if (!poller_->add(fd, false).ok()) {
+    if (!watch(EPOLL_CTL_ADD, fd, false).ok()) {
       ::close(fd);
       continue;
     }
@@ -415,7 +310,6 @@ void StreamServer::accept_ready(int listener_fd) {
           .increment();
       publish_conns_gauge();
     }
-    if (callbacks_.on_open) callbacks_.on_open(id, listener.local_endpoint());
   }
 }
 
@@ -424,7 +318,7 @@ void StreamServer::read_ready(ConnId id) {
   if (it == connections_.end()) return;
   Connection& conn = it->second;
   conn.last_activity = std::chrono::steady_clock::now();
-  // One chunk per readiness event: the poller is level-triggered, so any
+  // One chunk per readiness event: epoll is level-triggered, so any
   // bytes left in the socket are reported again next iteration, after
   // the other ready connections had their turn.
   std::uint8_t chunk[16384];
@@ -445,7 +339,9 @@ void StreamServer::read_ready(ConnId id) {
                          : Status::ok_status());
     return;
   }
-  count_stream_bytes("rx", static_cast<std::size_t>(n));
+  static obs::Counter& bytes_rx = obs::MetricsRegistry::global().counter(
+      obs::kNetStreamBytesTotal, {{"dir", "rx"}});
+  bytes_rx.increment(static_cast<std::size_t>(n));
   conn.bytes_rx += static_cast<std::uint64_t>(n);
   if (conn.raw) {
     if (callbacks_.on_data) {
@@ -459,9 +355,9 @@ void StreamServer::read_ready(ConnId id) {
     return;
   }
   while (auto frame = conn.decoder.next()) {
-    obs::MetricsRegistry::global()
-        .counter(obs::kNetFramesTotal, {{"dir", "rx"}})
-        .increment();
+    static obs::Counter& frames_rx = obs::MetricsRegistry::global().counter(
+        obs::kNetFramesTotal, {{"dir", "rx"}});
+    frames_rx.increment();
     ++conn.frames_rx;
     if (callbacks_.on_frame) callbacks_.on_frame(id, std::move(*frame));
     // The callback may have closed the connection (protocol error, or a
@@ -483,7 +379,7 @@ bool StreamServer::flush_writes(ConnId id) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn.want_write) {
           conn.want_write = true;
-          (void)poller_->modify(conn.fd, true);
+          (void)watch(EPOLL_CTL_MOD, conn.fd, true);
         }
         return true;
       }
@@ -493,7 +389,9 @@ bool StreamServer::flush_writes(ConnId id) {
                                           std::strerror(errno)));
       return false;
     }
-    count_stream_bytes("tx", static_cast<std::size_t>(n));
+    static obs::Counter& bytes_tx = obs::MetricsRegistry::global().counter(
+        obs::kNetStreamBytesTotal, {{"dir", "tx"}});
+    bytes_tx.increment(static_cast<std::size_t>(n));
     conn.bytes_tx += static_cast<std::uint64_t>(n);
     conn.front_offset += static_cast<std::size_t>(n);
     conn.queued_bytes -= static_cast<std::size_t>(n);
@@ -506,7 +404,7 @@ bool StreamServer::flush_writes(ConnId id) {
   if (!conn.raw) publish_write_queue_gauge();
   if (conn.want_write) {
     conn.want_write = false;
-    (void)poller_->modify(conn.fd, false);
+    (void)watch(EPOLL_CTL_MOD, conn.fd, false);
   }
   if (conn.closing_after_flush) {
     close_connection(id, Status::ok_status());
@@ -527,9 +425,9 @@ Status StreamServer::send(ConnId id, BytesView payload) {
                       "payload exceeds frame cap",
                       std::to_string(payload.size()));
   }
-  obs::MetricsRegistry::global()
-      .counter(obs::kNetFramesTotal, {{"dir", "tx"}})
-      .increment();
+  static obs::Counter& frames_tx = obs::MetricsRegistry::global().counter(
+      obs::kNetFramesTotal, {{"dir", "tx"}});
+  frames_tx.increment();
   ++it->second.frames_tx;
   return enqueue_bytes(id, encode_frame(payload));
 }
@@ -589,7 +487,7 @@ void StreamServer::close_connection(ConnId id, const Status& reason) {
   if (it == connections_.end()) return;
   const int fd = it->second.fd;
   const bool raw = it->second.raw;
-  poller_->remove(fd);
+  unwatch(fd);
   ::close(fd);
   conn_by_fd_.erase(fd);
   if (raw) {
@@ -606,15 +504,15 @@ void StreamServer::close_connection(ConnId id, const Status& reason) {
 }
 
 void StreamServer::publish_conns_gauge() {
-  obs::MetricsRegistry::global()
-      .gauge(obs::kNetConnsActive)
-      .set(static_cast<double>(connections_.size() - raw_connections_));
+  static obs::Gauge& active =
+      obs::MetricsRegistry::global().gauge(obs::kNetConnsActive);
+  active.set(static_cast<double>(connections_.size() - raw_connections_));
 }
 
 void StreamServer::publish_write_queue_gauge() {
-  obs::MetricsRegistry::global()
-      .gauge(obs::kNetWriteQueueBytes)
-      .set(static_cast<double>(total_queued_bytes_));
+  static obs::Gauge& queued =
+      obs::MetricsRegistry::global().gauge(obs::kNetWriteQueueBytes);
+  queued.set(static_cast<double>(total_queued_bytes_));
 }
 
 std::vector<StreamServer::ConnectionStats> StreamServer::connection_stats()

@@ -3,14 +3,13 @@
 // This is the daemon's IO core (tools/bbd): it owns the listening sockets
 // (any mix of TCP and UNIX-domain), accepts connections, reassembles
 // length-prefixed frames out of arbitrarily torn reads, and writes replies
-// through bounded per-connection queues. The loop multiplexes with epoll
-// where available and falls back to poll() — set Options::force_poll to
-// exercise the fallback on any platform.
+// through bounded per-connection queues. The loop multiplexes with one
+// level-triggered epoll instance (Linux).
 //
-// Two listener kinds share the one loop and its one poller. A connection
-// accepted on Options::listen_on is framed (on_frame/send()); one accepted
-// on Options::raw_listen_on is a raw byte stream (on_data/send_raw()) —
-// bbd serves its admin plane's HTTP there. Raw connections are shed after
+// Two listener kinds share the one loop. A connection accepted on
+// Options::listen_on is framed (on_frame/send()); one accepted on
+// Options::raw_listen_on is a raw byte stream (on_data/send_raw()) — bbd
+// serves its admin plane's HTTP there. Raw connections are shed after
 // kRawIdleTimeout of silence, stay out of the connection, frame and
 // write-queue series, and are not listed by connection_stats().
 //
@@ -27,8 +26,8 @@
 //    closed; there is no partial-message state an application can observe.
 //
 // Fairness: each readiness event reads one recv() chunk, then the loop
-// moves on to the next ready connection. The poller is level-triggered,
-// so a connection with more bytes waiting is reported again on the next
+// moves on to the next ready connection. epoll is level-triggered, so a
+// connection with more bytes waiting is reported again on the next
 // iteration; one busy peer cannot starve the others.
 //
 // Backpressure: writes that cannot complete inline queue for EPOLLOUT.
@@ -50,7 +49,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,30 +60,6 @@
 
 namespace e2e::net {
 
-/// OS-facing readiness multiplexer: epoll on Linux, poll() elsewhere (and
-/// on demand, for coverage of the fallback path).
-class Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool hangup = false;
-  };
-
-  virtual ~Poller() = default;
-  virtual Status add(int fd, bool want_write) = 0;
-  virtual Status modify(int fd, bool want_write) = 0;
-  virtual void remove(int fd) = 0;
-  /// Wait up to timeout_ms (-1 = indefinitely) and report ready fds.
-  virtual Result<std::vector<Event>> wait(int timeout_ms) = 0;
-
-  virtual const char* name() const = 0;
-
-  /// epoll when available unless forced to poll.
-  static std::unique_ptr<Poller> create(bool force_poll);
-};
-
 class StreamServer {
  public:
   using ConnId = std::uint64_t;
@@ -96,7 +70,6 @@ class StreamServer {
     std::chrono::milliseconds idle_timeout{0};
     /// Slow-consumer bound on queued unwritten bytes per connection.
     std::size_t max_write_queue_bytes = 4u << 20;
-    bool force_poll = false;
     /// Raw byte-stream listeners (the admin plane's HTTP): no frame
     /// decoding — on_data delivers bytes as they arrive, send_raw()
     /// writes without a length prefix. Their connections skip the
@@ -111,8 +84,6 @@ class StreamServer {
   static constexpr std::chrono::milliseconds kRawIdleTimeout{10000};
 
   struct Callbacks {
-    /// A connection was accepted via the given listening endpoint.
-    std::function<void(ConnId, const Endpoint& via)> on_open;
     /// One complete frame arrived (framed connections only).
     std::function<void(ConnId, Bytes frame)> on_frame;
     /// A chunk of bytes arrived (raw connections only).
@@ -172,8 +143,6 @@ class StreamServer {
   /// Every live framed connection, sorted by id (loop thread only).
   std::vector<ConnectionStats> connection_stats() const;
 
-  const char* poller_name() const;
-
  private:
   struct Connection {
     int fd = -1;
@@ -193,6 +162,10 @@ class StreamServer {
     std::uint64_t frames_tx = 0;
   };
 
+  /// epoll_ctl(op) for `fd`: always EPOLLIN, plus EPOLLOUT while a
+  /// write is pending.
+  Status watch(int op, int fd, bool want_write);
+  void unwatch(int fd);
   void accept_ready(int listener_fd);
   /// Read one recv() chunk and deliver what it completes.
   void read_ready(ConnId id);
@@ -219,7 +192,7 @@ class StreamServer {
 
   Options options_;
   Callbacks callbacks_;
-  std::unique_ptr<Poller> poller_;
+  int epfd_ = -1;
   std::vector<Listener> listeners_;
   std::map<int, std::size_t> listener_by_fd_;
   std::map<ConnId, Connection> connections_;

@@ -44,18 +44,6 @@ Status fill_sockaddr_un(const Endpoint& endpoint, sockaddr_un& addr) {
   return Status::ok_status();
 }
 
-void count_stream_bytes(const char* dir, std::size_t n) {
-  obs::MetricsRegistry::global()
-      .counter(obs::kNetStreamBytesTotal, {{"dir", dir}})
-      .increment(n);
-}
-
-void count_frame(const char* dir) {
-  obs::MetricsRegistry::global()
-      .counter(obs::kNetFramesTotal, {{"dir", dir}})
-      .increment();
-}
-
 }  // namespace
 
 Result<Endpoint> Endpoint::parse(const std::string& spec) {
@@ -176,7 +164,9 @@ Status StreamSocket::send_raw(BytesView bytes) {
     }
     sent += static_cast<std::size_t>(n);
   }
-  count_stream_bytes("tx", bytes.size());
+  static obs::Counter& bytes_tx = obs::MetricsRegistry::global().counter(
+      obs::kNetStreamBytesTotal, {{"dir", "tx"}});
+  bytes_tx.increment(bytes.size());
   return Status::ok_status();
 }
 
@@ -187,7 +177,11 @@ Status StreamSocket::send_frame(BytesView payload) {
                       std::to_string(payload.size()));
   }
   auto sent = send_raw(encode_frame(payload));
-  if (sent.ok()) count_frame("tx");
+  if (sent.ok()) {
+    static obs::Counter& frames_tx = obs::MetricsRegistry::global().counter(
+        obs::kNetFramesTotal, {{"dir", "tx"}});
+    frames_tx.increment();
+  }
   return sent;
 }
 
@@ -198,7 +192,9 @@ Result<Bytes> StreamSocket::recv_frame(std::chrono::milliseconds deadline) {
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
     if (auto payload = decoder_.next()) {
-      count_frame("rx");
+      static obs::Counter& frames_rx = obs::MetricsRegistry::global().counter(
+          obs::kNetFramesTotal, {{"dir", "rx"}});
+      frames_rx.increment();
       return std::move(*payload);
     }
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -232,7 +228,9 @@ Result<Bytes> StreamSocket::recv_frame(std::chrono::milliseconds deadline) {
                             ? "peer disconnected mid-message"
                             : "peer disconnected");
     }
-    count_stream_bytes("rx", static_cast<std::size_t>(n));
+    static obs::Counter& bytes_rx = obs::MetricsRegistry::global().counter(
+        obs::kNetStreamBytesTotal, {{"dir", "rx"}});
+    bytes_rx.increment(static_cast<std::size_t>(n));
     auto fed = decoder_.feed(
         BytesView(chunk, static_cast<std::size_t>(n)));
     if (!fed.ok()) return fed.error();

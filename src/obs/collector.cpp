@@ -76,9 +76,11 @@ std::vector<CollectedSpan> stitch(std::vector<CollectedSpan> entries) {
   }
   std::vector<CollectedSpan> out;
   out.reserve(entries.size());
+  // Each entry has at most one parent, so it is emitted at most once and
+  // can be moved out.
   auto emit = [&](auto&& self, std::size_t i, int depth) -> void {
     entries[i].depth = depth;
-    out.push_back(entries[i]);
+    out.push_back(std::move(entries[i]));
     for (const std::size_t child : children[i]) {
       self(self, child, depth + 1);
     }
@@ -91,7 +93,17 @@ std::vector<CollectedSpan> stitch(std::vector<CollectedSpan> entries) {
 
 void SpanCollector::ingest(const std::string& domain,
                            const TraceRecorder& recorder) {
-  std::vector<Span> spans = recorder.spans();
+  ingest_spans(domain, recorder.spans());
+}
+
+void SpanCollector::ingest(const std::string& domain,
+                           const TraceRecorder& recorder,
+                           const std::unordered_set<std::string>& trace_ids) {
+  ingest_spans(domain, recorder.spans(trace_ids));
+}
+
+void SpanCollector::ingest_spans(const std::string& domain,
+                                 std::vector<Span> spans) {
   for (Export& exp : exports_) {
     if (exp.domain == domain) {
       exp.spans = std::move(spans);
@@ -99,6 +111,20 @@ void SpanCollector::ingest(const std::string& domain,
     }
   }
   exports_.push_back(Export{domain, std::move(spans)});
+}
+
+std::unordered_set<std::string> newest_trace_ids(
+    const std::vector<const TraceRecorder*>& recorders, std::size_t n) {
+  std::vector<std::string> order;
+  std::unordered_set<std::string> seen;
+  for (const TraceRecorder* recorder : recorders) {
+    for (std::string& id : recorder->trace_ids()) {
+      if (seen.insert(id).second) order.push_back(std::move(id));
+    }
+  }
+  const std::size_t first = order.size() > n ? order.size() - n : 0;
+  return std::unordered_set<std::string>(
+      order.begin() + static_cast<std::ptrdiff_t>(first), order.end());
 }
 
 std::vector<std::string> SpanCollector::trace_ids() const {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -41,6 +42,9 @@ class SpanCollector {
   /// Merge one domain's recorder export (its retained spans).
   /// Re-ingesting the same domain replaces its previous export.
   void ingest(const std::string& domain, const TraceRecorder& recorder);
+  /// ingest() restricted to the spans of the traces in `trace_ids`.
+  void ingest(const std::string& domain, const TraceRecorder& recorder,
+              const std::unordered_set<std::string>& trace_ids);
 
   std::vector<std::string> trace_ids() const;
   std::size_t span_count() const;
@@ -69,7 +73,15 @@ class SpanCollector {
     std::vector<Span> spans;
   };
 
+  void ingest_spans(const std::string& domain, std::vector<Span> spans);
+
   std::vector<Export> exports_;  // ingest order
 };
+
+/// The last `n` ids SpanCollector::trace_ids() would list after ingesting
+/// `recorders` in this order, found without copying a span: ingesting
+/// only these traces renders their trees exactly as a full ingest does.
+std::unordered_set<std::string> newest_trace_ids(
+    const std::vector<const TraceRecorder*>& recorders, std::size_t n);
 
 }  // namespace e2e::obs

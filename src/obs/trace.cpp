@@ -135,13 +135,32 @@ std::vector<Span> TraceRecorder::spans() const {
   return out;
 }
 
+std::vector<Span> TraceRecorder::spans(
+    const std::unordered_set<std::string>& trace_ids) const {
+  // A trace's spans mostly sit next to each other, so the set is consulted
+  // only where the trace id changes (as in evict()).
+  std::vector<Span> out;
+  const std::string* run = nullptr;
+  bool keep = false;
+  for (const Span& span : spans_) {
+    if (span.id == 0) continue;
+    if (run == nullptr || span.trace_id != *run) {
+      run = &span.trace_id;
+      keep = trace_ids.contains(span.trace_id);
+    }
+    if (keep) out.push_back(span);
+  }
+  return out;
+}
+
 std::vector<std::string> TraceRecorder::trace_ids() const {
   std::vector<std::string> ids;
   std::unordered_set<std::string_view> seen;
+  const std::string* run = nullptr;
   for (const Span& span : spans_) {
-    if (span.id != 0 && seen.insert(span.trace_id).second) {
-      ids.push_back(span.trace_id);
-    }
+    if (span.id == 0 || (run != nullptr && span.trace_id == *run)) continue;
+    run = &span.trace_id;
+    if (seen.insert(span.trace_id).second) ids.push_back(span.trace_id);
   }
   return ids;
 }

@@ -26,6 +26,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,9 @@ class TraceRecorder {
   std::vector<Span> trace(const std::string& trace_id) const;
   /// Every retained span, in creation order.
   std::vector<Span> spans() const;
+  /// Retained spans of the traces in `trace_ids`, in creation order.
+  std::vector<Span> spans(
+      const std::unordered_set<std::string>& trace_ids) const;
   /// Distinct retained trace ids, in first-seen order.
   std::vector<std::string> trace_ids() const;
   /// Live (retained) spans.

@@ -9,10 +9,20 @@
 
 namespace e2e::sig {
 
+namespace {
+
+void count_auth_failure() {
+  static obs::Counter& failures = obs::MetricsRegistry::global().counter(
+      obs::kSigChannelAuthFailuresTotal);
+  failures.increment();
+}
+
+}  // namespace
+
 Record Session::seal(BytesView payload) {
-  obs::MetricsRegistry::global()
-      .counter(obs::kSigChannelRecordsTotal, {{"op", "seal"}})
-      .increment();
+  static obs::Counter& seals = obs::MetricsRegistry::global().counter(
+      obs::kSigChannelRecordsTotal, {{"op", "seal"}});
+  seals.increment();
   Record rec;
   rec.sequence = next_send_seq_++;
   rec.payload.assign(payload.begin(), payload.end());
@@ -25,20 +35,20 @@ Record Session::seal(BytesView payload) {
 }
 
 Result<Bytes> Session::open(const Record& record) {
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigChannelRecordsTotal, {{"op", "open"}})
-      .increment();
+  static obs::Counter& opens = obs::MetricsRegistry::global().counter(
+      obs::kSigChannelRecordsTotal, {{"op", "open"}});
+  opens.increment();
   Bytes mac_input;
   tlv::put_be64(mac_input, record.sequence);
   append(mac_input, record.payload);
   const crypto::Digest d = crypto::hmac_sha256(recv_key_, mac_input);
   if (!equal_ct(record.mac, crypto::digest_bytes(d))) {
-    registry.counter(obs::kSigChannelAuthFailuresTotal).increment();
+    count_auth_failure();
     return make_error(ErrorCode::kAuthenticationFailed,
                       "record MAC verification failed");
   }
   if (record.sequence < expected_recv_seq_) {
-    registry.counter(obs::kSigChannelAuthFailuresTotal).increment();
+    count_auth_failure();
     return make_error(ErrorCode::kAuthenticationFailed,
                       "record replay detected (seq " +
                           std::to_string(record.sequence) + ")");

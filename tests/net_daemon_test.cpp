@@ -2,11 +2,11 @@
 //
 // Spins the full BbdService (StreamServer event loop + ChainWorld + staged
 // SecureChannel handshake) inside the test process and drives it through
-// BbdClient over real sockets. Covers: RPC round trips over TCP, UNIX
-// sockets and the poll() fallback; byte-identity of daemon-produced grant
-// bytes against an identically-seeded in-memory world; peer-disconnect
-// error paths (mid-handshake, post-reserve orphan release); idle-timeout
-// sweeps; kShutdown graceful drain; the kConfigure domain count; the
+// BbdClient over real sockets. Covers: RPC round trips over TCP and UNIX
+// sockets; byte-identity of daemon-produced grant bytes against an
+// identically-seeded in-memory world; peer-disconnect error paths
+// (mid-handshake, post-reserve orphan release); idle-timeout sweeps;
+// kShutdown graceful drain; the kConfigure domain count; the
 // write-queue bound that sheds a flooding peer; and the admin plane served
 // by the request loop itself (no thread of its own, scrapes interleaved
 // with a pipelined window).
@@ -110,19 +110,6 @@ TEST(Daemon, PingOverUnixSocket) {
   options.listen_on = {Endpoint::parse("unix:" + path).value()};
   BbdService service(std::move(options));
   ASSERT_TRUE(service.start().ok());
-  auto client = BbdClient::connect(client_options(service));
-  ASSERT_TRUE(client.ok()) << client.error().to_text();
-  EXPECT_TRUE(client.value().ping().ok());
-  service.stop();
-  service.wait();
-}
-
-TEST(Daemon, PollFallbackServes) {
-  BbdService::Options options = tcp_options();
-  options.force_poll = true;
-  BbdService service(std::move(options));
-  ASSERT_TRUE(service.start().ok());
-  EXPECT_STREQ(service.poller_name(), "poll");
   auto client = BbdClient::connect(client_options(service));
   ASSERT_TRUE(client.ok()) << client.error().to_text();
   EXPECT_TRUE(client.value().ping().ok());
@@ -432,7 +419,6 @@ TEST(Daemon, AdminScrapesInterleaveWithAPipelinedWindow) {
   auto client = BbdClient::connect(pipelined);
   ASSERT_TRUE(client.ok()) << client.error().to_text();
   ASSERT_TRUE(client.value().hello(/*release_on_disconnect=*/false).ok());
-  ASSERT_EQ(client.value().pipeline_window(), 8u);
   ASSERT_TRUE(client.value().make_user("Erin", 0).ok());
 
   std::uint64_t reserves = 0;
@@ -478,9 +464,6 @@ TEST(Daemon, AdminScrapesInterleaveWithAPipelinedWindow) {
     ASSERT_NE(totals, nullptr);
     // The RPC connection is listed; the scraping connection is not.
     ASSERT_EQ(rows->array.size(), 1u) << statz.value().body;
-    const json::Value* window = rows->array.front().find("window");
-    ASSERT_NE(window, nullptr);
-    EXPECT_EQ(window->number, 8);
     const json::Value* total = totals->find("connections");
     ASSERT_NE(total, nullptr);
     EXPECT_EQ(total->number, static_cast<double>(rows->array.size()));

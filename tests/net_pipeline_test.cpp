@@ -1,5 +1,5 @@
 // Wire-pipelining tests: the multiplexed BbdClient, the
-// daemon's pipelined window, and StreamServer's loop discipline.
+// daemon's pipelined execution, and StreamServer's loop discipline.
 //
 // Three layers of coverage:
 //   - a mock daemon (raw Listener + HandshakeResponder + manual sealing)
@@ -7,10 +7,11 @@
 //     strictly by request id — including the timeout-mid-pipeline case
 //     where a late response must be discarded, never mis-matched to a
 //     newer call;
-//   - pipelined conformance against the real BbdService: window
-//     negotiation (granted = min(asked, kMaxPipelineWindow), serial
-//     clients stay at 1) and byte/decision-identity of a pipelined op
-//     sequence vs the serial client on an identically-seeded daemon;
+//   - pipelined conformance against the real BbdService: the window is
+//     the client's own pipeline_depth (100 in flight, above any cap a
+//     daemon ever advertised; depth 1 stays serial) and byte/decision-
+//     identity of a pipelined op sequence vs the serial client on an
+//     identically-seeded daemon;
 //   - StreamServer's one-read-per-readiness-event fairness across
 //     connections, and the always-on loop-thread guard on send()
 //     (fork-based death check, skipped under sanitizers). TSan covers
@@ -64,19 +65,11 @@ struct MockConn {
     return socket.send_frame(sig::encode_record(record));
   }
 
-  /// Consume the client's hello and grant exactly the window it asked
-  /// for (capped like the real daemon). Returns the granted window.
-  Result<std::uint64_t> grant_hello() {
+  /// Consume the client's hello and answer it, as the real daemon does.
+  Status reply_hello() {
     auto req = recv_request();
     if (!req.ok()) return req.error();
-    BbdResponse res = BbdResponse::success(req.value().id);
-    if ((req.value().flags & hello_flag::kPipeline) != 0) {
-      const std::uint64_t asked =
-          req.value().u64a == 0 ? 1 : req.value().u64a;
-      res.u64a = std::min(asked, kMaxPipelineWindow);
-    }
-    if (auto sent = send_response(res); !sent.ok()) return sent.error();
-    return res.u64a == 0 ? 1 : res.u64a;
+    return send_response(BbdResponse::success(req.value().id));
   }
 };
 
@@ -132,7 +125,7 @@ TEST(Pipeline, OutOfOrderResponsesMatchById) {
       mock_ok = false;
       return;
     }
-    if (!conn.value().grant_hello().ok()) {
+    if (!conn.value().reply_hello().ok()) {
       mock_ok = false;
       return;
     }
@@ -158,7 +151,6 @@ TEST(Pipeline, OutOfOrderResponsesMatchById) {
       mock_client_options(listener.value(), 8, kWait));
   ASSERT_TRUE(client.ok()) << client.error().to_text();
   ASSERT_TRUE(client.value().hello(false).ok());
-  EXPECT_EQ(client.value().pipeline_window(), 8u);
 
   auto h1 = client.value().call_async(ping_request());
   auto h2 = client.value().call_async(ping_request());
@@ -190,7 +182,7 @@ TEST(Pipeline, LateResponseAfterTimeoutIsNotMisMatched) {
       mock_ok = false;
       return;
     }
-    if (!conn.value().grant_hello().ok()) {
+    if (!conn.value().reply_hello().ok()) {
       mock_ok = false;
       return;
     }
@@ -270,38 +262,45 @@ Result<BbdClient> service_client(const BbdService& service,
   return BbdClient::connect(options);
 }
 
-TEST(Pipeline, WindowNegotiationWithRealDaemon) {
+// The window is the client's pipeline_depth, with nothing negotiated: a
+// depth-100 client (above the 64 any daemon once advertised) keeps 100
+// pings in flight, and a depth-1 client never has two.
+TEST(Pipeline, ClientOwnsItsWindowWithRealDaemon) {
   BbdService service(service_options());
   ASSERT_TRUE(service.start().ok());
 
-  // Serial client: no pipeline flag, window stays 1.
-  auto serial = service_client(service, 1);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(serial.value().hello(false).ok());
-  EXPECT_EQ(serial.value().pipeline_window(), 1u);
-
-  // Modest ask is granted verbatim.
-  auto depth8 = service_client(service, 8);
-  ASSERT_TRUE(depth8.ok());
-  ASSERT_TRUE(depth8.value().hello(false).ok());
-  EXPECT_EQ(depth8.value().pipeline_window(), 8u);
-
-  // Greedy ask is capped at the daemon's maximum.
-  auto greedy = service_client(service, 1000);
-  ASSERT_TRUE(greedy.ok());
-  ASSERT_TRUE(greedy.value().hello(false).ok());
-  EXPECT_EQ(greedy.value().pipeline_window(), kMaxPipelineWindow);
-
-  // The negotiated window actually carries traffic.
+  constexpr std::size_t kDeep = 100;
+  auto deep = service_client(service, kDeep);
+  ASSERT_TRUE(deep.ok()) << deep.error().to_text();
+  ASSERT_TRUE(deep.value().hello(false).ok());
   std::vector<BbdClient::Call> calls;
-  for (int i = 0; i < 8; ++i) {
-    auto call = depth8.value().call_async(ping_request());
+  for (std::size_t i = 0; i < kDeep; ++i) {
+    auto call = deep.value().call_async(ping_request());
     ASSERT_TRUE(call.ok()) << call.error().to_text();
     calls.push_back(call.value());
+    EXPECT_EQ(deep.value().in_flight(), i + 1);
   }
   for (const auto& call : calls) {
-    auto res = depth8.value().wait(call);
-    EXPECT_TRUE(res.ok()) << res.error().to_text();
+    auto res = deep.value().wait(call);
+    ASSERT_TRUE(res.ok()) << res.error().to_text();
+    EXPECT_EQ(res.value().id, call.id);
+  }
+  EXPECT_EQ(deep.value().in_flight(), 0u);
+
+  auto serial = service_client(service, 1);
+  ASSERT_TRUE(serial.ok()) << serial.error().to_text();
+  ASSERT_TRUE(serial.value().hello(false).ok());
+  calls.clear();
+  for (int i = 0; i < 8; ++i) {
+    auto call = serial.value().call_async(ping_request());
+    ASSERT_TRUE(call.ok()) << call.error().to_text();
+    calls.push_back(call.value());
+    EXPECT_EQ(serial.value().in_flight(), 1u);
+  }
+  for (const auto& call : calls) {
+    auto res = serial.value().wait(call);
+    ASSERT_TRUE(res.ok()) << res.error().to_text();
+    EXPECT_EQ(res.value().id, call.id);
   }
   service.stop();
   service.wait();
@@ -468,17 +467,15 @@ TEST(StreamServerPost, OffLoopSendAborts) {
     StreamServer::Options options;
     options.listen_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
     // Make sure the loop is actually live before tripping the guard: it
-    // has accepted a connection once on_open runs.
+    // has delivered the peer's frame once on_frame runs.
     std::atomic<bool> live{false};
     StreamServer::Callbacks callbacks;
-    callbacks.on_open = [&](StreamServer::ConnId, const Endpoint&) {
-      live = true;
-    };
+    callbacks.on_frame = [&](StreamServer::ConnId, Bytes) { live = true; };
     StreamServer server(std::move(options), std::move(callbacks));
     if (!server.start().ok()) ::_exit(2);
     std::thread loop([&] { server.run(); });
     auto peer = StreamSocket::connect(server.bound_endpoints().front());
-    if (!peer.ok()) ::_exit(2);
+    if (!peer.ok() || !peer.value().send_frame(Bytes{0x01}).ok()) ::_exit(2);
     while (!live.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

@@ -1,15 +1,18 @@
 // Unit tests for the transport-agnostic admin plane (obs/admin.hpp):
 // HTTP parsing/rendering, route dispatch, the TTL'd snapshot cache under
-// an injected clock, and the /tracez serialization consumed by
-// tools/tracedump --from-json.
+// an injected clock, the /tracez serialization consumed by
+// tools/tracedump --from-json, and the newest-traces ingest bbd renders
+// /tracez from.
 #include "obs/admin.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
+#include <unordered_set>
 
 #include "common/json_reader.hpp"
+#include "kit/chain_world.hpp"
 #include "obs/collector.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -231,6 +234,65 @@ TEST(TracezJson, KeepsOnlyTheMostRecentTraces) {
 TEST(TracezJson, EmptyCollectorIsAnEmptyTracesArray) {
   SpanCollector collector;
   EXPECT_EQ(tracez_json(collector, 16), "{\"traces\":[]}");
+}
+
+// The collector lists trace ids recorder by recorder, so a trace first
+// seen in the second recorder sorts after every trace of the first, and
+// newest_trace_ids must pick the same tail.
+TEST(TracezJson, NewestTraceIdsFollowTheCollectorsOrder) {
+  TraceRecorder a;
+  TraceRecorder b;
+  for (int i = 0; i < 6; ++i) {
+    const std::string id = "rar-" + std::to_string(i);
+    a.end_span(a.begin_span(id, "reservation", 0, i), i + 1);
+    b.end_span(b.begin_span(id, "hop", 0, i), i + 1);
+    const std::string only_b = "b-" + std::to_string(i);
+    b.end_span(b.begin_span(only_b, "hop", 0, i), i + 1);
+  }
+  const auto newest = newest_trace_ids({&a, &b}, 4);
+  EXPECT_EQ(newest, (std::unordered_set<std::string>{"b-2", "b-3", "b-4",
+                                                     "b-5"}));
+  SpanCollector full;
+  full.ingest("A", a);
+  full.ingest("B", b);
+  SpanCollector kept;
+  kept.ingest("A", a, newest);
+  kept.ingest("B", b, newest);
+  EXPECT_EQ(kept.span_count(), 4u);
+  EXPECT_EQ(tracez_json(kept, 4), tracez_json(full, 4));
+}
+
+// bbd's /tracez ingests only the traces it renders. After 300 reserves
+// across two source domains, with half the grants released, the document
+// equals the one rendered from every retained span.
+TEST(TracezJson, NewestTracesIngestMatchesFullIngest) {
+  kit::ChainWorld world;
+  const kit::WorldUser alice = world.make_user("Alice", 0);
+  const kit::WorldUser bob = world.make_user("Bob", 1);
+  for (int i = 0; i < 300; ++i) {
+    const bool from_bob = i % 3 == 0;
+    const kit::WorldUser& user = from_bob ? bob : alice;
+    const auto msg = world.engine().build_user_request(
+        user.credentials(),
+        world.spec(user, 1e6, {0, seconds(600)}, from_bob ? 1 : 0),
+        seconds(1));
+    ASSERT_TRUE(msg.ok()) << msg.error().to_text();
+    const auto outcome = world.engine().reserve(*msg, seconds(1));
+    ASSERT_TRUE(outcome.ok()) << outcome.error().to_text();
+    if (i % 2 == 0 && outcome->reply.granted) {
+      ASSERT_TRUE(world.engine().release_end_to_end(outcome->reply).ok());
+    }
+  }
+  SpanCollector full;
+  world.collect(full);
+  SpanCollector newest;
+  world.collect(newest, 16);
+  EXPECT_LT(newest.span_count(), full.span_count());
+  const std::string document = tracez_json(full, 16);
+  auto parsed = json::parse(document);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_text();
+  EXPECT_EQ(parsed.value().find("traces")->array.size(), 16u);
+  EXPECT_EQ(tracez_json(newest, 16), document);
 }
 
 }  // namespace

@@ -18,8 +18,7 @@
 //       [--admin tcp:HOST:PORT | --admin unix:/PATH]...
 //       [--domains N] [--seed N]
 //       [--durability-dir DIR] [--recover]
-//       [--metrics-out PATH] [--idle-timeout-ms N] [--force-poll]
-//       [--auth-seed N]
+//       [--metrics-out PATH] [--idle-timeout-ms N] [--auth-seed N]
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +42,7 @@ int usage(const char* argv0) {
                " [--admin tcp:HOST:PORT|unix:/PATH]... [--domains N]"
                " [--seed N]"
                " [--durability-dir DIR] [--recover] [--metrics-out PATH]"
-               " [--idle-timeout-ms N] [--force-poll] [--auth-seed N]\n",
+               " [--idle-timeout-ms N] [--auth-seed N]\n",
                argv0);
   return 2;
 }
@@ -103,8 +102,6 @@ int main(int argc, char** argv) {
       if (value == nullptr) return usage(argv[0]);
       options.idle_timeout =
           std::chrono::milliseconds(std::strtoll(value, nullptr, 10));
-    } else if (arg == "--force-poll") {
-      options.force_poll = true;
     } else if (arg == "--auth-seed") {
       const char* value = next();
       if (value == nullptr) return usage(argv[0]);
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
   for (const auto& endpoint : service.admin_endpoints()) {
     std::printf("admin on %s\n", endpoint.to_string().c_str());
   }
-  std::printf("poller %s\n", service.poller_name());
   std::fflush(stdout);
   service.wait();
   g_service = nullptr;

@@ -174,18 +174,17 @@ void render(const Endpoint& endpoint, const HttpReply& healthz,
     return;
   }
   if (const auto* conns = object_array(parsed.value(), "connections")) {
-    std::printf("%-6s %-6s %10s %10s %8s %8s %8s %6s\n", "CONN", "VIA",
-                "BYTES_RX", "BYTES_TX", "FR_RX", "FR_TX", "QUEUED", "WINDOW");
+    std::printf("%-6s %-6s %10s %10s %8s %8s %8s\n", "CONN", "VIA",
+                "BYTES_RX", "BYTES_TX", "FR_RX", "FR_TX", "QUEUED");
     for (const auto& conn : conns->array) {
-      std::printf("%-6.0f %-6s %10.0f %10.0f %8.0f %8.0f %8.0f %6.0f\n",
+      std::printf("%-6.0f %-6s %10.0f %10.0f %8.0f %8.0f %8.0f\n",
                   number_or(conn, "id", 0),
                   string_or(conn, "transport", "?").c_str(),
                   number_or(conn, "bytes_rx", 0),
                   number_or(conn, "bytes_tx", 0),
                   number_or(conn, "frames_rx", 0),
                   number_or(conn, "frames_tx", 0),
-                  number_or(conn, "queued_bytes", 0),
-                  number_or(conn, "window", 1));
+                  number_or(conn, "queued_bytes", 0));
     }
   }
 }
