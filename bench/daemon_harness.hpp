@@ -7,12 +7,18 @@
 // same ops against an identically-seeded world, the printed tables — and,
 // with E2E_GRANT_DUMP=1, the raw grant bytes — must be byte-identical to
 // the in-memory run. scripts/tier1.sh --daemon diffs the two.
+//
+// The daemon never outlives its bench: it dies with the bench process
+// (PR_SET_PDEATHSIG), and a harness dropped without kShutdown kills it
+// after a grace period instead of waiting forever.
 #pragma once
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -60,8 +66,11 @@ class DaemonHarness {
       h.admin_path_ = stem + ".admin.sock";
       ::unlink(h.admin_path_.c_str());
     }
+    const pid_t parent = ::getpid();
     h.pid_ = ::fork();
     if (h.pid_ == 0) {
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != parent) ::_exit(1);
       net::BbdService::Options options;
       options.listen_on = {
           net::Endpoint::parse("unix:" + h.socket_path_).value()};
@@ -77,13 +86,11 @@ class DaemonHarness {
     return h;
   }
 
-  ~DaemonHarness() {
-    if (pid_ > 0) {
-      ::waitpid(pid_, nullptr, 0);
-      ::unlink(socket_path_.c_str());
-      if (!admin_path_.empty()) ::unlink(admin_path_.c_str());
-    }
-  }
+  /// How long teardown waits for the daemon to exit by itself (after the
+  /// client's kShutdown) before it kills it.
+  static constexpr std::chrono::seconds kTeardownGrace{5};
+
+  ~DaemonHarness() { reap(); }
 
   DaemonHarness(const DaemonHarness&) = delete;
   DaemonHarness& operator=(const DaemonHarness&) = delete;
@@ -96,11 +103,7 @@ class DaemonHarness {
   }
   DaemonHarness& operator=(DaemonHarness&& other) noexcept {
     if (this != &other) {
-      if (pid_ > 0) {
-        ::waitpid(pid_, nullptr, 0);
-        ::unlink(socket_path_.c_str());
-        if (!admin_path_.empty()) ::unlink(admin_path_.c_str());
-      }
+      reap();
       pid_ = other.pid_;
       socket_path_ = std::move(other.socket_path_);
       admin_path_ = std::move(other.admin_path_);
@@ -132,8 +135,30 @@ class DaemonHarness {
     return admin_path_.empty() ? std::string() : "unix:" + admin_path_;
   }
 
+  /// The daemon's process id; -1 once reaped.
+  pid_t pid() const { return pid_; }
+
  private:
   DaemonHarness() = default;
+
+  /// Wait up to kTeardownGrace for the daemon to exit, kill it if it has
+  /// not, reap it and remove its sockets.
+  void reap() {
+    if (pid_ <= 0) return;
+    const auto deadline = std::chrono::steady_clock::now() + kTeardownGrace;
+    while (::waitpid(pid_, nullptr, WNOHANG) == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        ::kill(pid_, SIGKILL);
+        ::waitpid(pid_, nullptr, 0);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    pid_ = -1;
+    ::unlink(socket_path_.c_str());
+    if (!admin_path_.empty()) ::unlink(admin_path_.c_str());
+  }
+
   pid_t pid_ = -1;
   std::string socket_path_;
   std::string admin_path_;

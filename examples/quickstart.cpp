@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "kit/chain_world.hpp"
+#include "obs/collector.hpp"
 
 using namespace e2e;
 using namespace e2e::kit;
@@ -72,12 +73,16 @@ int main() {
               outcome->messages, to_milliseconds(outcome->latency),
               outcome->final_wire_bytes);
 
-  // The trace the reservation left behind: one span per hop under the root
-  // reservation span, with verify/policy/admission/sign_and_forward step
-  // spans timed against the virtual clock (see docs/OBSERVABILITY.md).
+  // The trace the reservation left behind: each domain recorded its own
+  // hop span, with verify/policy/admission/sign_and_forward step spans
+  // timed against the virtual clock; the collector stitches the domains'
+  // exports into one tree under the root reservation span (see
+  // docs/OBSERVABILITY.md).
+  obs::SpanCollector collector;
+  world.collect(collector);
   std::printf("\nTrace tree for %s:\n%s",
               outcome->trace_id.c_str(),
-              world.tracer().render_tree(outcome->trace_id).c_str());
+              collector.render_tree(outcome->trace_id).c_str());
 
   // Release when done; every domain's capacity is restored.
   if (!world.engine().release_end_to_end(outcome->reply).ok()) return 1;

@@ -140,13 +140,11 @@ class ChainWorld {
                                  status.error().to_text());
       }
     }
-    // Every hop-by-hop reservation in this world records a trace tree
-    // (keyed by Outcome::trace_id) into the world-owned recorder.
-    engine_.set_trace_recorder(&tracer_);
-    source_engine_.set_trace_recorder(&tracer_);
-    // Each domain also records into its own recorder; cross-domain linkage
-    // travels in the transport envelope and collect() stitches the exports
-    // back into end-to-end trees.
+    // Each domain records its spans into its own recorder; cross-domain
+    // linkage travels in the transport envelope and collect() stitches the
+    // exports back into end-to-end trees (keyed by Outcome::trace_id). No
+    // engine-wide recorder is attached: tests that want one as an oracle
+    // attach it with the engines' set_trace_recorder().
     domain_tracers_.reserve(config.domains);
     for (std::size_t i = 0; i < config.domains; ++i) {
       domain_tracers_.push_back(std::make_unique<obs::TraceRecorder>());
@@ -333,7 +331,6 @@ class ChainWorld {
   sig::Fabric& fabric() { return fabric_; }
   sig::HopByHopEngine& engine() { return engine_; }
   sig::SourceDomainEngine& source_engine() { return source_engine_; }
-  obs::TraceRecorder& tracer() { return tracer_; }
   /// Ingest every domain's export into `collector` (the destination side
   /// of distributed tracing; call after the reservations of interest).
   void collect(obs::SpanCollector& collector) const {
@@ -370,7 +367,6 @@ class ChainWorld {
   sig::Fabric fabric_;
   sig::HopByHopEngine engine_;
   sig::SourceDomainEngine source_engine_;
-  obs::TraceRecorder tracer_;
   std::vector<std::unique_ptr<obs::TraceRecorder>> domain_tracers_;
 };
 

@@ -77,8 +77,17 @@ std::string AuditLog::append(
   record.span_id = ref.span_id;
   record.fields = std::move(fields);
   std::string hash;
+  Counter* kind_counter = nullptr;
   {
     std::lock_guard lock(mutex_);
+    for (const auto& [known, counter] : kind_counters_) {
+      if (known == kind) kind_counter = counter;
+    }
+    if (kind_counter == nullptr) {
+      kind_counter = &MetricsRegistry::global().counter(
+          kObsAuditRecordsTotal, {{"kind", kind}});
+      kind_counters_.emplace_back(kind, kind_counter);
+    }
     record.index = next_index_++;
     record.prev_hash = head_hash_.empty() ? genesis_hash() : head_hash_;
     record.hash = sha256_hex(record.prev_hash + canonical_body(record));
@@ -86,9 +95,7 @@ std::string AuditLog::append(
     records_.push_back(std::move(record));
     while (records_.size() > capacity_) records_.pop_front();
   }
-  MetricsRegistry::global()
-      .counter(kObsAuditRecordsTotal, {{"kind", kind}})
-      .increment();
+  kind_counter->increment();
   return hash;
 }
 

@@ -27,6 +27,8 @@
 
 namespace e2e::obs {
 
+class Counter;
+
 /// The closed set of audit event kinds (contract-checked against the doc).
 namespace audit_kind {
 inline constexpr char kPeerAuth[] = "peer_auth";
@@ -107,6 +109,8 @@ class AuditLog {
   std::uint64_t next_index_ = 0;
   std::string head_hash_;  // empty = genesis
   std::size_t capacity_ = 65536;
+  /// kObsAuditRecordsTotal of each kind appended so far, resolved once.
+  std::vector<std::pair<std::string, Counter*>> kind_counters_;
 };
 
 }  // namespace e2e::obs

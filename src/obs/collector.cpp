@@ -115,16 +115,21 @@ void SpanCollector::ingest_spans(const std::string& domain,
 
 std::unordered_set<std::string> newest_trace_ids(
     const std::vector<const TraceRecorder*>& recorders, std::size_t n) {
-  std::vector<std::string> order;
-  std::unordered_set<std::string> seen;
-  for (const TraceRecorder* recorder : recorders) {
-    for (std::string& id : recorder->trace_ids()) {
-      if (seen.insert(id).second) order.push_back(std::move(id));
-    }
+  // The collector lists a trace under the first recorder that holds it,
+  // so its order ends with the last recorder's own traces. Walk the
+  // recorders from the last one back, each from its newest trace, and
+  // stop at `n`.
+  std::unordered_set<std::string> newest;
+  for (std::size_t k = recorders.size(); k-- > 0 && newest.size() < n;) {
+    recorders[k]->visit_trace_ids_newest_first([&](const std::string& id) {
+      for (std::size_t j = 0; j < k; ++j) {
+        if (recorders[j]->has_trace(id)) return true;
+      }
+      newest.insert(id);
+      return newest.size() < n;
+    });
   }
-  const std::size_t first = order.size() > n ? order.size() - n : 0;
-  return std::unordered_set<std::string>(
-      order.begin() + static_cast<std::ptrdiff_t>(first), order.end());
+  return newest;
 }
 
 std::vector<std::string> SpanCollector::trace_ids() const {

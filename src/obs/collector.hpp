@@ -81,6 +81,8 @@ class SpanCollector {
 /// The last `n` ids SpanCollector::trace_ids() would list after ingesting
 /// `recorders` in this order, found without copying a span: ingesting
 /// only these traces renders their trees exactly as a full ingest does.
+/// Each recorder is walked from its newest trace; a trace already held by
+/// an earlier recorder costs one lookup there and is passed over.
 std::unordered_set<std::string> newest_trace_ids(
     const std::vector<const TraceRecorder*>& recorders, std::size_t n);
 

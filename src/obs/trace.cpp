@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 namespace e2e::obs {
@@ -37,91 +36,215 @@ const std::string* Span::attribute(std::string_view key) const {
   return nullptr;
 }
 
-Span* TraceRecorder::find(SpanId id) {
+TraceRecorder::Slot& TraceRecorder::slot(SpanId id) {
+  const std::size_t index = id - chunk_base_;
+  return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+}
+
+const TraceRecorder::Slot& TraceRecorder::slot(SpanId id) const {
+  const std::size_t index = id - chunk_base_;
+  return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+}
+
+TraceRecorder::Slot* TraceRecorder::find(SpanId id) {
   // Ids are dense and ascending from first_id_; index directly.
-  if (id < first_id_ || id - first_id_ >= spans_.size()) return nullptr;
-  Span& span = spans_[id - first_id_];
-  return span.id == 0 ? nullptr : &span;
+  if (id < first_id_ || id >= next_id_) return nullptr;
+  Slot& s = slot(id);
+  return s.id == 0 ? nullptr : &s;
+}
+
+TraceRecorder::Slot& TraceRecorder::claim(SpanId id) {
+  if (((id - chunk_base_) >> kChunkBits) == chunks_.size()) {
+    if (!chunks_.empty() && chunk_base_ + kChunkSlots <= first_id_) {
+      chunks_.push_back(std::move(chunks_.front()));
+      chunks_.pop_front();
+      chunk_base_ += kChunkSlots;
+    } else {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+  }
+  return slot(id);
 }
 
 SpanId TraceRecorder::begin_span(const std::string& trace_id,
                                  const std::string& name, SpanId parent,
                                  SimTime start) {
-  Span span;
-  span.id = next_id_++;
-  span.parent = parent;
-  span.trace_id = trace_id;
-  span.name = name;
-  span.start = start;
-  span.end = start;
-  const SpanId id = span.id;
-  spans_.push_back(std::move(span));
-  if (++live_ > evict_at_) evict(trace_id);
+  // A full store gives up its oldest trace, unless that is the trace
+  // being written. first_id_ is live whenever the store is not empty.
+  if (next_id_ - first_id_ >= kMaxSpans &&
+      slot(first_id_).trace_id != trace_id) {
+    evict_oldest_trace();
+  }
+  const SpanId id = next_id_++;
+  Slot& s = claim(id);
+  s.id = id;
+  s.parent = parent;
+  s.next_in_trace = 0;
+  s.trace_id = trace_id;
+  s.name = name;
+  s.start = start;
+  s.end = start;
+  s.first_attr = kNoAttr;
+  s.last_attr = kNoAttr;
+  s.failed = false;
+  link(s);
+  ++live_;
   return id;
 }
 
-void TraceRecorder::evict(const std::string& keep) {
-  // One pass frees about half the bound, so eviction costs amortised O(1)
-  // per span. A trace's spans mostly sit next to each other, so both
-  // loops touch the set only where the trace id changes. The trace being
-  // written is never split.
-  std::unordered_set<std::string> oldest;
-  std::size_t seen = 0;
-  const std::string* run = nullptr;
-  for (const Span& span : spans_) {
-    if (seen == live_ / 2) break;
-    if (span.id == 0) continue;
-    ++seen;
-    if (run != nullptr && span.trace_id == *run) continue;
-    run = &span.trace_id;
-    if (span.trace_id != keep) oldest.insert(span.trace_id);
-  }
-  if (!oldest.empty()) {
-    std::string run_id;
-    bool in_run = false;
-    bool evict = false;
-    for (Span& span : spans_) {
-      if (span.id == 0) continue;
-      if (!in_run || span.trace_id != run_id) {
-        run_id = span.trace_id;
-        in_run = true;
-        evict = oldest.contains(run_id);
-      }
-      if (evict) {
-        span = Span{};
-        --live_;
-      }
+void TraceRecorder::link(Slot& s) {
+  // Consecutive spans of one trace link to the newest span without a
+  // lookup; only a span that changes trace consults the index.
+  SpanId first = 0;
+  if (s.id > first_id_) {
+    const Slot& newest = slot(s.id - 1);
+    if (newest.id != 0 && newest.trace_id == s.trace_id) {
+      first = newest.trace_first;
+      s.trace_hash = newest.trace_hash;
     }
   }
-  while (!spans_.empty() && spans_.front().id == 0) {
-    spans_.pop_front();
-    ++first_id_;
+  if (first == 0) {
+    s.trace_hash = std::hash<std::string>{}(s.trace_id);
+    first = find_trace(s.trace_id, s.trace_hash);
   }
-  // When one trace alone outgrows the bound, wait for another quarter of
-  // growth before the next pass instead of rescanning on every span.
-  evict_at_ = std::max(kMaxSpans, live_ + live_ / 4);
+  if (first == 0) {  // a new trace
+    s.trace_first = s.id;
+    s.trace_last = s.id;
+    index_trace(s.trace_hash, s.id);
+    return;
+  }
+  s.trace_first = first;
+  Slot& head = slot(first);
+  slot(head.trace_last).next_in_trace = s.id;
+  head.trace_last = s.id;
+}
+
+void TraceRecorder::evict_oldest_trace() {
+  // The front span is the first span of the oldest trace; its chain
+  // reaches every span of that trace, wherever later traces interleaved
+  // with it.
+  const Slot& front = slot(first_id_);
+  unindex_trace(front.trace_hash, first_id_);
+  for (SpanId id = first_id_; id != 0;) {
+    Slot& s = slot(id);
+    if (s.first_attr != kNoAttr) {
+      attrs_[s.last_attr].next = free_attr_;
+      free_attr_ = s.first_attr;
+    }
+    s.id = 0;
+    --live_;
+    id = s.next_in_trace;
+  }
+  while (first_id_ < next_id_ && slot(first_id_).id == 0) ++first_id_;
+}
+
+SpanId TraceRecorder::find_trace(const std::string& trace_id,
+                                 std::size_t hash) const {
+  if (index_.empty()) return 0;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask; index_[i].first != 0; i = (i + 1) & mask) {
+    if (index_[i].hash == hash && slot(index_[i].first).trace_id == trace_id) {
+      return index_[i].first;
+    }
+  }
+  return 0;
+}
+
+void TraceRecorder::index_trace(std::size_t hash, SpanId first) {
+  if (2 * (traces_ + 1) > index_.size()) {
+    std::vector<TraceEntry> old(std::max<std::size_t>(16, 2 * index_.size()));
+    old.swap(index_);
+    traces_ = 0;
+    for (const TraceEntry& entry : old) {
+      if (entry.first != 0) index_trace(entry.hash, entry.first);
+    }
+  }
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].first != 0) i = (i + 1) & mask;
+  index_[i] = TraceEntry{hash, first};
+  ++traces_;
+}
+
+void TraceRecorder::unindex_trace(std::size_t hash, SpanId first) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].first != first) i = (i + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically after the hole.
+  for (std::size_t j = (i + 1) & mask; index_[j].first != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = index_[j].hash & mask;
+    const bool stays = i <= j ? (i < home && home <= j)
+                              : (i < home || home <= j);
+    if (!stays) {
+      index_[i] = index_[j];
+      i = j;
+    }
+  }
+  index_[i] = TraceEntry{};
+  --traces_;
+}
+
+std::uint32_t TraceRecorder::new_attr() {
+  if (free_attr_ != kNoAttr) {
+    const std::uint32_t a = free_attr_;
+    free_attr_ = attrs_[a].next;
+    return a;
+  }
+  attrs_.emplace_back();
+  return static_cast<std::uint32_t>(attrs_.size() - 1);
 }
 
 void TraceRecorder::end_span(SpanId id, SimTime end) {
-  if (Span* span = find(id)) span->end = end;
+  if (Slot* s = find(id)) s->end = end;
 }
 
 void TraceRecorder::annotate(SpanId id, const std::string& key,
                              const std::string& value) {
-  if (Span* span = find(id)) span->attributes.emplace_back(key, value);
+  Slot* s = find(id);
+  if (s == nullptr) return;
+  const std::uint32_t a = new_attr();
+  Attr& attr = attrs_[a];
+  attr.key = key;
+  attr.value = value;
+  attr.next = kNoAttr;
+  if (s->last_attr == kNoAttr) {
+    s->first_attr = a;
+  } else {
+    attrs_[s->last_attr].next = a;
+  }
+  s->last_attr = a;
 }
 
 void TraceRecorder::fail_span(SpanId id, const std::string& reason) {
-  if (Span* span = find(id)) {
-    span->failed = true;
-    span->attributes.emplace_back("error", reason);
+  if (Slot* s = find(id)) {
+    s->failed = true;
+    annotate(id, "error", reason);
   }
+}
+
+Span TraceRecorder::export_span(const Slot& s) const {
+  Span span;
+  span.id = s.id;
+  span.parent = s.parent;
+  span.trace_id = s.trace_id;
+  span.name = s.name;
+  span.start = s.start;
+  span.end = s.end;
+  span.failed = s.failed;
+  for (std::uint32_t a = s.first_attr; a != kNoAttr; a = attrs_[a].next) {
+    span.attributes.emplace_back(attrs_[a].key, attrs_[a].value);
+  }
+  return span;
 }
 
 std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
   std::vector<Span> out;
-  for (const Span& span : spans_) {
-    if (span.id != 0 && span.trace_id == trace_id) out.push_back(span);
+  const SpanId first =
+      find_trace(trace_id, std::hash<std::string>{}(trace_id));
+  for (SpanId id = first; id != 0; id = slot(id).next_in_trace) {
+    out.push_back(export_span(slot(id)));
   }
   return out;
 }
@@ -129,40 +252,50 @@ std::vector<Span> TraceRecorder::trace(const std::string& trace_id) const {
 std::vector<Span> TraceRecorder::spans() const {
   std::vector<Span> out;
   out.reserve(live_);
-  for (const Span& span : spans_) {
-    if (span.id != 0) out.push_back(span);
+  for (SpanId id = first_id_; id < next_id_; ++id) {
+    if (slot(id).id != 0) out.push_back(export_span(slot(id)));
   }
   return out;
 }
 
 std::vector<Span> TraceRecorder::spans(
     const std::unordered_set<std::string>& trace_ids) const {
-  // A trace's spans mostly sit next to each other, so the set is consulted
-  // only where the trace id changes (as in evict()).
-  std::vector<Span> out;
-  const std::string* run = nullptr;
-  bool keep = false;
-  for (const Span& span : spans_) {
-    if (span.id == 0) continue;
-    if (run == nullptr || span.trace_id != *run) {
-      run = &span.trace_id;
-      keep = trace_ids.contains(span.trace_id);
+  // Walk only the chains of the requested traces, then restore creation
+  // order across them.
+  std::vector<SpanId> ids;
+  for (const std::string& trace_id : trace_ids) {
+    const SpanId first =
+        find_trace(trace_id, std::hash<std::string>{}(trace_id));
+    for (SpanId id = first; id != 0; id = slot(id).next_in_trace) {
+      ids.push_back(id);
     }
-    if (keep) out.push_back(span);
   }
+  std::sort(ids.begin(), ids.end());
+  std::vector<Span> out;
+  out.reserve(ids.size());
+  for (const SpanId id : ids) out.push_back(export_span(slot(id)));
   return out;
 }
 
 std::vector<std::string> TraceRecorder::trace_ids() const {
   std::vector<std::string> ids;
-  std::unordered_set<std::string_view> seen;
-  const std::string* run = nullptr;
-  for (const Span& span : spans_) {
-    if (span.id == 0 || (run != nullptr && span.trace_id == *run)) continue;
-    run = &span.trace_id;
-    if (seen.insert(span.trace_id).second) ids.push_back(span.trace_id);
+  for (SpanId id = first_id_; id < next_id_; ++id) {
+    const Slot& s = slot(id);
+    if (s.id != 0 && s.trace_first == id) ids.push_back(s.trace_id);
   }
   return ids;
+}
+
+void TraceRecorder::visit_trace_ids_newest_first(
+    const std::function<bool(const std::string&)>& visit) const {
+  for (SpanId id = next_id_; id-- > first_id_;) {
+    const Slot& s = slot(id);
+    if (s.id != 0 && s.trace_first == id && !visit(s.trace_id)) return;
+  }
+}
+
+bool TraceRecorder::has_trace(const std::string& trace_id) const {
+  return find_trace(trace_id, std::hash<std::string>{}(trace_id)) != 0;
 }
 
 std::size_t TraceRecorder::span_count() const {
@@ -170,11 +303,15 @@ std::size_t TraceRecorder::span_count() const {
 }
 
 void TraceRecorder::clear() {
-  spans_.clear();
-  live_ = 0;
-  evict_at_ = kMaxSpans;
+  chunks_.clear();
+  chunk_base_ = 1;
   first_id_ = 1;
   next_id_ = 1;
+  live_ = 0;
+  attrs_.clear();
+  free_attr_ = kNoAttr;
+  index_.clear();
+  traces_ = 0;
 }
 
 std::string TraceRecorder::render_tree(const std::string& trace_id) const {

@@ -11,10 +11,11 @@
 // contract documented in docs/OBSERVABILITY.md; obs_contract_test diffs
 // emitted attribute keys against that document.
 //
-// Retention is bounded: once a recorder holds more than kMaxSpans live
-// spans it evicts its oldest whole traces (first-seen order), so a
-// long-running daemon keeps its most recent traces instead of growing
-// without limit.
+// Retention is bounded: a recorder holds at most kMaxSpans span slots.
+// When they are all taken, the next begin_span evicts the oldest whole
+// trace (first-seen order) and reuses its slots in place, so a
+// long-running daemon keeps its most recent traces without growing or
+// allocating, and no single span pays for a pass over the store.
 //
 // A recorder belongs to its world, and one thread owns a world
 // (docs/ARCHITECTURE.md): the recorder carries no lock. bbd renders
@@ -24,6 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -73,7 +76,9 @@ struct Span {
 
 class TraceRecorder {
  public:
-  /// Live spans a recorder holds before it evicts its oldest traces.
+  /// Span slots a recorder fills before it evicts its oldest traces. A
+  /// single trace larger than this is never split: the store grows
+  /// instead until that trace is the oldest one left to evict.
   static constexpr std::size_t kMaxSpans = std::size_t{1} << 16;
 
   TraceRecorder() = default;
@@ -98,6 +103,12 @@ class TraceRecorder {
       const std::unordered_set<std::string>& trace_ids) const;
   /// Distinct retained trace ids, in first-seen order.
   std::vector<std::string> trace_ids() const;
+  /// trace_ids() newest first, passed to `visit` until it returns false;
+  /// walks back from the newest span and stops with the visitor.
+  void visit_trace_ids_newest_first(
+      const std::function<bool(const std::string&)>& visit) const;
+  /// Whether any span of `trace_id` is retained.
+  bool has_trace(const std::string& trace_id) const;
   /// Live (retained) spans.
   std::size_t span_count() const;
   void clear();
@@ -113,25 +124,81 @@ class TraceRecorder {
   std::string to_json(const std::string& trace_id) const;
 
  private:
-  /// Spans in id order: spans_[i] has id first_id_ + i. An evicted span
-  /// with live spans in front of it stays as a tombstone (id 0) until it
-  /// reaches the front.
-  std::deque<Span> spans_;
-  SpanId first_id_ = 1;
+  static constexpr std::uint32_t kNoAttr = ~std::uint32_t{0};
+  static constexpr std::size_t kChunkBits = 8;
+  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
+
+  /// One span's storage. Slots are reused in place once their span is
+  /// evicted, keeping the capacity of their strings.
+  struct Slot {
+    SpanId id = 0;  // 0 = evicted
+    SpanId parent = 0;
+    /// The spans of one trace form a chain in id order: every span names
+    /// its trace's first span and the next one; the first span also names
+    /// the last.
+    SpanId trace_first = 0;
+    SpanId trace_last = 0;
+    SpanId next_in_trace = 0;  // 0 = none
+    std::size_t trace_hash = 0;
+    std::string trace_id;
+    std::string name;
+    SimTime start = 0;
+    SimTime end = 0;
+    std::uint32_t first_attr = kNoAttr;  // chain through attrs_
+    std::uint32_t last_attr = kNoAttr;
+    bool failed = false;
+  };
+  /// One attribute; an evicted span's attributes go to a free list and
+  /// are reused, strings and all, by later annotate() calls.
+  struct Attr {
+    std::string key;
+    std::string value;
+    std::uint32_t next = kNoAttr;
+  };
+  /// A retained trace in the open-addressing trace index (linear probing,
+  /// load at most one half): its id's hash and its first span, whose slot
+  /// holds the id itself. first == 0 marks an empty entry.
+  struct TraceEntry {
+    std::size_t hash = 0;
+    SpanId first = 0;
+  };
+
+  /// Slots in id order, kChunkSlots to a chunk: the span with id `i` sits
+  /// at offset i - chunk_base_. Chunks are allocated as ids advance, and a
+  /// chunk whose spans have all been evicted moves to the back for reuse.
+  /// An evicted span behind a live one stays as a tombstone (id 0) until
+  /// first_id_ passes it.
+  std::deque<std::unique_ptr<Slot[]>> chunks_;
+  SpanId chunk_base_ = 1;
+  SpanId first_id_ = 1;  // oldest retained span
   SpanId next_id_ = 1;
   std::size_t live_ = 0;
-  /// Live span count past which begin_span runs an eviction pass.
-  std::size_t evict_at_ = kMaxSpans;
+  std::deque<Attr> attrs_;
+  std::uint32_t free_attr_ = kNoAttr;
+  std::vector<TraceEntry> index_;  // size 0 or a power of two
+  std::size_t traces_ = 0;
 
-  Span* find(SpanId id);
-  /// Evict every trace, except `keep`, that has a span among the oldest
-  /// half of the live spans.
-  void evict(const std::string& keep);
+  Slot& slot(SpanId id);
+  const Slot& slot(SpanId id) const;
+  Slot* find(SpanId id);
+  /// The slot for the next id, taking a new or recycled chunk if needed.
+  Slot& claim(SpanId id);
+  /// Append the new span `s` to its trace's chain, indexing a new trace.
+  void link(Slot& s);
+  /// Evict every span of the oldest retained trace.
+  void evict_oldest_trace();
+  /// First span of the retained trace `trace_id` (with hash `hash`), or 0.
+  SpanId find_trace(const std::string& trace_id, std::size_t hash) const;
+  void index_trace(std::size_t hash, SpanId first);
+  void unindex_trace(std::size_t hash, SpanId first);
+  std::uint32_t new_attr();
+  Span export_span(const Slot& s) const;
 };
 
 /// RAII span guard that mirrors one logical span into up to two recorders:
-/// the engine-wide "reference" recorder (primary) and the processing
-/// domain's local recorder (secondary) whose export the collector merges.
+/// the engine-wide "reference" recorder (primary; a test oracle, not
+/// attached in a deployment) and the processing domain's local recorder
+/// (secondary) whose export the collector merges.
 /// The constructor opens the span(s) at `*cursor`; the destructor closes
 /// them at the *current* `*cursor` value, so early returns no longer leak
 /// spans with end == start. Either recorder may be null.

@@ -1,6 +1,7 @@
 #include "sig/exchange.hpp"
 
 #include <optional>
+#include <string_view>
 
 #include "crypto/sha256.hpp"
 #include "obs/instruments.hpp"
@@ -16,6 +17,29 @@ std::uint64_t jitter_seed(BytesView request) {
   std::uint64_t seed = 0;
   for (std::size_t i = 0; i < 8; ++i) seed = (seed << 8) | digest[i];
   return seed;
+}
+
+/// kSigRetryAttempts of `engine`, resolved once for each of the three
+/// signalling engines.
+obs::Histogram& retry_attempts(const char* engine) {
+  const auto resolve = [engine] {
+    return &obs::MetricsRegistry::global().histogram(
+        obs::kSigRetryAttempts, {{"engine", engine}});
+  };
+  const std::string_view name = engine;
+  if (name == "hopbyhop") {
+    static obs::Histogram* const histogram = resolve();
+    return *histogram;
+  }
+  if (name == "tunnel") {
+    static obs::Histogram* const histogram = resolve();
+    return *histogram;
+  }
+  if (name == "source") {
+    static obs::Histogram* const histogram = resolve();
+    return *histogram;
+  }
+  return *resolve();
 }
 
 /// Open a delivered record at `receiver`. The duplicate copy trails the
@@ -134,7 +158,7 @@ ExchangeResult exchange(Transport& transport, const RetryPolicy& policy,
     break;
   }
   if (result.attempts > 1) {
-    registry.histogram(obs::kSigRetryAttempts, engine())
+    retry_attempts(request.engine)
         .observe(static_cast<double>(result.attempts));
   }
   return result;

@@ -12,9 +12,9 @@ namespace e2e::sig {
 /// One broker's hop span for one request, plus the virtual-time cursor its
 /// stage spans start and end on.
 ///
-/// Every hop records into the engine-wide reference recorder. The domain's
-/// own recorder joins in only when `arrived`, the request's wire trace
-/// context, is valid and sampled: the transport envelope, not shared engine
+/// Every hop records into the engine-wide reference recorder when a test
+/// attached one. The domain's own recorder records only when `arrived`,
+/// the request's wire trace context, is valid and sampled: the transport envelope, not shared engine
 /// state, links the per-domain recorders. The origin hop parents locally
 /// under `local_parent`; a hop that received the request from another
 /// domain (`local_parent` == 0) carries `remote.parent` and `hop.index`

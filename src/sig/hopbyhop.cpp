@@ -18,6 +18,25 @@ obs::Labels engine_label(const char* engine) {
   return {{"engine", engine}};
 }
 
+/// kSigRarOutcomesTotal of one engine, resolved once per outcome. Each
+/// series is registered the first time it counts.
+template <const char* kEngine>
+obs::Counter& rar_outcome(bool granted) {
+  auto& registry = obs::MetricsRegistry::global();
+  if (granted) {
+    static obs::Counter& counter =
+        registry.counter(obs::kSigRarOutcomesTotal,
+                         {{"engine", kEngine}, {"outcome", "granted"}});
+    return counter;
+  }
+  static obs::Counter& counter =
+      registry.counter(obs::kSigRarOutcomesTotal,
+                       {{"engine", kEngine}, {"outcome", "denied"}});
+  return counter;
+}
+constexpr char kHopByHop[] = "hopbyhop";
+constexpr char kTunnel[] = "tunnel";
+
 /// Audit one end domain's admission decision on a tunnel flow.
 void audit_flow_admission(const std::string& domain, const std::string& sub_id,
                           double rate, bool admitted) {
@@ -217,13 +236,15 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve(
   }
 
   auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigRarRequestsTotal, engine_label("hopbyhop"))
-      .increment();
+  static obs::Counter& requests =
+      registry.counter(obs::kSigRarRequestsTotal, engine_label(kHopByHop));
+  requests.increment();
 
   Outcome outcome;
   outcome.trace_id = "rar-" + std::to_string(next_request_++);
-  // Dual-recorded root: the engine-wide reference recorder plus the source
-  // domain's own recorder, whose span id seeds the wire trace context.
+  // The root lives in the source domain's own recorder, whose span id
+  // seeds the wire trace context (and in the reference recorder, when a
+  // test attached one).
   const SimTime submitted = at;
   obs::SpanScope root(tracer_, source->recorder, outcome.trace_id,
                       "reservation", 0, 0, &submitted);
@@ -258,13 +279,10 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve(
     root.fail(outcome.reply.denial.message);
   }
   root.finish_at(at + outcome.latency);
-  registry
-      .counter(obs::kSigRarOutcomesTotal,
-               {{"engine", "hopbyhop"},
-                {"outcome", outcome.reply.granted ? "granted" : "denied"}})
-      .increment();
-  registry.histogram(obs::kSigE2eLatencyUs, engine_label("hopbyhop"))
-      .observe(static_cast<double>(outcome.latency));
+  rar_outcome<kHopByHop>(outcome.reply.granted).increment();
+  static obs::Histogram& latency =
+      registry.histogram(obs::kSigE2eLatencyUs, engine_label(kHopByHop));
+  latency.observe(static_cast<double>(outcome.latency));
   return outcome;
 }
 
@@ -281,8 +299,11 @@ RarReply HopByHopEngine::process(const std::string& domain,
   outcome.latency += fabric_->processing_delay();
 
   auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigHopsProcessedTotal, {{"domain", domain}})
-      .increment();
+  if (node->hops_processed == nullptr) {
+    node->hops_processed =
+        &registry.counter(obs::kSigHopsProcessedTotal, {{"domain", domain}});
+  }
+  node->hops_processed->increment();
 
   HopSpan hop(tracer_, node->recorder, trace.trace_id, trace.root,
               trace.local_parent, trace.wire, domain, trace.arrival);
@@ -291,8 +312,12 @@ RarReply HopByHopEngine::process(const std::string& domain,
   // `stage` names the pipeline stage that denied (nullptr on success or
   // when the denial came from a downstream hop).
   auto finish_hop = [&](RarReply reply, const char* stage) {
-    registry.histogram(obs::kSigHopProcessingUs, {{"domain", domain}})
-        .observe(static_cast<double>(hop.cursor - trace.arrival));
+    if (node->hop_processing == nullptr) {
+      node->hop_processing =
+          &registry.histogram(obs::kSigHopProcessingUs, {{"domain", domain}});
+    }
+    node->hop_processing->observe(
+        static_cast<double>(hop.cursor - trace.arrival));
     if (stage != nullptr) {
       registry
           .counter(obs::kSigHopDenialsTotal,
@@ -701,8 +726,9 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve_in_tunnel(
     const std::string& tunnel_id, const std::string& user_dn, double rate,
     TimeInterval interval, SimTime at) {
   auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigRarRequestsTotal, engine_label("tunnel"))
-      .increment();
+  static obs::Counter& requests =
+      registry.counter(obs::kSigRarRequestsTotal, engine_label(kTunnel));
+  requests.increment();
   const auto it = tunnels_.find(tunnel_id);
   if (it == tunnels_.end()) {
     return make_error(ErrorCode::kNotFound, "unknown tunnel " + tunnel_id);
@@ -750,13 +776,10 @@ Result<HopByHopEngine::Outcome> HopByHopEngine::reserve_in_tunnel(
       root.fail(o.reply.denial.message);
     }
     root.finish_at(at + o.latency);
-    registry
-        .counter(obs::kSigRarOutcomesTotal,
-                 {{"engine", "tunnel"},
-                  {"outcome", o.reply.granted ? "granted" : "denied"}})
-        .increment();
-    registry.histogram(obs::kSigE2eLatencyUs, engine_label("tunnel"))
-        .observe(static_cast<double>(o.latency));
+    rar_outcome<kTunnel>(o.reply.granted).increment();
+    static obs::Histogram& latency =
+        registry.histogram(obs::kSigE2eLatencyUs, engine_label(kTunnel));
+    latency.observe(static_cast<double>(o.latency));
     return o;
   };
 

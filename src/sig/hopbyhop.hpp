@@ -127,10 +127,12 @@ class HopByHopEngine {
     std::string trace_id;
   };
 
-  /// Attach a trace recorder: every reserve() then produces a per-request
-  /// trace tree (root reservation span, one hop span per broker, step spans
-  /// for verify/policy/admission/sign_and_forward) against virtual time.
-  /// Pass nullptr to detach. The recorder must outlive the engine's use.
+  /// Attach an engine-wide reference recorder: every reserve() then also
+  /// records its whole trace tree (root reservation span, one hop span per
+  /// broker, step spans for verify/policy/admission/sign_and_forward) in
+  /// this one recorder, against virtual time. A test oracle for the
+  /// per-domain recorders; ChainWorld attaches none. Pass nullptr to
+  /// detach. The recorder must outlive the engine's use.
   void set_trace_recorder(obs::TraceRecorder* recorder) {
     tracer_ = recorder;
   }
@@ -192,6 +194,9 @@ class HopByHopEngine {
     bool proves_key_possession = false;
     /// This domain's own trace recorder (nullptr = no local recording).
     obs::TraceRecorder* recorder = nullptr;
+    /// Per-domain hop instruments, resolved at the first hop.
+    obs::Counter* hops_processed = nullptr;
+    obs::Histogram* hop_processing = nullptr;
   };
 
   struct TunnelRecord {

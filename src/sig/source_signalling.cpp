@@ -206,9 +206,10 @@ Result<SourceDomainEngine::Outcome> SourceDomainEngine::reserve_subset(
   Outcome outcome;
   outcome.trace_id = "src-rar-" + std::to_string(next_request_++);
 
-  // Root reservation span: engine-wide recorder plus the agent domain's own
-  // recorder. Every per-domain request parents under it (locally for the
-  // engine-wide recorder, via the wire context for per-domain ones).
+  // Root reservation span in the agent domain's own recorder (and in the
+  // reference recorder, when a test attached one). Every per-domain
+  // request parents under it: via the wire context in the per-domain
+  // recorders, locally in the reference one.
   const auto agent_it = nodes_.find(agent_domain);
   obs::TraceRecorder* agent_recorder =
       agent_it != nodes_.end() ? agent_it->second.recorder : nullptr;

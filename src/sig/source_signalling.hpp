@@ -74,7 +74,7 @@ class SourceDomainEngine {
     std::string trace_id;
   };
 
-  /// Attach an engine-wide trace recorder (mirrors HopByHopEngine).
+  /// Attach an engine-wide reference recorder (mirrors HopByHopEngine).
   void set_trace_recorder(obs::TraceRecorder* recorder) { tracer_ = recorder; }
 
   /// Attach `domain`'s own recorder; cross-domain linkage travels in the

@@ -68,9 +68,12 @@ void Fabric::count(const std::string& from, const std::string& to,
 
 void Fabric::record_message(const std::string& from, const std::string& to,
                             std::size_t bytes) {
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigFabricMessagesTotal).increment();
-  registry.counter(obs::kSigFabricBytesTotal).increment(bytes);
+  static obs::Counter& messages =
+      obs::MetricsRegistry::global().counter(obs::kSigFabricMessagesTotal);
+  static obs::Counter& byte_total =
+      obs::MetricsRegistry::global().counter(obs::kSigFabricBytesTotal);
+  messages.increment();
+  byte_total.increment(bytes);
   count(from, to, bytes);
 }
 
@@ -127,8 +130,11 @@ Delivery Fabric::transmit(const std::string& from, const std::string& to,
                           BytesView payload,
                           const obs::TraceContext* trace_context) {
   auto& registry = obs::MetricsRegistry::global();
-  registry.counter(obs::kSigFabricMessagesTotal).increment();
-  registry.counter(obs::kSigFabricBytesTotal).increment(payload.size());
+  static obs::Counter& messages =
+      registry.counter(obs::kSigFabricMessagesTotal);
+  static obs::Counter& byte_total = registry.counter(obs::kSigFabricBytesTotal);
+  messages.increment();
+  byte_total.increment(payload.size());
 
   // The unsigned envelope travels next to the payload: encode through the
   // wire format (so the overhead is real and accounted), decode on the
@@ -137,9 +143,12 @@ Delivery Fabric::transmit(const std::string& from, const std::string& to,
   Bytes envelope;
   if (trace_context != nullptr && trace_context->valid()) {
     envelope = encode_trace_context(*trace_context);
-    registry.counter(obs::kObsTraceCtxPropagatedTotal).increment();
-    registry.counter(obs::kObsTraceCtxBytesTotal)
-        .increment(envelope.size());
+    static obs::Counter& propagated =
+        registry.counter(obs::kObsTraceCtxPropagatedTotal);
+    static obs::Counter& envelope_bytes =
+        registry.counter(obs::kObsTraceCtxBytesTotal);
+    propagated.increment();
+    envelope_bytes.increment(envelope.size());
   }
 
   Delivery d;

@@ -25,6 +25,7 @@
 namespace e2e::obs {
 namespace {
 
+using e2e::testing::attach_reference;
 using e2e::testing::ChainWorld;
 using e2e::testing::ChainWorldConfig;
 using e2e::testing::WorldUser;
@@ -131,11 +132,12 @@ TEST(TelemetryContract, DocCoversEverySpanNameAndAttributeKey) {
   const std::string doc = read_doc();
 
   // Collect what real traces carry: a granted 4-domain tunnel-free run and
-  // a policy denial.
+  // a policy denial, read from an engine-wide reference recorder.
   std::set<std::string> span_names;
   std::set<std::string> attribute_keys;
-  auto collect = [&](ChainWorld& world, const std::string& trace_id) {
-    for (const auto& span : world.tracer().trace(trace_id)) {
+  auto collect = [&](const TraceRecorder& reference,
+                     const std::string& trace_id) {
+    for (const auto& span : reference.trace(trace_id)) {
       span_names.insert(span.name);
       for (const auto& [key, value] : span.attributes) {
         attribute_keys.insert(key);
@@ -146,27 +148,33 @@ TEST(TelemetryContract, DocCoversEverySpanNameAndAttributeKey) {
     ChainWorldConfig config;
     config.domains = 4;
     ChainWorld world(config);
+    TraceRecorder reference;
+    attach_reference(world, reference);
     WorldUser alice = world.make_user("Alice", 0);
     const auto msg = world.engine().build_user_request(
         alice.credentials(), world.spec(alice, 10e6), 0);
     const auto outcome = world.engine().reserve(*msg, seconds(1));
     ASSERT_TRUE(outcome.ok());
-    collect(world, outcome->trace_id);
+    collect(reference, outcome->trace_id);
   }
   {
     ChainWorldConfig config;
     config.policies = {"Return GRANT", "Return DENY"};
     ChainWorld world(config);
+    TraceRecorder reference;
+    attach_reference(world, reference);
     WorldUser alice = world.make_user("Alice", 0);
     const auto msg = world.engine().build_user_request(
         alice.credentials(), world.spec(alice, 10e6), 0);
     const auto outcome = world.engine().reserve(*msg, seconds(1));
     ASSERT_TRUE(outcome.ok());
-    collect(world, outcome->trace_id);
+    collect(reference, outcome->trace_id);
   }
   {
     // Tunnel establishment exercises the channel_handshake span.
     ChainWorld world;
+    TraceRecorder reference;
+    attach_reference(world, reference);
     WorldUser alice = world.make_user("Alice", 0);
     auto spec = world.spec(alice, 10e6);
     spec.is_tunnel = true;
@@ -175,7 +183,7 @@ TEST(TelemetryContract, DocCoversEverySpanNameAndAttributeKey) {
     const auto outcome = world.engine().reserve(*msg, seconds(1));
     ASSERT_TRUE(outcome.ok());
     ASSERT_TRUE(outcome->reply.granted);
-    collect(world, outcome->trace_id);
+    collect(reference, outcome->trace_id);
   }
 
   EXPECT_TRUE(span_names.contains("channel_handshake"));

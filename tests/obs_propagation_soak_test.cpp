@@ -31,6 +31,7 @@
 namespace e2e::obs {
 namespace {
 
+using testing::attach_reference;
 using testing::ChainWorld;
 using testing::ChainWorldConfig;
 using testing::WorldUser;
@@ -102,6 +103,8 @@ void expect_records_join_collected_spans(const SpanCollector& collector) {
 TEST(ObsPropagation, CleanFabricTreesMatchReferenceAcrossEngines) {
   reset_globals();
   ChainWorld world;
+  TraceRecorder reference;
+  attach_reference(world, reference);
   const WorldUser alice =
       world.make_user("Alice", 0, /*with_capability=*/true,
                       /*register_everywhere=*/true);
@@ -151,12 +154,12 @@ TEST(ObsPropagation, CleanFabricTreesMatchReferenceAcrossEngines) {
   SpanCollector collector;
   world.collect(collector);
   for (const auto& trace_id : traces) {
-    expect_tree_matches_reference(collector, world.tracer(), trace_id);
+    expect_tree_matches_reference(collector, reference, trace_id);
   }
 
   // The collector saw exactly the traces the reference recorder saw.
   auto collected_ids = collector.trace_ids();
-  auto reference_ids = world.tracer().trace_ids();
+  auto reference_ids = reference.trace_ids();
   std::sort(collected_ids.begin(), collected_ids.end());
   std::sort(reference_ids.begin(), reference_ids.end());
   EXPECT_EQ(collected_ids, reference_ids);
@@ -179,6 +182,8 @@ TEST(ObsPropagation, FaultySoakReusesTraceIdsAndMatchesReference) {
   config.retry_policy.max_attempts = 4;
   config.retry_policy.base_timeout = milliseconds(50);
   ChainWorld world(config);
+  TraceRecorder reference;
+  attach_reference(world, reference);
   const WorldUser alice =
       world.make_user("Alice", 0, /*with_capability=*/true,
                       /*register_everywhere=*/true);
@@ -227,7 +232,7 @@ TEST(ObsPropagation, FaultySoakReusesTraceIdsAndMatchesReference) {
   bool saw_retry = false;
   for (const auto& trace_id : traces) {
     SCOPED_TRACE(trace_id);
-    expect_tree_matches_reference(collector, world.tracer(), trace_id);
+    expect_tree_matches_reference(collector, reference, trace_id);
     for (const auto& node : collector.flatten(trace_id)) {
       if (node.span.attribute("retry.attempts") != nullptr) saw_retry = true;
     }
@@ -250,6 +255,8 @@ TEST(ObsPropagation, AuditChainSurvivesBrokerCrashes) {
   config.retry_policy.max_attempts = 2;
   config.retry_policy.base_timeout = milliseconds(50);
   ChainWorld world(config);
+  TraceRecorder reference;
+  attach_reference(world, reference);
   const WorldUser alice = world.make_user("Alice", 0);
 
   // Grant, crash a middle broker (the RAR dies at the dark hop), heal,
@@ -287,7 +294,7 @@ TEST(ObsPropagation, AuditChainSurvivesBrokerCrashes) {
   const auto tree = collector.flatten(denied->trace_id);
   ASSERT_FALSE(tree.empty());
   EXPECT_TRUE(tree.front().span.failed);
-  expect_tree_matches_reference(collector, world.tracer(),
+  expect_tree_matches_reference(collector, reference,
                                 denied->trace_id);
 }
 

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "testing_world.hpp"
 
 namespace e2e::obs {
 namespace {
 
+using e2e::testing::attach_reference;
 using e2e::testing::ChainWorld;
 using e2e::testing::ChainWorldConfig;
 using e2e::testing::WorldUser;
@@ -117,9 +121,160 @@ TEST(TraceRecorder, EvictedSpansIgnoreLateUpdates) {
   EXPECT_EQ(rec.trace_ids().back(), "long");
 }
 
+/// Drives a recorder with up to four traces open at once, each span
+/// annotated, and checks the retention contract at checkpoints.
+class RetentionDriver {
+ public:
+  explicit RetentionDriver(TraceRecorder& rec) : rec_(rec) {}
+
+  /// Open `count` spans round-robin over the open traces; a trace closes
+  /// after 1 + (its number % 7) spans and a new one takes its place.
+  void run(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (open_.size() < 4) open_.push_back(start_trace());
+      const std::size_t pick = i % open_.size();
+      Trace& trace = traces_[open_[pick]];
+      const SpanId parent = trace.spans.empty() ? 0 : trace.spans.front();
+      const SpanId id = rec_.begin_span(trace.id, "step", parent,
+                                        static_cast<SimTime>(i));
+      rec_.annotate(id, "n", std::to_string(trace.spans.size()));
+      rec_.end_span(id, static_cast<SimTime>(i + 1));
+      if (trace.spans.empty()) seen_.push_back(open_[pick]);
+      trace.spans.push_back(id);
+      if (trace.spans.size() == trace.length) {
+        open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+  }
+
+  /// The retention contract over everything driven so far.
+  void check() const {
+    EXPECT_LE(rec_.span_count(), TraceRecorder::kMaxSpans);
+    const auto ids = rec_.trace_ids();
+    ASSERT_FALSE(ids.empty());
+    // Traces leave oldest first: the retained ids are the newest traces,
+    // in first-seen order, and the traces still being written are among
+    // them.
+    const std::size_t first = seen_.size() - ids.size();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      ASSERT_EQ(ids[k], traces_[seen_[first + k]].id) << "retained #" << k;
+    }
+    for (const std::size_t open : open_) {
+      if (!traces_[open].spans.empty()) {
+        EXPECT_TRUE(rec_.has_trace(traces_[open].id));
+      }
+    }
+    // Whole traces only; every span id resolves to its own span.
+    std::size_t retained = 0;
+    for (std::size_t k = first; k < seen_.size(); ++k) {
+      const Trace& trace = traces_[seen_[k]];
+      const auto spans = rec_.trace(trace.id);
+      ASSERT_EQ(spans.size(), trace.spans.size()) << trace.id;
+      for (std::size_t n = 0; n < spans.size(); ++n) {
+        EXPECT_EQ(spans[n].id, trace.spans[n]);
+        ASSERT_EQ(spans[n].attributes.size(), 1u);  // no stale attributes
+        EXPECT_EQ(*spans[n].attribute("n"), std::to_string(n));
+      }
+      retained += spans.size();
+    }
+    EXPECT_EQ(retained, rec_.span_count());
+    // spans() lists the same spans in creation (id) order.
+    const auto all = rec_.spans();
+    ASSERT_EQ(all.size(), retained);
+    for (std::size_t k = 1; k < all.size(); ++k) {
+      EXPECT_LT(all[k - 1].id, all[k].id);
+    }
+    // trace_ids() newest first, as the collector's /tracez walk sees them.
+    std::vector<std::string> newest_first;
+    rec_.visit_trace_ids_newest_first([&](const std::string& id) {
+      newest_first.push_back(id);
+      return true;
+    });
+    EXPECT_TRUE(std::equal(ids.rbegin(), ids.rend(), newest_first.begin(),
+                           newest_first.end()));
+  }
+
+ private:
+  struct Trace {
+    std::string id;
+    std::size_t length = 0;
+    std::vector<SpanId> spans;
+  };
+
+  std::size_t start_trace() {
+    const std::size_t n = traces_.size();
+    traces_.push_back(Trace{"t-" + std::to_string(n), 1 + n % 7, {}});
+    return n;
+  }
+
+  TraceRecorder& rec_;
+  std::vector<Trace> traces_;
+  std::vector<std::size_t> open_;  // indices into traces_
+  std::vector<std::size_t> seen_;  // traces_ indices in first-span order
+};
+
+TEST(TraceRecorder, RetentionKeepsNewestWholeTracesPastSeveralBounds) {
+  TraceRecorder rec;
+  RetentionDriver driver(rec);
+  driver.run(TraceRecorder::kMaxSpans / 2);
+  driver.check();
+  for (int round = 0; round < 4; ++round) {
+    driver.run(TraceRecorder::kMaxSpans + 12345);
+    driver.check();
+    // A full store stays full: eviction frees one trace at a time.
+    EXPECT_GT(rec.span_count(), TraceRecorder::kMaxSpans - 16);
+  }
+}
+
+TEST(TraceRecorder, RetainedSpansAreFilteredConsistently) {
+  TraceRecorder rec;
+  RetentionDriver driver(rec);
+  driver.run(2 * TraceRecorder::kMaxSpans + 777);
+  const auto ids = rec.trace_ids();
+  ASSERT_GT(ids.size(), 3u);
+  const std::unordered_set<std::string> picked = {ids[0], ids[ids.size() / 2],
+                                                  ids.back(), "gone"};
+  std::vector<Span> expected;
+  for (const Span& span : rec.spans()) {
+    if (picked.contains(span.trace_id)) expected.push_back(span);
+  }
+  const auto filtered = rec.spans(picked);
+  ASSERT_EQ(filtered.size(), expected.size());
+  for (std::size_t k = 0; k < filtered.size(); ++k) {
+    EXPECT_EQ(filtered[k].id, expected[k].id);
+    EXPECT_EQ(filtered[k].trace_id, expected[k].trace_id);
+    EXPECT_EQ(filtered[k].attributes, expected[k].attributes);
+  }
+  EXPECT_TRUE(rec.has_trace(ids.back()));
+  EXPECT_FALSE(rec.has_trace("t-0"));
+  EXPECT_TRUE(rec.trace("t-0").empty());
+}
+
+TEST(TraceRecorder, TraceBeingWrittenIsNeverSplit) {
+  // One trace outgrows the bound while it is written: it keeps every
+  // span, and leaves whole once another trace needs the room.
+  TraceRecorder rec;
+  rec.begin_span("small", "reservation", 0, 0);
+  const std::size_t big = TraceRecorder::kMaxSpans + 100;
+  const SpanId root = rec.begin_span("big", "reservation", 0, 0);
+  for (std::size_t k = 1; k < big; ++k) rec.begin_span("big", "hop", root, 1);
+  EXPECT_EQ(rec.trace("big").size(), big);
+  EXPECT_TRUE(rec.trace("small").empty());
+  EXPECT_EQ(rec.span_count(), big);
+  const SpanId next = rec.begin_span("next", "reservation", 0, 2);
+  EXPECT_TRUE(rec.trace("big").empty());
+  EXPECT_EQ(rec.span_count(), 1u);
+  EXPECT_EQ(rec.trace_ids(), std::vector<std::string>{"next"});
+  rec.annotate(next, "domain", "DomainA");
+  ASSERT_EQ(rec.trace("next").size(), 1u);
+  EXPECT_EQ(*rec.trace("next").front().attribute("domain"), "DomainA");
+}
+
 /// Helper: run one hop-by-hop reservation through `world` and return its
-/// trace spans.
+/// trace spans, as an engine-wide reference recorder saw them.
 std::vector<Span> reserve_and_trace(ChainWorld& world, bool expect_grant) {
+  TraceRecorder reference;
+  attach_reference(world, reference);
   WorldUser alice = world.make_user("Alice", 0);
   const auto msg = world.engine().build_user_request(
       alice.credentials(), world.spec(alice, 10e6), 0);
@@ -128,7 +283,7 @@ std::vector<Span> reserve_and_trace(ChainWorld& world, bool expect_grant) {
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->reply.granted, expect_grant);
   EXPECT_FALSE(outcome->trace_id.empty());
-  return world.tracer().trace(outcome->trace_id);
+  return reference.trace(outcome->trace_id);
 }
 
 TEST(HopByHopTrace, FourDomainPathYieldsOneHopSpanPerDomain) {
@@ -231,25 +386,29 @@ TEST(HopByHopTrace, RejectedRarTagsTheFailingHop) {
 
 TEST(HopByHopTrace, RenderTreeShowsHierarchyAndTimings) {
   ChainWorld world;  // default 3 domains
+  TraceRecorder reference;
+  attach_reference(world, reference);
   WorldUser alice = world.make_user("Alice", 0);
   const auto msg = world.engine().build_user_request(
       alice.credentials(), world.spec(alice, 10e6), 0);
   const auto outcome = world.engine().reserve(*msg, seconds(1));
   ASSERT_TRUE(outcome.ok());
-  const std::string tree = world.tracer().render_tree(outcome->trace_id);
+  const std::string tree = reference.render_tree(outcome->trace_id);
   EXPECT_NE(tree.find("reservation"), std::string::npos);
   EXPECT_NE(tree.find("hop"), std::string::npos);
   EXPECT_NE(tree.find("verify"), std::string::npos);
   EXPECT_NE(tree.find("domain=DomainA"), std::string::npos);
   EXPECT_NE(tree.find("us)"), std::string::npos);  // durations rendered
 
-  const std::string json = world.tracer().to_json(outcome->trace_id);
+  const std::string json = reference.to_json(outcome->trace_id);
   EXPECT_NE(json.find("\"trace_id\""), std::string::npos);
   EXPECT_NE(json.find("\"spans\""), std::string::npos);
 }
 
 TEST(HopByHopTrace, EachReservationGetsItsOwnTrace) {
   ChainWorld world;
+  TraceRecorder reference;
+  attach_reference(world, reference);
   WorldUser alice = world.make_user("Alice", 0);
   const auto msg = world.engine().build_user_request(
       alice.credentials(), world.spec(alice, 10e6), 0);
@@ -258,8 +417,8 @@ TEST(HopByHopTrace, EachReservationGetsItsOwnTrace) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_NE(first->trace_id, second->trace_id);
-  EXPECT_FALSE(world.tracer().trace(first->trace_id).empty());
-  EXPECT_FALSE(world.tracer().trace(second->trace_id).empty());
+  EXPECT_FALSE(reference.trace(first->trace_id).empty());
+  EXPECT_FALSE(reference.trace(second->trace_id).empty());
 }
 
 }  // namespace

@@ -548,6 +548,8 @@ TEST(RetryTunnel, LostReplyDoesNotReevaluateDeniedFlow) {
   ChainWorldConfig config;
   config.domains = 3;
   ChainWorld world(config);
+  obs::TraceRecorder reference;
+  testing::attach_reference(world, reference);
   WorldUser alice = world.make_user("Alice", 0);
 
   auto spec = world.spec(alice, 10e6);
@@ -597,7 +599,7 @@ TEST(RetryTunnel, LostReplyDoesNotReevaluateDeniedFlow) {
   }
   EXPECT_EQ(dst_admissions, 1u);
   std::size_t dst_hops = 0;
-  for (const auto& span : world.tracer().trace(flow->trace_id)) {
+  for (const auto& span : reference.trace(flow->trace_id)) {
     const std::string* domain = span.attribute("domain");
     if (span.name == "hop" && domain != nullptr && *domain == "DomainC") {
       ++dst_hops;
