@@ -38,7 +38,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . >/dev/null
-cmake --build build -j --target micro_crypto micro_protocol micro_obs \
+cmake --build build -j "$(nproc)" --target micro_crypto micro_protocol micro_obs \
   fig3_signalling_latency load_broker daemon_latency load_daemon >/dev/null
 
 min_time=""

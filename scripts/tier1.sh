@@ -64,7 +64,7 @@ cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--bench" ]]; then
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target crypto_test >/dev/null
+  cmake --build build -j "$(nproc)" --target crypto_test >/dev/null
   # The differential suites pin the SHA-256 kernel, the Montgomery kernel
   # and CRT signing against the reference implementations before we trust
   # any numbers.
@@ -75,7 +75,7 @@ if [[ "${1:-}" == "--bench" ]]; then
   # kernel reads whole blocks straight from callers' buffers, and the
   # fixed-width Montgomery kernel carries through stack arrays.
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target crypto_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target crypto_test >/dev/null
   ./build-asan/tests/crypto_test \
     --gtest_filter='Sha256*:Hmac*:Montgomery*:Rsa*:BigUInt*'
   SMOKE=1 ./scripts/bench_snapshot.sh
@@ -85,7 +85,7 @@ fi
 
 if [[ "${1:-}" == "--load" ]]; then
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target bb_pool_equivalence_test load_broker \
+  cmake --build build -j "$(nproc)" --target bb_pool_equivalence_test load_broker \
     fig3_signalling_latency tunnel_scaling >/dev/null
   workdir=$(mktemp -d)
   trap 'rm -rf "$workdir"' EXIT
@@ -94,7 +94,7 @@ if [[ "${1:-}" == "--load" ]]; then
   # scan (the reference oracle) — default build, then ASan/UBSan.
   ./build/tests/bb_pool_equivalence_test
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target bb_pool_equivalence_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target bb_pool_equivalence_test >/dev/null
   ./build-asan/tests/bb_pool_equivalence_test
   echo "tier1 --load: pool equivalence OK (default + asan)"
 
@@ -141,7 +141,7 @@ fi
 
 if [[ "${1:-}" == "--recovery" ]]; then
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target bb_wal_recovery_test \
+  cmake --build build -j "$(nproc)" --target bb_wal_recovery_test \
     bb_recovery_soak_test >/dev/null
 
   # Differential replay: snapshot + WAL tail into a blank broker must
@@ -157,7 +157,7 @@ if [[ "${1:-}" == "--recovery" ]]; then
   # Same suites again under ASan/UBSan — replay touches freshly rebuilt
   # broker state, so lifetime bugs would hide in the default build.
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target bb_wal_recovery_test \
+  cmake --build build-asan -j "$(nproc)" --target bb_wal_recovery_test \
     bb_recovery_soak_test >/dev/null
   ./build-asan/tests/bb_wal_recovery_test
   ./build-asan/tests/bb_recovery_soak_test
@@ -168,7 +168,7 @@ fi
 
 if [[ "${1:-}" == "--daemon" ]]; then
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target net_stream_test daemon_soak_test \
+  cmake --build build -j "$(nproc)" --target net_stream_test daemon_soak_test \
     daemon_admin_test bbd fig3_signalling_latency tunnel_scaling >/dev/null
   workdir=$(mktemp -d)
   trap 'rm -rf "$workdir"' EXIT
@@ -189,7 +189,7 @@ if [[ "${1:-}" == "--daemon" ]]; then
   # buffers across threads and processes, so lifetime bugs would hide in
   # the default build.
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target net_stream_test daemon_soak_test \
+  cmake --build build-asan -j "$(nproc)" --target net_stream_test daemon_soak_test \
     daemon_admin_test >/dev/null
   ./build-asan/tests/net_stream_test
   ./build-asan/tests/daemon_soak_test
@@ -203,7 +203,7 @@ if [[ "${1:-}" == "--daemon" ]]; then
   # process-global metrics registry, the audit log and logging. The
   # stream suites and the admin-plane conformance suite run here.
   cmake --preset tsan >/dev/null
-  cmake --build build-tsan -j --target net_stream_test daemon_admin_test \
+  cmake --build build-tsan -j "$(nproc)" --target net_stream_test daemon_admin_test \
     >/dev/null
   ./build-tsan/tests/net_stream_test
   ./build-tsan/tests/daemon_admin_test
@@ -301,7 +301,7 @@ fi
 
 if [[ "${1:-}" == "--soak" ]]; then
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j --target sig_soak_test sig_test
+  cmake --build build-asan -j "$(nproc)" --target sig_soak_test sig_test
   # Three fixed seeds: every trial prints its mix + seed, so a failure is
   # reproducible with E2E_SOAK_SEED=<seed> ./build-asan/tests/sig_soak_test.
   for seed in 20010801 31337 987654321; do
@@ -319,7 +319,7 @@ fi
 
 if [[ "${1:-}" == "--obs" ]]; then
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target obs_test obs_propagation_soak_test \
+  cmake --build build -j "$(nproc)" --target obs_test obs_propagation_soak_test \
     micro_obs tracedump >/dev/null
   workdir=$(mktemp -d)
   trap 'rm -rf "$workdir"' EXIT
@@ -368,7 +368,7 @@ find build -name '*.o' -path '*obs*' -delete 2>/dev/null || true
 
 build_log=$(mktemp)
 trap 'rm -f "$build_log"' EXIT
-cmake --build build -j 2>&1 | tee "$build_log"
+cmake --build build -j "$(nproc)" 2>&1 | tee "$build_log"
 
 if grep -E 'warning:' "$build_log" | grep -q 'src/obs/\|obs/metrics\|obs/trace\|obs/instruments'; then
   echo "FAIL: compiler warnings in src/obs/:" >&2

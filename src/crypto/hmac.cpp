@@ -4,7 +4,7 @@
 
 namespace e2e::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   constexpr std::size_t kBlockSize = 64;
   std::array<std::uint8_t, kBlockSize> key_block{};
   if (key.size() > kBlockSize) {
@@ -20,16 +20,25 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
+}
 
-  Sha256 inner;
-  inner.update(BytesView(ipad.data(), ipad.size()));
-  inner.update(message);
+Digest HmacKey::finish(Sha256 inner) const {
   const Digest inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(BytesView(opad.data(), opad.size()));
+  Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
   return outer.finish();
+}
+
+Digest HmacKey::mac(BytesView message) const {
+  Sha256 inner = begin();
+  inner.update(message);
+  return finish(inner);
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacKey(key).mac(message);
 }
 
 Bytes derive_key(BytesView secret, std::string_view label,

@@ -147,6 +147,20 @@ Bytes sign(const PrivateKey& key, BytesView message) {
   return s.to_bytes((key.n.bit_length() + 7) / 8);
 }
 
+namespace {
+/// Feed `v` to a cache-key hasher as its limb count, then its limbs: each
+/// value is length-prefixed, so distinct (n, e) pairs never feed the same
+/// bytes, and nothing is serialized first.
+void hash_limbs(Sha256& hasher, const BigUInt& v) {
+  const std::vector<std::uint64_t>& limbs = v.limbs();
+  const std::uint64_t count = limbs.size();
+  hasher.update(BytesView(reinterpret_cast<const std::uint8_t*>(&count),
+                          sizeof(count)));
+  hasher.update(BytesView(reinterpret_cast<const std::uint8_t*>(limbs.data()),
+                          limbs.size() * sizeof(std::uint64_t)));
+}
+}  // namespace
+
 bool verify(const PublicKey& key, BytesView message, BytesView signature) {
   auto& registry = obs::MetricsRegistry::global();
   // Montgomery precondition guard: an even or <= 1 modulus (or a zero
@@ -171,7 +185,8 @@ bool verify(const PublicKey& key, BytesView message, BytesView signature) {
   // of any component misses. The message digest in the key is also the
   // one a miss checks the signature against.
   Sha256 hasher;
-  hasher.update(key.encode());
+  hash_limbs(hasher, key.n);
+  hash_limbs(hasher, key.e);
   const Digest msg_digest = sha256(message);
   hasher.update(BytesView(msg_digest.data(), msg_digest.size()));
   hasher.update(signature);

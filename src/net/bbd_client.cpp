@@ -53,11 +53,9 @@ Status BbdClient::pump_one(std::chrono::steady_clock::time_point deadline) {
     if (frame.error().code == ErrorCode::kTimeout) return frame.error();
     return poison(frame.error());
   }
-  auto reply_record = sig::decode_record(frame.value());
-  if (!reply_record.ok()) return poison(reply_record.error());
   // Open even when the id turns out to be abandoned: the receive
   // sequence chain covers every frame in arrival order.
-  auto payload = session_.open(reply_record.value());
+  auto payload = session_.open_record(frame.value());
   if (!payload.ok()) return poison(payload.error());
   auto response = BbdResponse::decode(payload.value());
   if (!response.ok()) return poison(response.error());
@@ -108,9 +106,9 @@ Result<BbdClient::Call> BbdClient::call_async(BbdRequest request) {
     }
   }
   request.id = next_id_++;
-  const sig::Record record = session_.seal(request.encode());
-  if (auto sent = socket_.send_frame(sig::encode_record(record));
-      !sent.ok()) {
+  tx_.clear();
+  session_.seal_frame(request.encode(), tx_);
+  if (auto sent = socket_.send_encoded_frame(tx_); !sent.ok()) {
     return poison(sent.error()).error();
   }
   pending_.emplace(request.id,

@@ -178,6 +178,8 @@ class BbdClient {
   std::set<std::uint64_t> abandoned_;
   /// Sticky transport/protocol error; set once, fails everything after.
   std::optional<Error> broken_;
+  /// The request frame being sent, sealed in place; reused across calls.
+  Bytes tx_;
 };
 
 }  // namespace e2e::net

@@ -98,8 +98,8 @@ Status BbdService::start() {
   server_options.idle_timeout = options_.idle_timeout;
   server_options.max_write_queue_bytes = options_.max_write_queue_bytes;
   StreamServer::Callbacks callbacks;
-  callbacks.on_frame = [this](StreamServer::ConnId id, Bytes frame) {
-    on_frame(id, std::move(frame));
+  callbacks.on_frame = [this](StreamServer::ConnId id, BytesView frame) {
+    on_frame(id, frame);
   };
   callbacks.on_data = [this](StreamServer::ConnId id, BytesView data) {
     on_admin_data(id, data);
@@ -189,6 +189,7 @@ std::string BbdService::build_statz() const {
     out += ",\"bytes_tx\":" + std::to_string(conn.bytes_tx);
     out += ",\"frames_rx\":" + std::to_string(conn.frames_rx);
     out += ",\"frames_tx\":" + std::to_string(conn.frames_tx);
+    out += ",\"sends\":" + std::to_string(conn.sends);
     out += ",\"queued_bytes\":" + std::to_string(conn.queued_bytes);
     out += "}";
   }
@@ -298,7 +299,7 @@ void BbdService::release_orphans(ConnState& conn) {
 }
 
 bool BbdService::on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
-                                    const Bytes& frame) {
+                                    BytesView frame) {
   if (!conn.hello_consumed) {
     // First frame must be the ClientHello.
     auto server_hello = conn.handshake->on_client_hello(frame);
@@ -322,7 +323,7 @@ bool BbdService::on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
   return true;
 }
 
-void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
+void BbdService::on_frame(StreamServer::ConnId id, BytesView frame) {
   auto it = conns_.find(id);
   if (it == conns_.end()) {
     // The connection's first frame: its handshake starts here.
@@ -338,11 +339,10 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
     return;
   }
   if (conn.dead) return;
-  // Established: every frame is a sealed record carrying one request.
-  auto record = sig::decode_record(frame);
-  Result<Bytes> payload = record.ok()
-                              ? conn.handshake->session().open(record.value())
-                              : Result<Bytes>(record.error());
+  // Established: every frame is a sealed record carrying one request,
+  // opened where it lies in the receive buffer.
+  sig::Session& session = conn.handshake->session();
+  const Result<BytesView> payload = session.open_record(frame);
   if (!payload.ok()) {
     // Protocol corruption: frames that follow on this connection are
     // ignored until the close completes.
@@ -370,9 +370,11 @@ void BbdService::on_frame(StreamServer::ConnId id, Bytes frame) {
     shutdown_after_reply =
         request.value().op == BbdOp::kShutdown && response.ok;
   }
-  const Bytes wire =
-      sig::encode_record(conn.handshake->session().seal(response.encode()));
-  (void)server_->send(id, BytesView(wire.data(), wire.size()));
+  // Sealed straight into the connection's output buffer; it leaves with
+  // the rest of this read's replies.
+  const Bytes reply = response.encode();
+  (void)server_->send_frame_with(
+      id, [&](Bytes& out) { session.seal_frame(reply, out); });
   if (shutdown_after_reply) shutdown_gracefully();
 }
 

@@ -11,11 +11,13 @@
 // Threading: one thread serves the daemon. The StreamServer loop owns
 // sockets and frames and runs every request inline, one at a time, in
 // arrival order: handshake stages, then per established frame unseal,
-// decode, execute, seal and send(). A connection's requests therefore run
-// in FIFO order and its sealed sequence numbers advance on one thread;
-// on_close runs after the connection's last request, so orphan release
-// sees its final grants list. What bounds a peer that floods requests and
-// never reads is the server's per-connection write-queue bound
+// decode, execute, seal and send(). The server flushes a connection's
+// replies once per read, after every frame that read completed has run.
+// A connection's requests therefore run in FIFO order and its sealed
+// sequence numbers advance on one thread; on_close runs after the
+// connection's last request, so orphan release sees its final grants
+// list. What bounds a peer that floods requests and never reads is the
+// server's per-connection output bound
 // (Options::max_write_queue_bytes). The admin plane (Options::admin_on)
 // is served by the same loop from raw listeners, between requests, so
 // every introspection document reads the world, the connection table and
@@ -129,13 +131,13 @@ class BbdService {
     bool dead = false;
   };
 
-  void on_frame(StreamServer::ConnId id, Bytes frame);
+  void on_frame(StreamServer::ConnId id, BytesView frame);
   void on_close(StreamServer::ConnId id, const Status& reason);
 
   /// Handshake-stage frames (ClientHello, Finished) — returns false when
   /// the connection was closed on error. Loop thread.
   bool on_handshake_frame(StreamServer::ConnId id, ConnState& conn,
-                          const Bytes& frame);
+                          BytesView frame);
   BbdResponse handle(StreamServer::ConnId id, ConnState& conn,
                      const BbdRequest& request);
   Status rebuild_world(kit::ChainWorldConfig config);

@@ -17,13 +17,13 @@
 //
 // FrameDecoder is incremental: feed() accepts whatever the socket
 // produced — a single byte, half a frame, three frames and a torn fourth —
-// and next() hands back complete payloads in order. It never blocks and
-// never copies more than once. tests/net_framing_test.cpp drives it with
-// torn reads, coalesced writes and a seeded boundary fuzzer.
+// and next_view() hands back complete payloads in order, as views into
+// the decoder's one contiguous buffer. A payload is never copied on its
+// own. tests/net_framing_test.cpp drives it with torn reads, coalesced
+// writes and a seeded boundary fuzzer.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "common/bytes.hpp"
@@ -41,22 +41,31 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;  // 1 MiB
 /// the cap (callers go through Status-returning send paths that check).
 Bytes encode_frame(BytesView payload);
 
+/// encode_frame(), appended to `out`. `payload` must not point into `out`.
+void append_frame(Bytes& out, BytesView payload);
+
 /// Incremental frame parser over an arbitrary chunking of the stream.
 class FrameDecoder {
  public:
   /// Consume one chunk as read off the socket. Returns kBadMessage when
   /// the stream announces a payload above the cap; after that the decoder
   /// is poisoned (the stream cannot be resynchronized) and every further
-  /// feed() fails the same way.
+  /// feed() fails the same way. Invalidates every view next_view()
+  /// handed out.
   Status feed(BytesView chunk);
 
   /// Pop the next complete payload, arrival order; nullopt when no full
-  /// frame is buffered.
+  /// frame is buffered. The view points into the decoder's buffer and
+  /// stays valid until the next feed().
+  std::optional<BytesView> next_view();
+
+  /// next_view(), copied out, for a caller that keeps the payload past
+  /// the next feed().
   std::optional<Bytes> next();
 
   /// True when a partial frame (header or payload) is buffered — a peer
   /// that disconnects now tore a message in half.
-  bool mid_frame() const { return !buffer_.empty(); }
+  bool mid_frame() const { return buffer_.size() > complete_end_; }
 
   bool poisoned() const { return !poison_.ok(); }
 
@@ -64,8 +73,11 @@ class FrameDecoder {
   std::uint64_t frames_decoded() const { return frames_decoded_; }
 
  private:
-  Bytes buffer_;             // unparsed tail: partial header or payload
-  std::deque<Bytes> ready_;  // complete payloads, arrival order
+  /// Stream bytes not yet handed out. [read_, complete_end_) is whole
+  /// frames, headers included; what follows is a partial frame.
+  Bytes buffer_;
+  std::size_t read_ = 0;
+  std::size_t complete_end_ = 0;
   Status poison_;
   std::uint64_t frames_decoded_ = 0;
 };

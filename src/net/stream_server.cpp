@@ -210,6 +210,8 @@ void StreamServer::run() {
       sweep_draining();
       if (connections_.size() == raw_connections_) break;
     }
+    // Whatever the sweeps' callbacks wrote goes out before the wait.
+    flush_pending();
 
     const int ready = ::epoll_wait(epfd_, events, kMaxEvents,
                                    next_timeout_ms());
@@ -234,6 +236,9 @@ void StreamServer::run() {
       }
       if (readable) {
         read_ready(id);
+        // One send per read: the replies to every frame that read
+        // completed leave together, before the next connection's turn.
+        flush_pending();
       } else if ((flags & (EPOLLHUP | EPOLLERR)) != 0) {
         close_connection(
             id, make_error(ErrorCode::kUnavailable, "peer hung up"));
@@ -261,7 +266,7 @@ void StreamServer::sweep_draining() {
   std::vector<ConnId> idle_now;
   for (auto& [id, conn] : connections_) {
     if (conn.raw) continue;
-    if (conn.write_queue.empty()) {
+    if (conn.queued_bytes() == 0) {
       idle_now.push_back(id);
     } else {
       conn.closing_after_flush = true;
@@ -354,12 +359,12 @@ void StreamServer::read_ready(ConnId id) {
     close_connection(id, fed);
     return;
   }
-  while (auto frame = conn.decoder.next()) {
+  while (auto frame = conn.decoder.next_view()) {
     static obs::Counter& frames_rx = obs::MetricsRegistry::global().counter(
         obs::kNetFramesTotal, {{"dir", "rx"}});
     frames_rx.increment();
     ++conn.frames_rx;
-    if (callbacks_.on_frame) callbacks_.on_frame(id, std::move(*frame));
+    if (callbacks_.on_frame) callbacks_.on_frame(id, *frame);
     // The callback may have closed the connection (protocol error, or a
     // response that overran the write-queue bound).
     if (!connections_.contains(id)) return;
@@ -370,38 +375,49 @@ bool StreamServer::flush_writes(ConnId id) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return false;
   Connection& conn = it->second;
-  while (!conn.write_queue.empty()) {
-    const Bytes& front = conn.write_queue.front();
-    const std::size_t remaining = front.size() - conn.front_offset;
-    const ssize_t n = ::send(conn.fd, front.data() + conn.front_offset,
-                             remaining, MSG_NOSIGNAL);
+  static obs::Counter& bytes_tx = obs::MetricsRegistry::global().counter(
+      obs::kNetStreamBytesTotal, {{"dir", "tx"}});
+  while (conn.queued_bytes() > 0) {
+    ++conn.sends;
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_sent,
+                             conn.queued_bytes(), MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!conn.want_write) {
-          conn.want_write = true;
-          (void)watch(EPOLL_CTL_MOD, conn.fd, true);
-        }
-        return true;
-      }
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       close_connection(id, make_error(ErrorCode::kUnavailable,
                                       std::string("send(): ") +
                                           std::strerror(errno)));
       return false;
     }
-    static obs::Counter& bytes_tx = obs::MetricsRegistry::global().counter(
-        obs::kNetStreamBytesTotal, {{"dir", "tx"}});
     bytes_tx.increment(static_cast<std::size_t>(n));
     conn.bytes_tx += static_cast<std::uint64_t>(n);
-    conn.front_offset += static_cast<std::size_t>(n);
-    conn.queued_bytes -= static_cast<std::size_t>(n);
+    conn.out_sent += static_cast<std::size_t>(n);
     if (!conn.raw) total_queued_bytes_ -= static_cast<std::size_t>(n);
-    if (conn.front_offset == front.size()) {
-      conn.write_queue.pop_front();
-      conn.front_offset = 0;
-    }
   }
   if (!conn.raw) publish_write_queue_gauge();
+  if (conn.queued_bytes() > 0) {
+    // The socket is full: the rest waits for EPOLLOUT. Once the written
+    // prefix outweighs what is left, drop it so the buffer stays small.
+    if (conn.out_sent >= conn.queued_bytes()) {
+      conn.out.erase(conn.out.begin(),
+                     conn.out.begin() +
+                         static_cast<std::ptrdiff_t>(conn.out_sent));
+      conn.out_sent = 0;
+    }
+    if (!conn.want_write) {
+      conn.want_write = true;
+      (void)watch(EPOLL_CTL_MOD, conn.fd, true);
+      obs::MetricsRegistry::global()
+          .counter(obs::kNetBackpressureStallsTotal)
+          .increment();
+    }
+    return true;
+  }
+  conn.out.clear();
+  conn.out_sent = 0;
+  // A burst's buffer is not kept: an idle connection holds at most this.
+  constexpr std::size_t kKeptOutputCapacity = 64u << 10;
+  if (conn.out.capacity() > kKeptOutputCapacity) Bytes().swap(conn.out);
   if (conn.want_write) {
     conn.want_write = false;
     (void)watch(EPOLL_CTL_MOD, conn.fd, false);
@@ -413,42 +429,66 @@ bool StreamServer::flush_writes(ConnId id) {
   return true;
 }
 
+void StreamServer::flush_pending() {
+  // Indexed: a flush that closes a connection runs on_close, which may
+  // write to (and so list) another connection.
+  for (std::size_t i = 0; i < flush_pending_.size(); ++i) {
+    const auto it = connections_.find(flush_pending_[i]);
+    if (it == connections_.end()) continue;
+    it->second.listed_for_flush = false;
+    if (!it->second.want_write) (void)flush_writes(it->first);
+  }
+  flush_pending_.clear();
+}
+
 Status StreamServer::send(ConnId id, BytesView payload) {
   require_loop_thread("send");
+  return queue_frame(id,
+                     [payload](Bytes& out) { append_frame(out, payload); });
+}
+
+Status StreamServer::send_frame_with(ConnId id, const FrameWriter& write) {
+  require_loop_thread("send_frame_with");
+  return queue_frame(id, write);
+}
+
+Status StreamServer::queue_frame(ConnId id, const FrameWriter& write) {
   auto it = connections_.find(id);
   if (it == connections_.end()) {
     return make_error(ErrorCode::kNotFound,
                       "unknown connection " + std::to_string(id));
   }
-  if (payload.size() > kMaxFramePayload) {
+  Connection& conn = it->second;
+  const std::size_t before = conn.out.size();
+  write(conn.out);
+  const std::size_t added = conn.out.size() - before;
+  if (added > kFrameHeaderBytes + kMaxFramePayload) {
+    conn.out.resize(before);
     return make_error(ErrorCode::kInvalidArgument,
                       "payload exceeds frame cap",
-                      std::to_string(payload.size()));
+                      std::to_string(added - kFrameHeaderBytes));
   }
   static obs::Counter& frames_tx = obs::MetricsRegistry::global().counter(
       obs::kNetFramesTotal, {{"dir", "tx"}});
   frames_tx.increment();
-  ++it->second.frames_tx;
-  return enqueue_bytes(id, encode_frame(payload));
+  ++conn.frames_tx;
+  return queued(id, conn, added);
 }
 
 Status StreamServer::send_raw(ConnId id, BytesView payload) {
   require_loop_thread("send_raw");
-  if (connections_.find(id) == connections_.end()) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) {
     return make_error(ErrorCode::kNotFound,
                       "unknown connection " + std::to_string(id));
   }
-  return enqueue_bytes(id, Bytes(payload.begin(), payload.end()));
+  append(it->second.out, payload);
+  return queued(id, it->second, payload.size());
 }
 
-Status StreamServer::enqueue_bytes(ConnId id, Bytes wire_bytes) {
-  Connection& conn = connections_.at(id);
-  const bool was_empty = conn.write_queue.empty();
-  conn.queued_bytes += wire_bytes.size();
-  if (!conn.raw) total_queued_bytes_ += wire_bytes.size();
-  conn.write_queue.push_back(std::move(wire_bytes));
-  if (!conn.raw) publish_write_queue_gauge();
-  if (conn.queued_bytes > options_.max_write_queue_bytes) {
+Status StreamServer::queued(ConnId id, Connection& conn, std::size_t added) {
+  if (!conn.raw) total_queued_bytes_ += added;
+  if (conn.queued_bytes() > options_.max_write_queue_bytes) {
     // Slow consumer: shedding beats unbounded buffering.
     obs::MetricsRegistry::global()
         .counter(obs::kNetBackpressureStallsTotal)
@@ -457,16 +497,9 @@ Status StreamServer::enqueue_bytes(ConnId id, Bytes wire_bytes) {
                                     "write queue bound exceeded"));
     return make_error(ErrorCode::kUnavailable, "write queue bound exceeded");
   }
-  if (was_empty) {
-    if (!flush_writes(id)) {
-      return make_error(ErrorCode::kUnavailable, "connection closed");
-    }
-    auto again = connections_.find(id);
-    if (again != connections_.end() && again->second.want_write) {
-      obs::MetricsRegistry::global()
-          .counter(obs::kNetBackpressureStallsTotal)
-          .increment();
-    }
+  if (!conn.listed_for_flush && !conn.want_write) {
+    conn.listed_for_flush = true;
+    flush_pending_.push_back(id);
   }
   return Status::ok_status();
 }
@@ -475,7 +508,7 @@ void StreamServer::close_after_flush(ConnId id) {
   require_loop_thread("close_after_flush");
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
-  if (it->second.write_queue.empty()) {
+  if (it->second.queued_bytes() == 0) {
     close_connection(id, Status::ok_status());
   } else {
     it->second.closing_after_flush = true;
@@ -493,7 +526,7 @@ void StreamServer::close_connection(ConnId id, const Status& reason) {
   if (raw) {
     --raw_connections_;
   } else {
-    total_queued_bytes_ -= it->second.queued_bytes;
+    total_queued_bytes_ -= it->second.queued_bytes();
   }
   connections_.erase(it);
   if (!raw) {
@@ -525,7 +558,7 @@ std::vector<StreamServer::ConnectionStats> StreamServer::connection_stats()
     out.push_back(ConnectionStats{id, conn.via.transport_label(),
                                   conn.bytes_rx, conn.bytes_tx,
                                   conn.frames_rx, conn.frames_tx,
-                                  conn.queued_bytes});
+                                  conn.sends, conn.queued_bytes()});
   }
   return out;
 }

@@ -3,8 +3,8 @@
 // This is the daemon's IO core (tools/bbd): it owns the listening sockets
 // (any mix of TCP and UNIX-domain), accepts connections, reassembles
 // length-prefixed frames out of arbitrarily torn reads, and writes replies
-// through bounded per-connection queues. The loop multiplexes with one
-// level-triggered epoll instance (Linux).
+// through one bounded output buffer per connection. The loop multiplexes
+// with one level-triggered epoll instance (Linux).
 //
 // Two listener kinds share the one loop. A connection accepted on
 // Options::listen_on is framed (on_frame/send()); one accepted on
@@ -23,30 +23,39 @@
 //  - stop()/shutdown_gracefully() are the thread-safe entry points: they
 //    wake the loop through a pipe;
 //  - a frame passed to send() is either fully written or the connection is
-//    closed; there is no partial-message state an application can observe.
+//    closed; there is no partial-message state an application can observe;
+//  - a frame handed to on_frame is a view into the connection's receive
+//    buffer, valid only until the callback returns.
 //
 // Fairness: each readiness event reads one recv() chunk, then the loop
 // moves on to the next ready connection. epoll is level-triggered, so a
 // connection with more bytes waiting is reported again on the next
 // iteration; one busy peer cannot starve the others.
 //
-// Backpressure: writes that cannot complete inline queue for EPOLLOUT.
-// The queue is bounded (Options::max_write_queue_bytes); a peer that stops
-// reading until the bound is hit is a slow consumer and its connection is
-// closed — a daemon must shed such clients, not buffer without limit.
+// Writes: send()/send_raw() only append to the connection's output
+// buffer. Once a readiness event's callbacks have returned — every frame
+// that one recv() completed has run — the loop flushes each connection
+// they wrote to with one send(), so a window of pipelined replies leaves
+// in one system call and no connection's replies wait on another
+// connection's work. When control returns to epoll_wait, every
+// connection's output is either empty or armed for EPOLLOUT.
+//
+// Backpressure: output the socket does not take waits for EPOLLOUT. It is
+// bounded (Options::max_write_queue_bytes); a peer that stops reading
+// until the bound is hit is a slow consumer and its connection is closed
+// — a daemon must shed such clients, not buffer without limit.
 //
 // Shutdown: shutdown_gracefully() stops accepting framed connections, lets
 // every framed connection drain its pending writes, then closes them and
 // returns from run(). Raw listeners keep serving until run() returns, so
 // a readiness probe sees the drain (draining()). Callbacks queue their
-// responses before the loop iterates again, so the write queues are all a
-// drain waits on. stop() closes everything immediately.
+// responses before the loop iterates again, so the output buffers are all
+// a drain waits on. stop() closes everything immediately.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -84,8 +93,9 @@ class StreamServer {
   static constexpr std::chrono::milliseconds kRawIdleTimeout{10000};
 
   struct Callbacks {
-    /// One complete frame arrived (framed connections only).
-    std::function<void(ConnId, Bytes frame)> on_frame;
+    /// One complete frame arrived (framed connections only). The view
+    /// is valid until the callback returns.
+    std::function<void(ConnId, BytesView frame)> on_frame;
     /// A chunk of bytes arrived (raw connections only).
     std::function<void(ConnId, BytesView data)> on_data;
     /// The connection is gone (peer close, error, idle timeout, shed).
@@ -101,8 +111,13 @@ class StreamServer {
     std::uint64_t bytes_tx = 0;   // stream bytes written to the socket
     std::uint64_t frames_rx = 0;  // frames decoded
     std::uint64_t frames_tx = 0;  // frames queued
+    std::uint64_t sends = 0;      // send() system calls made
     std::uint64_t queued_bytes = 0;  // unwritten bytes in flight
   };
+
+  /// Appends one whole frame, length prefix included, to the buffer it is
+  /// given (sig::Session::seal_frame, for one).
+  using FrameWriter = std::function<void(Bytes& out)>;
 
   StreamServer(Options options, Callbacks callbacks);
   ~StreamServer();
@@ -129,9 +144,15 @@ class StreamServer {
   /// shutdown_gracefully() has been called.
   bool draining() const;
 
-  /// Queue one frame (loop thread only). Closes the connection and
-  /// returns kUnavailable when the write queue bound is exceeded.
+  /// Append one frame to the connection's output buffer (loop thread
+  /// only); the loop sends it with the rest of this read's output. Closes
+  /// the connection and returns kUnavailable when the buffer exceeds
+  /// Options::max_write_queue_bytes.
   Status send(ConnId id, BytesView payload);
+
+  /// Queue one frame that `write` encodes straight into the connection's
+  /// output buffer (loop thread only). Same contract as send().
+  Status send_frame_with(ConnId id, const FrameWriter& write);
 
   /// Queue raw bytes with no length prefix (loop thread only; raw
   /// connections). Same backpressure contract as send().
@@ -150,16 +171,22 @@ class StreamServer {
     /// Accepted on a raw_listen_on endpoint.
     bool raw = false;
     FrameDecoder decoder;
-    std::deque<Bytes> write_queue;
-    std::size_t queued_bytes = 0;
-    std::size_t front_offset = 0;
+    /// Output; [out_sent, out.size()) is not written yet.
+    Bytes out;
+    std::size_t out_sent = 0;
     std::chrono::steady_clock::time_point last_activity;
     bool closing_after_flush = false;
+    /// Armed for EPOLLOUT: the socket took less than was queued.
     bool want_write = false;
+    /// Listed in flush_pending_.
+    bool listed_for_flush = false;
     std::uint64_t bytes_rx = 0;
     std::uint64_t bytes_tx = 0;
     std::uint64_t frames_rx = 0;
     std::uint64_t frames_tx = 0;
+    std::uint64_t sends = 0;
+
+    std::size_t queued_bytes() const { return out.size() - out_sent; }
   };
 
   /// epoll_ctl(op) for `fd`: always EPOLLIN, plus EPOLLOUT while a
@@ -176,9 +203,14 @@ class StreamServer {
   /// Write as much queued data as the socket takes; registers EPOLLOUT
   /// interest on a partial write. Returns false when the connection died.
   bool flush_writes(ConnId id);
-  /// Shared enqueue path for send()/send_raw(): bound check, inline
-  /// flush, backpressure accounting.
-  Status enqueue_bytes(ConnId id, Bytes wire_bytes);
+  /// Flush every connection written to since the last flush and not
+  /// waiting for EPOLLOUT.
+  void flush_pending();
+  /// Shared path of send()/send_frame_with(): frame cap, frame counters.
+  Status queue_frame(ConnId id, const FrameWriter& write);
+  /// Account `added` bytes just appended to `conn`'s output: shed a slow
+  /// consumer, otherwise list the connection for flush_pending().
+  Status queued(ConnId id, Connection& conn, std::size_t added);
   void close_connection(ConnId id, const Status& reason);
   /// Silence after which `conn` is shed; zero never sheds.
   std::chrono::milliseconds idle_limit(const Connection& conn) const;
@@ -197,6 +229,7 @@ class StreamServer {
   std::map<int, std::size_t> listener_by_fd_;
   std::map<ConnId, Connection> connections_;
   std::map<int, ConnId> conn_by_fd_;
+  std::vector<ConnId> flush_pending_;
   ConnId next_conn_id_ = 1;
   std::size_t raw_connections_ = 0;
   std::size_t total_queued_bytes_ = 0;  // across framed connections

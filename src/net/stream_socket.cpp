@@ -171,12 +171,16 @@ Status StreamSocket::send_raw(BytesView bytes) {
 }
 
 Status StreamSocket::send_frame(BytesView payload) {
-  if (payload.size() > kMaxFramePayload) {
+  return send_encoded_frame(encode_frame(payload));
+}
+
+Status StreamSocket::send_encoded_frame(BytesView frame) {
+  if (frame.size() > kFrameHeaderBytes + kMaxFramePayload) {
     return make_error(ErrorCode::kInvalidArgument,
                       "payload exceeds frame cap",
-                      std::to_string(payload.size()));
+                      std::to_string(frame.size() - kFrameHeaderBytes));
   }
-  auto sent = send_raw(encode_frame(payload));
+  auto sent = send_raw(frame);
   if (sent.ok()) {
     static obs::Counter& frames_tx = obs::MetricsRegistry::global().counter(
         obs::kNetFramesTotal, {{"dir", "tx"}});
@@ -185,17 +189,18 @@ Status StreamSocket::send_frame(BytesView payload) {
   return sent;
 }
 
-Result<Bytes> StreamSocket::recv_frame(std::chrono::milliseconds deadline) {
+Result<BytesView> StreamSocket::recv_frame(
+    std::chrono::milliseconds deadline) {
   if (fd_ < 0) {
     return make_error(ErrorCode::kInvalidArgument, "socket is closed");
   }
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
-    if (auto payload = decoder_.next()) {
+    if (auto payload = decoder_.next_view()) {
       static obs::Counter& frames_rx = obs::MetricsRegistry::global().counter(
           obs::kNetFramesTotal, {{"dir", "rx"}});
       frames_rx.increment();
-      return std::move(*payload);
+      return *payload;
     }
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);

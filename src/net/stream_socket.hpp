@@ -64,11 +64,16 @@ class StreamSocket {
   /// up mid-write.
   Status send_frame(BytesView payload);
 
+  /// Write one frame the caller already encoded, length prefix included
+  /// (sig::Session::seal_frame), as send_frame() writes its own.
+  Status send_encoded_frame(BytesView frame);
+
   /// Read the next complete frame, accumulating torn reads. kTimeout when
   /// `deadline` passes first, kUnavailable on EOF/reset (with mid-frame
   /// detail when the peer tore a message in half), kBadMessage on a
-  /// framing error.
-  Result<Bytes> recv_frame(std::chrono::milliseconds deadline);
+  /// framing error. The payload is a view into the socket's receive
+  /// buffer, valid until the next recv_frame().
+  Result<BytesView> recv_frame(std::chrono::milliseconds deadline);
 
   /// Send raw bytes as-is (tests feeding deliberately broken streams).
   Status send_raw(BytesView bytes);

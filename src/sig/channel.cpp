@@ -1,5 +1,7 @@
 #include "sig/channel.hpp"
 
+#include <cstring>
+
 #include "common/tlv.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
@@ -17,44 +19,124 @@ void count_auth_failure() {
   failures.increment();
 }
 
-}  // namespace
+std::uint8_t* put_be(std::uint8_t* p, std::uint64_t v, int nbytes) {
+  for (int i = nbytes - 1; i >= 0; --i) {
+    *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return p;
+}
 
-Record Session::seal(BytesView payload) {
+crypto::Digest record_mac(const crypto::HmacKey& key, std::uint64_t sequence,
+                          BytesView payload) {
+  std::uint8_t be_seq[8];
+  put_be(be_seq, sequence, 8);
+  crypto::Sha256 inner = key.begin();
+  inner.update(BytesView(be_seq, sizeof(be_seq)));
+  inner.update(payload);
+  return key.finish(inner);
+}
+
+void count_seal() {
   static obs::Counter& seals = obs::MetricsRegistry::global().counter(
       obs::kSigChannelRecordsTotal, {{"op", "seal"}});
   seals.increment();
+}
+
+void count_open() {
+  static obs::Counter& opens = obs::MetricsRegistry::global().counter(
+      obs::kSigChannelRecordsTotal, {{"op", "open"}});
+  opens.increment();
+}
+
+std::uint8_t* put_tlv_header(std::uint8_t* p, tlv::Tag tag,
+                             std::size_t length) {
+  p = put_be(p, tag, 2);
+  return put_be(p, length, 4);
+}
+
+}  // namespace
+
+Record Session::seal(BytesView payload) {
+  count_seal();
   Record rec;
   rec.sequence = next_send_seq_++;
   rec.payload.assign(payload.begin(), payload.end());
-  Bytes mac_input;
-  tlv::put_be64(mac_input, rec.sequence);
-  append(mac_input, payload);
-  const crypto::Digest d = crypto::hmac_sha256(send_key_, mac_input);
-  rec.mac = crypto::digest_bytes(d);
+  rec.mac = crypto::digest_bytes(record_mac(send_mac_, rec.sequence, payload));
   return rec;
 }
 
 Result<Bytes> Session::open(const Record& record) {
-  static obs::Counter& opens = obs::MetricsRegistry::global().counter(
-      obs::kSigChannelRecordsTotal, {{"op", "open"}});
-  opens.increment();
-  Bytes mac_input;
-  tlv::put_be64(mac_input, record.sequence);
-  append(mac_input, record.payload);
-  const crypto::Digest d = crypto::hmac_sha256(recv_key_, mac_input);
-  if (!equal_ct(record.mac, crypto::digest_bytes(d))) {
+  count_open();
+  if (auto ok = accept(record.sequence, record.payload, record.mac);
+      !ok.ok()) {
+    return ok.error();
+  }
+  return record.payload;
+}
+
+void Session::seal_frame(BytesView payload, Bytes& out) {
+  count_seal();
+  const std::uint64_t sequence = next_send_seq_++;
+  // Record TLV: container { sequence u64, payload bytes, mac bytes }.
+  constexpr std::size_t kMacBytes = crypto::kSha256DigestSize;
+  const std::size_t body =
+      3 * tlv::kHeaderSize + 8 + payload.size() + kMacBytes;
+  const std::size_t record = tlv::kHeaderSize + body;
+  const std::size_t at = out.size();
+  out.resize(at + 4 + record);
+  std::uint8_t* p = out.data() + at;
+  p = put_be(p, record, 4);
+  p = put_tlv_header(p, channel_tag::kRecord, body);
+  p = put_tlv_header(p, channel_tag::kSequence, 8);
+  p = put_be(p, sequence, 8);
+  p = put_tlv_header(p, channel_tag::kPayload, payload.size());
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
+  p += payload.size();
+  p = put_tlv_header(p, channel_tag::kMac, kMacBytes);
+  const crypto::Digest mac = record_mac(send_mac_, sequence, payload);
+  std::memcpy(p, mac.data(), mac.size());
+}
+
+Result<BytesView> Session::open_record(BytesView record) {
+  tlv::Reader outer(record);
+  auto nested = outer.read_nested(channel_tag::kRecord);
+  if (!nested.ok()) return nested.error();
+  tlv::Reader& reader = nested.value();
+  auto sequence = reader.read_u64(channel_tag::kSequence);
+  if (!sequence.ok()) return sequence.error();
+  auto payload = reader.expect(channel_tag::kPayload);
+  if (!payload.ok()) return payload.error();
+  auto mac = reader.expect(channel_tag::kMac);
+  if (!mac.ok()) return mac.error();
+  if (!reader.at_end() || !outer.at_end()) {
+    return make_error(ErrorCode::kBadMessage, "trailing bytes after record");
+  }
+  // Counted once the record parses, as decode_record() then open() count.
+  count_open();
+  if (auto ok = accept(sequence.value(), payload.value().value,
+                       mac.value().value);
+      !ok.ok()) {
+    return ok.error();
+  }
+  return payload.value().value;
+}
+
+Status Session::accept(std::uint64_t sequence, BytesView payload,
+                       BytesView mac) {
+  const crypto::Digest expected = record_mac(recv_mac_, sequence, payload);
+  if (!equal_ct(mac, BytesView(expected.data(), expected.size()))) {
     count_auth_failure();
     return make_error(ErrorCode::kAuthenticationFailed,
                       "record MAC verification failed");
   }
-  if (record.sequence < expected_recv_seq_) {
+  if (sequence < expected_recv_seq_) {
     count_auth_failure();
     return make_error(ErrorCode::kAuthenticationFailed,
                       "record replay detected (seq " +
-                          std::to_string(record.sequence) + ")");
+                          std::to_string(sequence) + ")");
   }
-  expected_recv_seq_ = record.sequence + 1;
-  return record.payload;
+  expected_recv_seq_ = sequence + 1;
+  return Status::ok_status();
 }
 
 namespace {

@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "common/tlv.hpp"
 #include "crypto/certstore.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/x509.hpp"
 
@@ -65,13 +66,23 @@ struct Record {
 };
 
 /// One direction-aware session half (each peer holds one).
+///
+/// A record's MAC is HMAC-SHA256(key, be64(sequence) || payload), keyed
+/// per direction. The keyed HMAC states are built once, here, so sealing
+/// or opening a record hashes only the sequence and the payload.
+///
+/// Two forms share the MAC and the sequence rules. seal()/open() work on
+/// the Record struct, as the in-memory exchange carries it.
+/// seal_frame()/open_record() work on wire bytes in place, as the daemon
+/// and its clients carry them: the record is written straight into the
+/// caller's buffer and read where it lies, and the payload is never
+/// copied on its own. Their bytes are pinned to encode_record()/
+/// decode_record(), which stay as the oracle.
 class Session {
  public:
   Session() = default;
-  Session(crypto::Certificate peer, Bytes send_key, Bytes recv_key)
-      : peer_(std::move(peer)),
-        send_key_(std::move(send_key)),
-        recv_key_(std::move(recv_key)) {}
+  Session(crypto::Certificate peer, BytesView send_key, BytesView recv_key)
+      : peer_(std::move(peer)), send_mac_(send_key), recv_mac_(recv_key) {}
 
   const crypto::Certificate& peer_certificate() const { return peer_; }
 
@@ -82,10 +93,26 @@ class Session {
   /// payload.
   Result<Bytes> open(const Record& record);
 
+  /// Seal `payload` as the next record and append its frame, the u32
+  /// big-endian length and then the record TLV, to `out`: the bytes of
+  /// net::encode_frame(encode_record(seal(payload))). `payload` must not
+  /// point into `out`.
+  void seal_frame(BytesView payload, Bytes& out);
+
+  /// open() over a record's wire bytes (a frame's payload): parse the
+  /// record TLV in place, verify the MAC and the sequence, and return a
+  /// view of the payload inside `record`. Malformed or trailing bytes are
+  /// kBadMessage, as in decode_record().
+  Result<BytesView> open_record(BytesView record);
+
  private:
+  /// Check `mac` over (`sequence`, `payload`) and the sequence order;
+  /// advances the expected sequence on success.
+  Status accept(std::uint64_t sequence, BytesView payload, BytesView mac);
+
   crypto::Certificate peer_;
-  Bytes send_key_;
-  Bytes recv_key_;
+  crypto::HmacKey send_mac_;
+  crypto::HmacKey recv_mac_;
   std::uint64_t next_send_seq_ = 0;
   std::uint64_t expected_recv_seq_ = 0;
 };

@@ -12,17 +12,25 @@
 //     daemon ever advertised; depth 1 stays serial) and byte/decision-
 //     identity of a pipelined op sequence vs the serial client on an
 //     identically-seeded daemon;
+//   - the daemon's write path: a window's replies leave in one send, and
+//     a reader that stalls the daemon mid-frame still gets every reply in
+//     order, byte-identical to a serial run;
 //   - StreamServer's one-read-per-readiness-event fairness across
 //     connections, and the always-on loop-thread guard on send()
 //     (fork-based death check, skipped under sanitizers). TSan covers
 //     this file via tier1.sh --daemon.
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -382,6 +390,257 @@ TEST(PipelineConformance, PipelinedMatchesSerialByteForByte) {
 }
 
 // ---------------------------------------------------------------------
+// The daemon's write path: one send per read.
+
+Result<StreamSocket> connect_tcp_with_rcvbuf(const Endpoint& endpoint,
+                                             int rcvbuf) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return make_error(ErrorCode::kInternal, "socket()");
+  StreamSocket socket(fd);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(endpoint.port);
+  ::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return make_error(ErrorCode::kUnavailable, "connect()");
+  }
+  return socket;
+}
+
+/// A client that speaks the sealed wire by hand, so a test decides how
+/// request frames are batched into writes and when replies are read. The
+/// nonce seed is fixed: against a fresh daemon with the same auth seed,
+/// two such clients hold the same session keys.
+struct RawClient {
+  StreamSocket socket;
+  sig::Session session;
+  std::uint64_t next_id = 1;
+
+  /// `rcvbuf` > 0 sets the socket's receive buffer before it connects
+  /// (tcp endpoints only), so a client that stops reading backs the
+  /// daemon up after little output.
+  static Result<RawClient> connect(const Endpoint& endpoint,
+                                   int rcvbuf = 0) {
+    auto socket = rcvbuf > 0 ? connect_tcp_with_rcvbuf(endpoint, rcvbuf)
+                             : StreamSocket::connect(endpoint);
+    if (!socket.ok()) return socket.error();
+    const ServiceIdentity identity = make_service_identity(kDefaultAuthSeed);
+    Rng rng(7);
+    sig::HandshakeInitiator initiator(identity.client_endpoint(), 0, rng);
+    if (auto sent = socket.value().send_frame(initiator.client_hello());
+        !sent.ok()) {
+      return sent.error();
+    }
+    auto server_hello = socket.value().recv_frame(kWait);
+    if (!server_hello.ok()) return server_hello.error();
+    auto finished = initiator.on_server_hello(server_hello.value());
+    if (!finished.ok()) return finished.error();
+    if (auto sent = socket.value().send_frame(finished.value());
+        !sent.ok()) {
+      return sent.error();
+    }
+    return RawClient{std::move(socket.value()),
+                     std::move(initiator.session())};
+  }
+
+  /// Seal `count` pings into one buffer and write it with one send.
+  Status send_pings(std::size_t count) {
+    Bytes batch;
+    for (std::size_t i = 0; i < count; ++i) {
+      BbdRequest req = ping_request();
+      req.id = next_id++;
+      session.seal_frame(req.encode(), batch);
+    }
+    return socket.send_raw(batch);
+  }
+
+  /// Read one reply; its record bytes as received, and its id.
+  Result<std::pair<Bytes, std::uint64_t>> recv_reply() {
+    auto frame = socket.recv_frame(kWait);
+    if (!frame.ok()) return frame.error();
+    Bytes record(frame.value().begin(), frame.value().end());
+    auto payload = session.open_record(record);
+    if (!payload.ok()) return payload.error();
+    auto response = BbdResponse::decode(payload.value());
+    if (!response.ok()) return response.error();
+    return std::make_pair(std::move(record), response.value().id);
+  }
+};
+
+/// GET `path` from an admin endpoint; the response body.
+Result<std::string> admin_body(const Endpoint& admin,
+                               const std::string& path) {
+  auto socket = StreamSocket::connect(admin);
+  if (!socket.ok()) return socket.error();
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (auto sent = socket.value().send_raw(
+          BytesView(reinterpret_cast<const std::uint8_t*>(request.data()),
+                    request.size()));
+      !sent.ok()) {
+    return sent.error();
+  }
+  std::string wire;
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::read(socket.value().fd(), chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    wire.append(chunk, static_cast<std::size_t>(n));
+  }
+  const std::size_t head_end = wire.find("\r\n\r\n");
+  if (head_end == std::string::npos) {
+    return make_error(ErrorCode::kBadMessage, "malformed admin response");
+  }
+  return wire.substr(head_end + 4);
+}
+
+/// The one RPC connection's /statz counters.
+struct ConnCounters {
+  std::uint64_t bytes_tx = 0;
+  std::uint64_t frames_rx = 0;
+  std::uint64_t frames_tx = 0;
+  std::uint64_t sends = 0;
+  std::uint64_t queued_bytes = 0;
+};
+
+Result<ConnCounters> statz_counters(const Endpoint& admin) {
+  auto body = admin_body(admin, "/statz");
+  if (!body.ok()) return body.error();
+  const std::string& json = body.value();
+  bool found = true;
+  auto field = [&](const std::string& key) -> std::uint64_t {
+    const std::size_t at = json.find("\"" + key + "\":");
+    if (at == std::string::npos) {
+      found = false;
+      return 0;
+    }
+    return std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+  };
+  ConnCounters counters{field("bytes_tx"), field("frames_rx"),
+                        field("frames_tx"), field("sends"),
+                        field("queued_bytes")};
+  if (!found) return make_error(ErrorCode::kBadMessage, "statz: " + json);
+  return counters;
+}
+
+BbdService::Options admin_service_options() {
+  BbdService::Options options = service_options();
+  options.admin_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
+  return options;
+}
+
+// Eight pipelined requests written in one chunk are decoded from one
+// read, run in arrival order, and their eight replies leave in one send.
+TEST(StreamServer, PipelinedWindowLeavesInOneSend) {
+  BbdService service(admin_service_options());
+  ASSERT_TRUE(service.start().ok());
+  const Endpoint admin = service.admin_endpoints().front();
+  auto client = RawClient::connect(service.bound_endpoints().front());
+  ASSERT_TRUE(client.ok()) << client.error().to_text();
+
+  auto before = statz_counters(admin);
+  ASSERT_TRUE(before.ok()) << before.error().to_text();
+  constexpr std::size_t kWindow = 8;
+  ASSERT_TRUE(client.value().send_pings(kWindow).ok());
+  for (std::uint64_t id = 1; id <= kWindow; ++id) {
+    auto reply = client.value().recv_reply();
+    ASSERT_TRUE(reply.ok()) << reply.error().to_text();
+    EXPECT_EQ(reply.value().second, id) << "replies left FIFO order";
+  }
+  auto after = statz_counters(admin);
+  ASSERT_TRUE(after.ok()) << after.error().to_text();
+  EXPECT_EQ(after.value().frames_rx - before.value().frames_rx, kWindow);
+  EXPECT_EQ(after.value().frames_tx - before.value().frames_tx, kWindow);
+  EXPECT_EQ(after.value().sends - before.value().sends, 1u);
+  EXPECT_EQ(after.value().queued_bytes, 0u);
+  service.stop();
+  service.wait();
+}
+
+// A client that stops reading backs the daemon's output up until the
+// socket refuses part of a frame (EAGAIN mid-frame), then reads it all:
+// every reply arrives, in order, byte-identical to a serial run of the
+// same pings against an identically seeded daemon.
+TEST(StreamServer, StalledReaderGetsEveryReplyInOrderAfterEagain) {
+  std::vector<Bytes> pipelined;
+  {
+    BbdService service(admin_service_options());
+    ASSERT_TRUE(service.start().ok());
+    const Endpoint admin = service.admin_endpoints().front();
+    auto client =
+        RawClient::connect(service.bound_endpoints().front(), 4096);
+    ASSERT_TRUE(client.ok()) << client.error().to_text();
+    auto start = statz_counters(admin);
+    ASSERT_TRUE(start.ok()) << start.error().to_text();
+    // Every ping reply has the same size, so the bytes written since
+    // `start` end mid-frame exactly when they are not a whole multiple.
+    const std::size_t reply_frame =
+        4 + 64 + BbdResponse::success(1).encode().size();
+
+    // Loopback TCP absorbs a few MB before the daemon's send() is refused
+    // (its send buffer grows up to net.ipv4.tcp_wmem's 4 MB maximum);
+    // kMaxPings is well past that.
+    constexpr std::size_t kBatch = 256;
+    constexpr std::size_t kMaxPings = 40000;
+    std::size_t sent = 0;
+    auto read_replies = [&](std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        auto reply = client.value().recv_reply();
+        ASSERT_TRUE(reply.ok()) << reply.error().to_text();
+        ASSERT_EQ(reply.value().second, pipelined.size() + 1);
+        pipelined.push_back(std::move(reply.value().first));
+      }
+    };
+    bool stalled_mid_frame = false;
+    bool stalled_on_a_boundary = false;
+    while (!stalled_mid_frame && sent < kMaxPings) {
+      // A stall that fell on a frame boundary shows nothing; read some
+      // replies so the daemon writes on, and stalls again elsewhere.
+      if (stalled_on_a_boundary) read_replies(1000);
+      ASSERT_TRUE(client.value().send_pings(kBatch).ok());
+      sent += kBatch;
+      // Wait until the daemon has run every ping sent so far.
+      Result<ConnCounters> now = make_error(ErrorCode::kTimeout, "statz");
+      const auto deadline = std::chrono::steady_clock::now() + kWait;
+      while (std::chrono::steady_clock::now() < deadline) {
+        now = statz_counters(admin);
+        ASSERT_TRUE(now.ok()) << now.error().to_text();
+        if (now.value().frames_tx - start.value().frames_tx == sent) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(now.value().frames_tx - start.value().frames_tx, sent);
+      const std::uint64_t written =
+          now.value().bytes_tx - start.value().bytes_tx;
+      const bool stalled = now.value().queued_bytes > 0;
+      stalled_mid_frame = stalled && written % reply_frame != 0;
+      stalled_on_a_boundary = stalled && !stalled_mid_frame;
+    }
+    ASSERT_TRUE(stalled_mid_frame)
+        << "the daemon never hit EAGAIN mid-frame in " << sent << " pings";
+    read_replies(sent - pipelined.size());
+    auto drained = statz_counters(admin);
+    ASSERT_TRUE(drained.ok());
+    EXPECT_EQ(drained.value().queued_bytes, 0u);
+    service.stop();
+    service.wait();
+  }
+
+  BbdService service(admin_service_options());
+  ASSERT_TRUE(service.start().ok());
+  auto client = RawClient::connect(service.bound_endpoints().front());
+  ASSERT_TRUE(client.ok()) << client.error().to_text();
+  for (std::size_t i = 0; i < pipelined.size(); ++i) {
+    ASSERT_TRUE(client.value().send_pings(1).ok());
+    auto reply = client.value().recv_reply();
+    ASSERT_TRUE(reply.ok()) << reply.error().to_text();
+    ASSERT_EQ(reply.value().first, pipelined[i]) << "reply " << i;
+  }
+  service.stop();
+  service.wait();
+}
+
+// ---------------------------------------------------------------------
 // StreamServer's read fairness and the loop-thread guard.
 
 // Each readiness event reads one 16 KiB recv() chunk, so a peer with a
@@ -397,7 +656,7 @@ TEST(StreamServer, OneReadPerReadinessEventInterleavesConnections) {
   StreamServer::Options options;
   options.listen_on = {Endpoint::parse("tcp:127.0.0.1:0").value()};
   StreamServer::Callbacks callbacks;
-  callbacks.on_frame = [&](StreamServer::ConnId, Bytes frame) {
+  callbacks.on_frame = [&](StreamServer::ConnId, BytesView frame) {
     order.push_back(frame.front());
     delivered.fetch_add(1, std::memory_order_release);
   };
@@ -470,7 +729,9 @@ TEST(StreamServerPost, OffLoopSendAborts) {
     // has delivered the peer's frame once on_frame runs.
     std::atomic<bool> live{false};
     StreamServer::Callbacks callbacks;
-    callbacks.on_frame = [&](StreamServer::ConnId, Bytes) { live = true; };
+    callbacks.on_frame = [&](StreamServer::ConnId, BytesView) {
+      live = true;
+    };
     StreamServer server(std::move(options), std::move(callbacks));
     if (!server.start().ok()) ::_exit(2);
     std::thread loop([&] { server.run(); });

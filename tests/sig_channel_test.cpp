@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/tlv.hpp"
 #include "crypto/ca.hpp"
 #include "obs/audit.hpp"
 #include "obs/instruments.hpp"
@@ -79,6 +82,107 @@ TEST(Channel, ReplayRejected) {
   ASSERT_TRUE(pair.responder.open(rec).ok());
   const auto replay = pair.responder.open(rec);
   ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.error().message.find("replay"), std::string::npos);
+}
+
+/// The oracle's frame: u32be length, then encode_record(record).
+Bytes oracle_frame(const Record& record) {
+  const Bytes body = encode_record(record);
+  Bytes frame;
+  tlv::put_be32(frame, static_cast<std::uint32_t>(body.size()));
+  append(frame, body);
+  return frame;
+}
+
+Bytes patterned(std::size_t n) {
+  Bytes payload(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  return payload;
+}
+
+// Sealing in place writes exactly the oracle's bytes: the same fixture
+// seed gives two pairs the same keys, one seals through the Record struct
+// and encode_record, the other straight into a buffer that already holds
+// bytes (seal_frame appends). Sizes straddle the SHA-256 block and its
+// padding boundary; the last fills a 1 MiB frame (the stream framing's
+// cap) exactly.
+TEST(Channel, SealFrameWritesTheOracleBytes) {
+  ChannelFixture fa;
+  ChannelFixture fb;
+  auto oracle = handshake(fa.endpoint_a(), fa.endpoint_b(), 0, fa.rng).value();
+  auto in_place =
+      handshake(fb.endpoint_a(), fb.endpoint_b(), 0, fb.rng).value();
+  constexpr std::size_t kFrameCap = 1u << 20;
+  constexpr std::size_t kRecordOverhead = 64;  // four TLV headers, seq, MAC
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{55},
+                              std::size_t{56}, std::size_t{63},
+                              std::size_t{64}, std::size_t{160},
+                              std::size_t{2048},
+                              kFrameCap - kRecordOverhead}) {
+    const Bytes payload = patterned(n);
+    const Bytes expected = oracle_frame(oracle.initiator.seal(payload));
+    Bytes out = {0xde, 0xad};
+    in_place.initiator.seal_frame(payload, out);
+    ASSERT_EQ(out.size(), 2 + expected.size()) << "payload " << n;
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin() + 2))
+        << "payload " << n;
+    if (n == kFrameCap - kRecordOverhead) {
+      EXPECT_EQ(expected.size(), 4 + kFrameCap);
+    }
+
+    // Opening in place returns a view of the payload inside the frame.
+    const BytesView record(out.data() + 2 + 4, out.size() - 2 - 4);
+    auto opened = in_place.responder.open_record(record);
+    ASSERT_TRUE(opened.ok()) << opened.error().to_text();
+    EXPECT_EQ(opened.value().data(), record.data() + 3 * tlv::kHeaderSize + 8);
+    EXPECT_TRUE(std::equal(opened.value().begin(), opened.value().end(),
+                           payload.begin(), payload.end()));
+    // And the oracle's decode + open agrees.
+    auto decoded = decode_record(record);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(oracle.responder.open(decoded.value()).value(), payload);
+  }
+}
+
+// In-place open accepts only the exact record: any one byte changed, any
+// truncation and any trailing byte are refused, none of them moves the
+// receive sequence, and the genuine record then opens once, not twice.
+TEST(Channel, OpenRecordRejectsFlipsTruncationsTrailingAndReplay) {
+  ChannelFixture f;
+  auto pair = handshake(f.endpoint_a(), f.endpoint_b(), 0, f.rng).value();
+  const Bytes payload = patterned(160);
+  Bytes frame;
+  pair.initiator.seal_frame(payload, frame);
+  const Bytes record(frame.begin() + 4, frame.end());
+
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0xff}}) {
+      Bytes tampered = record;
+      tampered[i] ^= flip;
+      EXPECT_FALSE(pair.responder.open_record(tampered).ok())
+          << "byte " << i << " ^ " << int{flip};
+    }
+  }
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    auto opened = pair.responder.open_record(BytesView(record.data(), len));
+    ASSERT_FALSE(opened.ok()) << "truncated to " << len;
+    EXPECT_EQ(opened.error().code, ErrorCode::kBadMessage);
+  }
+  Bytes trailing = record;
+  trailing.push_back(0x00);
+  auto extra = pair.responder.open_record(trailing);
+  ASSERT_FALSE(extra.ok());
+  EXPECT_EQ(extra.error().code, ErrorCode::kBadMessage);
+
+  auto opened = pair.responder.open_record(record);
+  ASSERT_TRUE(opened.ok()) << opened.error().to_text();
+  EXPECT_TRUE(std::equal(opened.value().begin(), opened.value().end(),
+                         payload.begin(), payload.end()));
+  auto replay = pair.responder.open_record(record);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.error().code, ErrorCode::kAuthenticationFailed);
   EXPECT_NE(replay.error().message.find("replay"), std::string::npos);
 }
 
